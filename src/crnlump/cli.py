@@ -4,13 +4,14 @@ Every command prints a machine-readable run report (JSON) to stdout;
 diagnostics go to stderr. Exit codes: 0 success, 1 parse error, 2 internal
 error, 3 failed equivalence check or oracle counterexample. Timings in the
 report are the only nondeterministic fields. `reduce --batch` processes a
-directory in parallel; the worker count comes from CRNLUMP_THREADS.
+directory in parallel with min(CRNLUMP_THREADS, files, CPUs) workers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -140,14 +141,35 @@ def _reduce_one_file(task):
         return {"file": path, "ok": False, "error": str(exc)}
 
 
+def _batch_workers(n_files: int) -> int:
+    """min(CRNLUMP_THREADS, files, CPUs); raises ValueError on a setting
+    that is not a positive integer."""
+    cpus = os.cpu_count() or 1
+    raw = os.environ.get("CRNLUMP_THREADS")
+    requested = cpus
+    if raw is not None:
+        try:
+            requested = int(raw)
+        except ValueError:
+            requested = 0
+        if requested <= 0:
+            raise ValueError(f"CRNLUMP_THREADS must be a positive integer, "
+                             f"got {raw!r}")
+    return min(requested, n_files, cpus)
+
+
 def _reduce_batch(args) -> int:
     in_dir = Path(args.batch)
     out_dir = Path(args.out_dir or in_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = sorted(str(p) for p in in_dir.glob("*.crn"))
-    workers = int(os.environ.get("CRNLUMP_THREADS", os.cpu_count() or 1))
+    try:
+        workers = _batch_workers(len(files))
+    except ValueError as exc:
+        print(f"reduce: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(f, str(out_dir), args.tolerance) for f in files]
-    if workers > 1 and len(files) > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_reduce_one_file, tasks))
     else:
@@ -314,6 +336,14 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="crnlump",
@@ -327,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="reduced model file")
     p.add_argument("--map", help="block map JSON output")
     p.add_argument("--partition-file", help="initial partition override")
-    p.add_argument("--tolerance", type=float, default=0.0,
+    p.add_argument("--tolerance", type=_tolerance, default=0.0,
                    help="absolute rate-comparison tolerance (soundness-"
                         "weakening; default 0 = exact)")
     p.add_argument("--batch", help="reduce every *.crn file in a directory")

@@ -29,6 +29,7 @@ the command-line tool.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,6 +40,25 @@ from .model import (BlockProjection, Multiset, Partition, RateInterval,
 
 class InvalidPartitionError(ValueError):
     """The supplied partition is not a species equivalence of the network."""
+
+
+class _ProvedPartition(Partition):
+    """A partition that exact-mode `coarsest_equivalence` proved to be a
+    species equivalence of one network object, held by weak reference.
+    `quotient` trusts it for that network only."""
+
+    __slots__ = ("_proved_for",)
+
+    def __init__(self, blocks, net: ReactionNetwork):
+        super().__init__(blocks, net.n_species)
+        self._proved_for = weakref.ref(net)
+
+    def proved_for(self, net: ReactionNetwork) -> bool:
+        return self._proved_for() is net
+
+    def __reduce__(self):
+        # a weak reference cannot be pickled; a copy is a plain partition
+        return (Partition, (self.blocks, self.n))
 
 
 @dataclass
@@ -276,7 +296,11 @@ def coarsest_equivalence(net: ReactionNetwork, initial: Partition,
     """Coarsest species equivalence of both extremal networks refining
     `initial`: alternate single-extremal refinement until a full round leaves
     the partition unchanged. The result refines the input, passes
-    check_equivalence, and successive rounds only ever split blocks."""
+    check_equivalence, and successive rounds only ever split blocks.
+
+    In exact mode the last round is the proof: its sweeps under both
+    extremals split nothing, which is check_equivalence's criterion, so
+    `quotient` on this same network does not check the result again."""
     if initial.n != net.n_species:
         raise StructuralError("initial partition over wrong species universe")
     comp = _Compiled(net)
@@ -293,6 +317,9 @@ def coarsest_equivalence(net: ReactionNetwork, initial: Partition,
     if stats is not None:
         stats["rounds"] = rounds
         stats["sweeps"] = counter.get("sweeps", 0)
+    if tolerance <= 0.0:
+        return _ProvedPartition(blocks, net)
+    # greedy-leader clustering is not transitive: no proof
     return Partition(blocks, net.n_species)
 
 
@@ -374,43 +401,38 @@ def quotient(net: ReactionNetwork, part: Partition,
     product species are rewritten to their block representatives, and
     reactions sharing (reactant, product) are fused by summing lower and
     upper bounds independently. Raises InvalidPartitionError when the
-    partition is not a species equivalence.
+    partition is not a species equivalence. The check is skipped only for
+    an exact-mode result of `coarsest_equivalence` on this same network.
     """
-    if not check_equivalence(net, part, tolerance):
+    proved = isinstance(part, _ProvedPartition) and part.proved_for(net)
+    if not proved and not check_equivalence(net, part, tolerance):
         raise InvalidPartitionError("partition is not a species equivalence")
     bmap = BlockMap.for_partition(part)
     reps = bmap.representatives
+    block_of = part.block_of
     is_rep = [False] * net.n_species
-    new_index = {}
-    for new_i, orig in enumerate(reps):
+    for orig in reps:
         is_rep[orig] = True
-        new_index[orig] = new_i
-    rep_of = [reps[part.block_of[i]] for i in range(net.n_species)]
 
+    # a representative's new index is its block id, so a side's new entries
+    # are its canonical per-block projection
     species = tuple(Species(net.species[orig].name, new_i)
                     for new_i, orig in enumerate(reps))
     fused: Dict[Tuple[tuple, tuple], Tuple[List[float], List[float]]] = {}
-    order: List[Tuple[tuple, tuple]] = []
-    readback: Dict[Tuple[tuple, tuple], Tuple[Multiset, Multiset]] = {}
     for r in net.reactions:
-        if any(not is_rep[i] for i, _ in r.reactant):
+        rent = r.reactant.entries
+        if not all(is_rep[i] for i, _ in rent):
             continue
-        reactant = Multiset((new_index[i], c) for i, c in r.reactant)
-        product = Multiset((new_index[rep_of[i]], c) for i, c in r.product)
-        key = (reactant.entries, product.entries)
-        if key not in fused:
-            fused[key] = ([], [])
-            order.append(key)
-            readback[key] = (reactant, product)
-        fused[key][0].append(r.rate.lo)
-        fused[key][1].append(r.rate.hi)
-    reactions = []
-    for rid, key in enumerate(order):
-        reactant, product = readback[key]
-        los, his = fused[key]
-        reactions.append(Reaction(reactant, product,
-                                  RateInterval(math.fsum(los), math.fsum(his)),
-                                  rid))
+        key = (_project_key(rent, block_of),
+               _project_key(r.product.entries, block_of))
+        rates = fused.get(key)
+        if rates is None:
+            rates = fused[key] = ([], [])
+        rates[0].append(r.rate.lo)
+        rates[1].append(r.rate.hi)
+    reactions = [Reaction(Multiset.from_canonical(rx), Multiset.from_canonical(px),
+                          RateInterval(math.fsum(los), math.fsum(his)), rid)
+                 for rid, ((rx, px), (los, his)) in enumerate(fused.items())]
 
     init_state = None
     if net.initial_state is not None:

@@ -54,6 +54,14 @@ class Multiset:
     def from_counts(cls, counts: Dict[int, int]) -> "Multiset":
         return cls(counts.items())
 
+    @classmethod
+    def from_canonical(cls, entries: Tuple[Tuple[int, int], ...]) -> "Multiset":
+        """Trusted constructor: `entries` must already be canonical (sorted
+        by distinct index, counts positive); it is stored without checks."""
+        ms = object.__new__(cls)
+        ms.entries = entries
+        return ms
+
     @property
     def total(self) -> int:
         """Total number of molecules, i.e. the sum of all counts."""
@@ -125,13 +133,13 @@ EMPTY_MULTISET = Multiset()
 
 @dataclass(frozen=True)
 class RateInterval:
-    """Closed nonnegative interval [lo, hi] bounding a kinetic rate."""
+    """Closed nonnegative finite interval [lo, hi] bounding a kinetic rate."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not (0.0 <= self.lo <= self.hi):
+        if not (0.0 <= self.lo <= self.hi and math.isfinite(self.hi)):
             raise ValueError(f"invalid rate interval [{self.lo}; {self.hi}]")
 
     @classmethod
@@ -199,7 +207,7 @@ class ReactionNetwork:
         for j, r in enumerate(self.reactions):
             if r.id != j:
                 raise StructuralError("reaction ids must be contiguous and in order")
-            for idx, _ in tuple(r.reactant) + tuple(r.product):
+            for idx, _ in r.reactant.entries + r.product.entries:
                 if idx >= n:
                     raise StructuralError(f"reaction {j} references species index {idx} >= {n}")
         if initial_state is not None:

@@ -11,14 +11,23 @@ with multiset either `0` or `term (+ term)*`, term `[count] <id>`, and rate
 either a plain number `k` (sugar for `[k : k]`) or an interval `[lo : hi]`.
 Species first appearing inside a reaction are auto-registered in order of
 appearance. Species omitted from every partition brace group form one
-implicit final block. Serialization is deterministic and round-trip stable.
+implicit final block. Numbers must be finite. Serialization is
+deterministic and round-trip stable.
+
+Reaction, `species` and `partition` lines are first tried against one
+full-line regular expression each. These accept a subset of the grammar and
+follow the tokenizer's maximal munch: `2e5A` is the number `2e5` followed by
+`A`, and `+2` is a signed number, so neither is read as a count. A line that
+does not match, or that matches but fails a semantic check, is parsed again
+by the tokenizer, which either accepts it or raises the located error.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .model import (Multiset, Partition, RateInterval, Reaction,
                     ReactionNetwork, Species)
@@ -32,6 +41,24 @@ _TOKEN_RE = re.compile(
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<sym>[+,:\[\]{}=])"
 )
+
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# unsigned; the same language as the tokenizer's number, without its
+# ambiguous `\d+\.?\d*` split
+_NUM = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# a count is a positive integer not continued by an exponent
+_TERM = rf"(?:0*[1-9][0-9]*(?![eE][+-]?[0-9])[ \t]*)?{_IDENT}"
+# `+` directly before a digit or a dot would start a signed number
+_SIDE = rf"0|{_TERM}(?:[ \t]*\+(?![0-9.])[ \t]*{_TERM})*"
+_REACTION_RE = re.compile(
+    rf"[ \t]*(?:({_IDENT})[ \t]*:[ \t]*)?({_SIDE})[ \t]*->[ \t]*({_SIDE})"
+    rf"[ \t]*,[ \t]*(?:({_NUM})|\[[ \t]*({_NUM})[ \t]*:[ \t]*({_NUM})[ \t]*\])"
+    r"[ \t]*")
+_COUNT_TERM_RE = re.compile(r"([0-9]+)[ \t]*(.*)")
+_SPECIES_RE = re.compile(rf"[ \t]*species((?:[ \t]+{_IDENT})*)[ \t]*")
+_BLOCK = rf"\{{[ \t]*{_IDENT}(?:[ \t]+{_IDENT})*[ \t]*\}}"
+_PARTITION_RE = re.compile(rf"[ \t]*partition[ \t]*((?:{_BLOCK}[ \t]*)+)")
+_BLOCK_BODY_RE = re.compile(r"\{([^}]*)\}")
 
 
 class ParseError(ValueError):
@@ -61,8 +88,7 @@ class ModelDocument:
                 and self.labels == other.labels)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -118,31 +144,35 @@ class _Cursor:
 
 
 class _Builder:
-    """Accumulates declarations while parsing a model document."""
+    """Accumulates declarations while parsing a model document.
+
+    `sides` and `rates` map the source text of a reaction side or rate to
+    the immutable object already built from it, so repeated text is parsed
+    once per document."""
 
     def __init__(self):
         self.names: List[str] = []
         self.index: Dict[str, int] = {}
-        self.declared_lines: Dict[str, int] = {}
         self.reactions: List[Reaction] = []
         self.labels: Dict[int, str] = {}
         self.reaction_lines: Dict[int, int] = {}
         self.init_values: Dict[int, float] = {}
         self.partition_groups: Optional[List[List[int]]] = None
+        self.sides: Dict[str, Multiset] = {}
+        self.rates: Dict[tuple, RateInterval] = {}
 
     def declare(self, tok: Token):
         if tok.text in self.index:
             raise ParseError(f"duplicate species declaration {tok.text!r}", tok.line, tok.col)
         self.index[tok.text] = len(self.names)
         self.names.append(tok.text)
-        self.declared_lines[tok.text] = tok.line
 
-    def intern(self, tok: Token) -> int:
-        idx = self.index.get(tok.text)
+    def intern(self, name: str) -> int:
+        idx = self.index.get(name)
         if idx is None:
             idx = len(self.names)
-            self.index[tok.text] = idx
-            self.names.append(tok.text)
+            self.index[name] = idx
+            self.names.append(name)
         return idx
 
     def lookup(self, tok: Token) -> int:
@@ -151,12 +181,49 @@ class _Builder:
             raise ParseError(f"unknown species {tok.text!r}", tok.line, tok.col)
         return idx
 
+    def add_reaction(self, reactant: Multiset, product: Multiset,
+                     rate: RateInterval, label: Optional[str], line: int):
+        rid = len(self.reactions)
+        self.reactions.append(Reaction(reactant, product, rate, rid))
+        self.reaction_lines[rid] = line
+        if label is not None:
+            self.labels[rid] = label
+
+    def document(self, source: Optional[str]) -> ModelDocument:
+        species = tuple(Species(name, i) for i, name in enumerate(self.names))
+        n = len(species)
+        concentration = None
+        state = None
+        if self.init_values:
+            vec = [0.0] * n
+            for idx, val in self.init_values.items():
+                vec[idx] = val
+            concentration = tuple(vec)
+            if all(v.is_integer() for v in vec):
+                state = Multiset((i, int(v)) for i, v in enumerate(vec))
+        network = ReactionNetwork(species, self.reactions, state, concentration)
+
+        partition = None
+        if self.partition_groups is not None:
+            groups = [list(g) for g in self.partition_groups]
+            covered = {i for g in groups for i in g}
+            rest = [i for i in range(n) if i not in covered]
+            if rest:
+                groups.append(rest)
+            partition = Partition(groups, n)
+
+        return ModelDocument(network, partition, self.labels, source,
+                             self.reaction_lines)
+
 
 def _parse_number(tok: Token) -> float:
     try:
-        return float(tok.text)
+        value = float(tok.text)
     except ValueError:
         raise ParseError(f"bad number {tok.text!r}", tok.line, tok.col) from None
+    if not math.isfinite(value):
+        raise ParseError(f"number {tok.text!r} is not finite", tok.line, tok.col)
+    return value
 
 
 def _parse_multiset(cur: _Cursor, b: _Builder) -> Multiset:
@@ -179,7 +246,7 @@ def _parse_multiset(cur: _Cursor, b: _Builder) -> Multiset:
             raise ParseError(f"expected species term, got {tok.text!r}", tok.line, tok.col)
         if tok.text in _KEYWORDS:
             raise ParseError(f"reserved word {tok.text!r} used as species", tok.line, tok.col)
-        pairs.append((b.intern(tok), count))
+        pairs.append((b.intern(tok.text), count))
         nxt = cur.peek()
         if nxt is not None and nxt.kind == "sym" and nxt.text == "+":
             cur.next()
@@ -277,57 +344,142 @@ def _parse_reaction_line(cur: _Cursor, b: _Builder, line: int):
     cur.expect("sym", ",")
     rate = _parse_rate(cur)
     cur.require_done()
-    rid = len(b.reactions)
-    b.reactions.append(Reaction(reactant, product, rate, rid))
-    b.reaction_lines[rid] = line
-    if label is not None:
-        b.labels[rid] = label
+    b.add_reaction(reactant, product, rate, label, line)
+
+
+def _parse_line(b: _Builder, raw: str, line_no: int):
+    """Tokenizer path: parses any line of the grammar, or raises the
+    located ParseError."""
+    tokens = _tokenize(raw.rstrip("\r"), line_no)
+    if not tokens:
+        return
+    cur = _Cursor(tokens, line_no)
+    head = tokens[0]
+    if head.kind == "ident" and head.text == "species":
+        cur.next()
+        _parse_species_line(cur, b)
+    elif head.kind == "ident" and head.text == "init":
+        cur.next()
+        _parse_init_line(cur, b)
+    elif head.kind == "ident" and head.text == "partition":
+        cur.next()
+        _parse_partition_line(cur, b, line_no)
+    else:
+        _parse_reaction_line(cur, b, line_no)
+
+
+def _side_terms(side: str) -> List[Tuple[str, int]]:
+    """(name, count) terms of a reaction side matched by `_SIDE`."""
+    if side == "0":
+        return []
+    terms = []
+    for term in side.split("+"):
+        term = term.strip(" \t")
+        if term[0].isdigit():
+            m = _COUNT_TERM_RE.fullmatch(term)
+            terms.append((m.group(2), int(m.group(1))))
+        else:
+            terms.append((term, 1))
+    return terms
+
+
+def _side_multiset(b: _Builder, side: str,
+                   terms: List[Tuple[str, int]]) -> Multiset:
+    if len(terms) == 1:
+        name, count = terms[0]
+        ms = Multiset.from_canonical(((b.intern(name), count),))
+    else:
+        acc: Dict[int, int] = {}
+        for name, count in terms:
+            idx = b.intern(name)
+            acc[idx] = acc.get(idx, 0) + count
+        ms = Multiset.from_canonical(tuple(sorted(acc.items())))
+    b.sides[side] = ms
+    return ms
+
+
+def _fast_reaction(b: _Builder, m: re.Match, line_no: int) -> bool:
+    label, lhs, rhs = m.group(1, 2, 3)
+    if label in _KEYWORDS:
+        return False
+    key = m.group(4, 5, 6)
+    rate = b.rates.get(key)
+    if rate is None:
+        point, lo_text, hi_text = key
+        if point is not None:
+            lo = hi = float(point)
+        else:
+            lo, hi = float(lo_text), float(hi_text)
+        if not (lo <= hi and math.isfinite(hi)):
+            return False
+        rate = b.rates[key] = RateInterval(lo, hi)
+    reactant, product = b.sides.get(lhs), b.sides.get(rhs)
+    if reactant is None or product is None:
+        # check both sides before interning anything: a rejected line must
+        # add nothing to the document
+        lterms = _side_terms(lhs) if reactant is None else []
+        rterms = _side_terms(rhs) if product is None else []
+        if any(name in _KEYWORDS for name, _ in lterms + rterms):
+            return False
+        if reactant is None:
+            reactant = _side_multiset(b, lhs, lterms)
+        if product is None:
+            product = _side_multiset(b, rhs, rterms)
+    b.add_reaction(reactant, product, rate, label, line_no)
+    return True
+
+
+def _fast_species(b: _Builder, m: re.Match) -> bool:
+    names = m.group(1).split()
+    if (not _KEYWORDS.isdisjoint(names) or len(set(names)) != len(names)
+            or any(name in b.index for name in names)):
+        return False
+    for name in names:
+        b.intern(name)
+    return True
+
+
+def _fast_partition(b: _Builder, m: re.Match) -> bool:
+    if b.partition_groups is not None:
+        return False
+    index = b.index
+    groups: List[List[int]] = []
+    n_members = 0
+    for body in _BLOCK_BODY_RE.findall(m.group(1)):
+        names = body.split()
+        if any(name not in index for name in names):
+            return False
+        groups.append([index[name] for name in names])
+        n_members += len(names)
+    if len({i for g in groups for i in g}) != n_members:
+        return False
+    b.partition_groups = groups
+    return True
+
+
+def _parse_line_fast(b: _Builder, raw: str, line_no: int) -> bool:
+    """Regex path for reaction, `species` and `partition` lines. Returns
+    False, having added nothing to the document, when the line must go to
+    the tokenizer path instead."""
+    m = _REACTION_RE.fullmatch(raw)
+    if m is not None:
+        return _fast_reaction(b, m, line_no)
+    m = _SPECIES_RE.fullmatch(raw)
+    if m is not None:
+        return _fast_species(b, m)
+    m = _PARTITION_RE.fullmatch(raw)
+    if m is not None:
+        return _fast_partition(b, m)
+    return False
 
 
 def parse_model(text: str, source: Optional[str] = None) -> ModelDocument:
     """Parse a model document; raises ParseError with source location on error."""
     b = _Builder()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw.rstrip("\r"), line_no)
-        if not tokens:
-            continue
-        cur = _Cursor(tokens, line_no)
-        head = tokens[0]
-        if head.kind == "ident" and head.text == "species":
-            cur.next()
-            _parse_species_line(cur, b)
-        elif head.kind == "ident" and head.text == "init":
-            cur.next()
-            _parse_init_line(cur, b)
-        elif head.kind == "ident" and head.text == "partition":
-            cur.next()
-            _parse_partition_line(cur, b, line_no)
-        else:
-            _parse_reaction_line(cur, b, line_no)
-
-    species = tuple(Species(name, i) for i, name in enumerate(b.names))
-    n = len(species)
-    concentration = None
-    state = None
-    if b.init_values:
-        vec = [0.0] * n
-        for idx, val in b.init_values.items():
-            vec[idx] = val
-        concentration = tuple(vec)
-        if all(v.is_integer() for v in vec):
-            state = Multiset((i, int(v)) for i, v in enumerate(vec))
-    network = ReactionNetwork(species, b.reactions, state, concentration)
-
-    partition = None
-    if b.partition_groups is not None:
-        groups = [list(g) for g in b.partition_groups]
-        covered = {i for g in groups for i in g}
-        rest = [i for i in range(n) if i not in covered]
-        if rest:
-            groups.append(rest)
-        partition = Partition(groups, n)
-
-    return ModelDocument(network, partition, b.labels, source, b.reaction_lines)
+        if not _parse_line_fast(b, raw, line_no):
+            _parse_line(b, raw, line_no)
+    return b.document(source)
 
 
 def _fmt(x: float) -> str:
@@ -419,7 +571,9 @@ def parse_edge_list(text: str, undirected: bool = False) -> EdgeListGraph:
             weight = float(wtext)
         except ValueError:
             raise ParseError(f"non-numeric weight {wtext!r}", line_no, 1) from None
-        if not (weight >= 0.0):
+        if not math.isfinite(weight):
+            raise ParseError(f"non-finite weight {wtext!r}", line_no, 1)
+        if weight < 0.0:
             raise ParseError(f"negative weight {weight}", line_no, 1)
         si, di = intern(src), intern(dst)
         edges.append((si, di, weight))

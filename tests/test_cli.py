@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import crnlump as cl
+from crnlump import cli
 from crnlump.cli import run
 
 from conftest import TWO_SITE_TEXT
@@ -89,6 +90,24 @@ class TestReduce:
         bad.write_text("A -> B , [2.0 : 1.0]\n")
         assert run(["reduce", "-i", str(bad), "-o", str(tmp_path / "o.crn")]) == 1
 
+    @pytest.mark.parametrize("text", [
+        "A -> B , [1e999 : 1e999]\n",
+        "A -> B , 1e999\n",
+        "A -> B , 1.0\ninit A = 1e999\n",
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, text):
+        bad = tmp_path / "bad.crn"
+        bad.write_text(text)
+        assert run(["reduce", "-i", str(bad), "-o", str(tmp_path / "o.crn")]) == 1
+
+    @pytest.mark.parametrize("value", ["-1e-6", "nan", "inf", "-inf"])
+    def test_tolerance_out_of_range_rejected(self, tmp_path, two_site_file,
+                                             value):
+        with pytest.raises(SystemExit) as exc:
+            run(["reduce", "-i", str(two_site_file), "-o",
+                 str(tmp_path / "o.crn"), f"--tolerance={value}"])
+        assert exc.value.code == 2
+
     def test_missing_file_exit_code(self, tmp_path):
         assert run(["reduce", "-i", str(tmp_path / "nope.crn"),
                     "-o", str(tmp_path / "o.crn")]) == 1
@@ -111,6 +130,71 @@ class TestReduce:
         assert all(f["ok"] for f in report["files"])
         assert (outdir / "a.red.crn").exists()
         assert (outdir / "a.map.json").exists()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestBatchWorkers:
+    @pytest.fixture
+    def pool(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        _InlinePool.created = []
+        indir = tmp_path / "models"
+        indir.mkdir()
+        for stem in ("a", "b", "c"):
+            (indir / f"{stem}.crn").write_text("species X Y\nX -> Y , 1.0\n")
+        return _InlinePool.created
+
+    def batch(self, tmp_path):
+        return run(["reduce", "--batch", str(tmp_path / "models"),
+                    "--out-dir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("threads,expected", [
+        ("64", [2]),   # clamped to the CPU count
+        ("2", [2]),
+        ("1", []),     # one worker runs in this process
+        (None, [2]),   # unset: the CPU count
+    ])
+    def test_clamped(self, tmp_path, monkeypatch, pool, threads, expected):
+        if threads is None:
+            monkeypatch.delenv("CRNLUMP_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CRNLUMP_THREADS", threads)
+        assert self.batch(tmp_path) == 0
+        assert pool == expected
+        assert len(list((tmp_path / "out").glob("*.red.crn"))) == 3
+
+    def test_clamped_to_file_count(self, tmp_path, monkeypatch, pool):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
+        monkeypatch.setenv("CRNLUMP_THREADS", "8")
+        assert self.batch(tmp_path) == 0
+        assert pool == [3]
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two", "1.5", ""])
+    def test_invalid_setting_rejected(self, tmp_path, monkeypatch, pool,
+                                      threads, capsys):
+        monkeypatch.setenv("CRNLUMP_THREADS", threads)
+        assert self.batch(tmp_path) == 2
+        assert "CRNLUMP_THREADS" in capsys.readouterr().err
+        assert pool == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestCheck:

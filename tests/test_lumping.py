@@ -1,8 +1,10 @@
+import pickle
 import random
 
 import pytest
 
 import crnlump as cl
+from crnlump import lumping
 from crnlump.lumping import (InvalidPartitionError, check_equivalence,
                              coarsest_equivalence, quotient, rate_between,
                              refine_partition, species_signature)
@@ -238,6 +240,57 @@ class TestQuotient:
                 canon.add((reactant, product, r.rate.lo, r.rate.hi))
             out.append(canon)
         assert out[0] == out[1]
+
+
+class TestProvedPartition:
+    """quotient skips its equivalence check only for an exact-mode result of
+    coarsest_equivalence, and only on the network it was computed for."""
+
+    @pytest.fixture
+    def check_calls(self, monkeypatch):
+        calls = []
+        real = lumping.check_equivalence
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lumping, "check_equivalence", counting)
+        return calls
+
+    def test_exact_result_on_same_network_is_not_rechecked(
+            self, two_site, two_site_partition, check_calls):
+        part = coarsest_equivalence(two_site, two_site_partition)
+        lumped, _ = quotient(two_site, part)
+        assert check_calls == []
+        assert lumped.n_species == 4
+
+    def test_other_network_of_equal_size_is_checked(
+            self, two_site, two_site_partition, check_calls):
+        part = coarsest_equivalence(two_site, two_site_partition)
+        broken = perturb_rate(two_site, 4, dhi=0.01)
+        assert broken.n_species == two_site.n_species
+        with pytest.raises(InvalidPartitionError):
+            quotient(broken, part)
+        twin = ReactionNetwork(two_site.species, two_site.reactions)
+        quotient(twin, part)
+        assert [args[0] for args in check_calls] == [broken, twin]
+
+    def test_hand_built_and_copied_partitions_are_checked(
+            self, two_site, two_site_partition, check_calls):
+        part = coarsest_equivalence(two_site, two_site_partition)
+        quotient(two_site, Partition(part.blocks, part.n))
+        quotient(two_site, pickle.loads(pickle.dumps(part)))
+        assert len(check_calls) == 2
+
+    def test_tolerance_mode_result_is_checked(
+            self, two_site, two_site_partition, check_calls):
+        broken = perturb_rate(two_site, 4, dhi=0.01)
+        part = coarsest_equivalence(broken, two_site_partition, tolerance=0.02)
+        quotient(broken, part, tolerance=0.02)
+        assert len(check_calls) == 1
+        with pytest.raises(InvalidPartitionError):
+            quotient(broken, part)
 
 
 class TestNoopReactions:

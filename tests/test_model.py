@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crnlump.model import (Multiset, Partition, StructuralError,
+from crnlump.model import (Multiset, Partition, RateInterval, StructuralError,
                            block_projection, falling_binomial, refines)
 
 
@@ -43,6 +43,16 @@ class TestMultiset:
         names = ("B", "A")
         assert ms((0, 1), (1, 2)).format(names) == "B + 2 A"
         assert Multiset().format(names) == "0"
+
+
+class TestRateInterval:
+    @pytest.mark.parametrize("lo,hi", [
+        (-1.0, 1.0), (2.0, 1.0), (1.0, float("inf")),
+        (float("inf"), float("inf")), (float("nan"), 1.0), (0.0, float("nan")),
+    ])
+    def test_invalid_rejected(self, lo, hi):
+        with pytest.raises(ValueError):
+            RateInterval(lo, hi)
 
 
 class TestPartition:

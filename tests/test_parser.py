@@ -1,11 +1,13 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crnlump as cl
 from crnlump.model import Multiset, Partition, RateInterval
-from crnlump.parser import (ParseError, parse_edge_list, parse_model,
-                            parse_partition_file, serialize_model)
+from crnlump.parser import (ParseError, _Builder, _parse_line, parse_edge_list,
+                            parse_model, parse_partition_file, serialize_model)
 
 from conftest import TWO_SITE_TEXT
 
@@ -85,6 +87,9 @@ class TestParseErrors:
         ("A -> B , 1.0 extra\n", "trailing input", 1),
         ("A @ B -> C , 1.0\n", "unexpected character", 1),
         ("0 A -> B , 1.0\n", "positive integer", 1),
+        ("A -> B , [1e999 : 1e999]\n", "not finite", 1),
+        ("A -> B , 1e999\n", "not finite", 1),
+        ("species A\ninit A = 1e999\n", "not finite", 2),
     ])
     def test_error_carries_location(self, text, fragment, line):
         with pytest.raises(ParseError) as err:
@@ -147,10 +152,76 @@ class TestEdgeList:
         assert g.nodes == ["a", "b", "c"]
         assert g.edges == [(0, 1, 1.0), (1, 2, 2.0)]
 
-    @pytest.mark.parametrize("text", ["1 2\n", "1 2 x\n", "1 2 -0.5\n", "1 2 3 4\n"])
+    @pytest.mark.parametrize("text", ["1 2\n", "1 2 x\n", "1 2 -0.5\n", "1 2 3 4\n",
+                                      "1 2 1e999\n", "1 2 nan\n"])
     def test_malformed_lines(self, text):
         with pytest.raises(ParseError):
             parse_edge_list(text)
+
+
+def tokenizer_parse(text):
+    """The document the tokenizer path alone builds, line by line."""
+    b = _Builder()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        _parse_line(b, raw, line_no)
+    return b.document(None)
+
+
+def outcome(parse, text):
+    """Everything a parse yields, or the located error it raises."""
+    try:
+        doc = parse(text)
+    except ParseError as err:
+        return ("error", err.message, err.line, err.col)
+    net = doc.network
+    return (net.names, net.reactions, net.initial_state,
+            net.initial_concentration, doc.initial_partition, doc.labels,
+            doc.reaction_lines)
+
+
+class TestFastPathMatchesTokenizer:
+    # (line, message, col) as the tokenizer reports them on line 2
+    @pytest.mark.parametrize("line,message,col", [
+        ("2e5A -> B , 1", "multiset count must be a positive integer", 1),
+        ("0 A -> B , 1", "multiset count must be a positive integer", 1),
+        ("2.0 A -> B , 1", "multiset count must be a positive integer", 1),
+        ("species: A -> B , 1", "expected ident, got ':'", 8),
+        ("A -> B , [2:1]", "interval lower bound 2.0 exceeds upper bound 1.0",
+         11),
+        ("A -> B , -1", "negative rate", 10),
+        ("A + init -> B , 1", "reserved word 'init' used as species", 5),
+        ("A +2B -> C , 1", "expected arrow, got '+2'", 3),
+    ])
+    def test_malformed_line(self, line, message, col):
+        text = "X -> Y , 1\n" + line + "\n"
+        for parse in (parse_model, tokenizer_parse):
+            assert outcome(parse, text) == ("error", message, 2, col)
+
+    @pytest.mark.parametrize("line", [
+        "2eA -> B , 1",           # the number is `2`, the species `eA`
+        "01 A -> B , 1",
+        "x:2A+ B+A->0,[1:2]",
+        "A -> B , +1",            # signed rates take the tokenizer path
+        "A + A -> 0 , 1.5e-3",
+    ])
+    def test_unusual_valid_line(self, line):
+        text = "species B\n" + line + "\n"
+        assert outcome(parse_model, text) == outcome(tokenizer_parse, text)
+        assert outcome(parse_model, text)[0] != "error"
+
+
+_PIECES = ["A", "B", "e5", "2", "0", "01", "2e5", "1.5", ".5", "1e999", "+",
+           "-", "->", ",", ":", "[", "]", "{", "}", "=", "species", "init",
+           "partition", "lab"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.sampled_from(_PIECES),
+                                   st.sampled_from(["", " ", "\t"])),
+                         max_size=12), max_size=4))
+def test_fast_path_agrees_on_arbitrary_lines(lines):
+    text = "\n".join("".join(p + sep for p, sep in line) for line in lines)
+    assert outcome(parse_model, text) == outcome(tokenizer_parse, text)
 
 
 _NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True).filter(
@@ -160,35 +231,65 @@ _RATE = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 @st.composite
 def documents(draw):
+    """Valid documents with irregular spacing (including none where the
+    grammar allows it), adjacent counts like `2A`, repeated species,
+    labels, `0` sides and plain or exponent-form rates."""
     names = draw(st.lists(_NAME, min_size=1, max_size=8, unique=True))
     n = len(names)
     n_reactions = draw(st.integers(0, 10))
-    lines = ["species " + " ".join(names)]
+
+    def ws():
+        return draw(st.sampled_from(["", " ", "  ", "\t", " \t "]))
+
+    def ws1():
+        return draw(st.sampled_from([" ", "  ", "\t"]))
+
+    def number_format():
+        # one format per interval: rounding both ends alike keeps lo <= hi
+        return draw(st.sampled_from([repr, "{:e}".format, "{:.3E}".format]))
+
+    lines = [ws() + "species" + "".join(ws1() + nm for nm in names) + ws()]
     for rid in range(n_reactions):
         def side():
             pairs = draw(st.lists(
                 st.tuples(st.integers(0, n - 1), st.integers(1, 3)), max_size=3))
             if not pairs:
                 return "0"
-            return " + ".join(names[i] if c == 1 else f"{c} {names[i]}"
-                              for i, c in pairs)
+            out = ""
+            for k, (i, c) in enumerate(pairs):
+                if k:
+                    # `+2` would be a signed number
+                    out += ws() + "+" + (ws1() if c > 1 else ws())
+                if c > 1:
+                    # `2e5x` would be one number
+                    gap = ws1() if re.match(r"[eE][0-9]", names[i]) else ws()
+                    out += f"{c}{gap}"
+                out += names[i]
+            return out
         lo = draw(_RATE)
         hi = lo + draw(st.floats(min_value=0.0, max_value=1e3, allow_nan=False))
-        rate = repr(lo) if draw(st.booleans()) else f"[{lo!r} : {hi!r}]"
-        label = f"r{rid}: " if draw(st.booleans()) else ""
-        lines.append(f"{label}{side()} -> {side()} , {rate}")
+        fmt = number_format()
+        if draw(st.booleans()):
+            rate = fmt(lo)
+        else:
+            rate = f"[{ws()}{fmt(lo)}{ws()}:{ws()}{fmt(hi)}{ws()}]"
+        label = f"r{rid}{ws()}:{ws()}" if draw(st.booleans()) else ""
+        lines.append(f"{ws()}{label}{side()}{ws()}->{ws()}{side()}{ws()},"
+                     f"{ws()}{rate}{ws()}")
     if draw(st.booleans()):
         values = draw(st.lists(_RATE, min_size=n, max_size=n))
-        body = ", ".join(f"{nm} = {v!r}" for nm, v in zip(names, values))
-        lines.append(f"init {body}")
+        body = ",".join(f"{ws()}{nm}{ws()}={ws()}{number_format()(v)}"
+                        for nm, v in zip(names, values))
+        lines.append(f"init{ws1()}{body}")
     if draw(st.booleans()) and n >= 2:
         k = draw(st.integers(1, n))
         labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
         blocks = {}
         for i, lab in enumerate(labels):
             blocks.setdefault(lab, []).append(names[i])
-        groups = " ".join("{ " + " ".join(b) + " }" for b in blocks.values())
-        lines.append(f"partition {groups}")
+        groups = ws().join("{" + ws() + ws1().join(b) + ws() + "}"
+                           for b in blocks.values())
+        lines.append(f"partition{ws()}{groups}{ws()}")
     return "\n".join(lines) + "\n"
 
 
@@ -200,3 +301,9 @@ def test_parse_serialize_round_trip(text):
     again = parse_model(out)
     assert doc.structurally_equal(again)
     assert serialize_model(again) == out
+
+
+@settings(max_examples=80, deadline=None)
+@given(documents())
+def test_fast_path_builds_the_tokenizer_document(text):
+    assert outcome(parse_model, text) == outcome(tokenizer_parse, text)
