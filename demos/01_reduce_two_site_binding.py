@@ -32,7 +32,7 @@ print("coarsest refinement:", [tuple(net.names[i] for i in b) for b in part.bloc
 
 # Build the quotient: A10 is dropped, its reactions fold into A01's, and
 # parallel reactions fuse by summing interval endpoints.
-lumped, bmap = cl.quotient(net, part)
+lumped, _ = cl.quotient(net, part)
 print("\nlumped model:")
 print(cl.serialize_model(cl.ModelDocument(lumped)))
 

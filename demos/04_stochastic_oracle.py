@@ -7,7 +7,6 @@
 import numpy as np
 
 import crnlump as cl
-from crnlump.ctmc import _lift_key
 
 MODEL = """species B A00 A01 A10 A11
 A00 + B -> A10 , [1.0 : 2.0]
@@ -53,7 +52,7 @@ pt = cl.transient_solve(gen_o, p0, 1.0)
 qt = cl.transient_solve(gen_l, q0, 1.0)
 lifted = {}
 for i, s in enumerate(space.states):
-    k = _lift_key(s, part.block_of)
+    k = cl.project_key(s.entries, part.block_of)
     lifted[k] = lifted.get(k, 0.0) + pt[i]
 gap = max(abs(qt[j] - lifted.get(tuple(s.entries), 0.0))
           for j, s in enumerate(lspace.states))

@@ -1,14 +1,13 @@
 """crnlump: lumping, simulation and control reconstruction for mass-action
 reaction networks whose kinetic rates are interval-valued control inputs."""
 
-from .model import (BlockProjection, Multiset, Partition, RateInterval,
-                    Reaction, ReactionNetwork, Species, StructuralError,
-                    block_projection, falling_binomial, refines)
+from .model import (Multiset, Partition, RateInterval, Reaction,
+                    ReactionNetwork, Species, StructuralError,
+                    falling_binomial, project_key, refines)
 from .parser import (EdgeListGraph, ModelDocument, ParseError, parse_edge_list,
                      parse_model, parse_partition_file, serialize_model)
-from .lumping import (BlockMap, InvalidPartitionError, Signature,
-                      check_equivalence, coarsest_equivalence, quotient,
-                      rate_between, refine_partition, species_signature)
+from .lumping import (InvalidPartitionError, check_equivalence,
+                      coarsest_equivalence, quotient)
 from .ode import (ControlSchedule, CostSpec, DivergenceError,
                   ProjectionFailureError, Trajectory, VectorField, block_sums,
                   block_indicator, evaluate_cost, project_control,
@@ -16,10 +15,9 @@ from .ode import (ControlSchedule, CostSpec, DivergenceError,
                   trajectory_from_csv, trajectory_to_csv, vector_field)
 from .ctmc import (ApproximateResultWarning, CapacityError, Generator,
                    JumpPath, LumpabilityResult, PropensityOverflowError,
-                   ScaledKinetics, StateSpace, build_generator,
-                   check_ordinary_lumpability, distribution_to_csv,
-                   enumerate_ball, enumerate_states, jump_path_to_csv,
-                   scaled_generator, ssa_simulate, transient_solve)
+                   StateSpace, build_generator, check_ordinary_lumpability,
+                   distribution_to_csv, enumerate_ball, enumerate_states,
+                   jump_path_to_csv, ssa_simulate, transient_solve)
 from .reconstruct import (BoxLsResult, DriftMatchProblem,
                           ReconstructionFailureError, ReconstructionResult,
                           build_drift_match, reconstruct_trajectory,
@@ -31,25 +29,23 @@ from .generators import (DEFAULT_ASSOCIATION, DEFAULT_DISSOCIATION, SirParams,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproximateResultWarning", "BlockMap", "BlockProjection", "BoxLsResult",
-    "CapacityError", "ControlSchedule", "CostSpec", "DEFAULT_ASSOCIATION",
+    "ApproximateResultWarning", "BoxLsResult", "CapacityError",
+    "ControlSchedule", "CostSpec", "DEFAULT_ASSOCIATION",
     "DEFAULT_DISSOCIATION", "DivergenceError", "DriftMatchProblem",
     "EdgeListGraph", "Generator", "InvalidPartitionError", "JumpPath",
     "LumpabilityResult", "ModelDocument", "Multiset", "ParseError",
     "Partition", "ProjectionFailureError", "PropensityOverflowError",
     "RateInterval", "Reaction", "ReactionNetwork", "ReconstructionFailureError",
-    "ReconstructionResult", "ScaledKinetics", "Signature", "SirParams",
-    "Species", "StateSpace", "StructuralError", "Trajectory", "VectorField",
-    "block_indicator", "block_projection", "block_sums", "build_drift_match",
-    "build_generator", "check_equivalence", "check_ordinary_lumpability",
-    "coarsest_equivalence", "distribution_to_csv", "enumerate_ball",
-    "enumerate_states", "jump_path_to_csv",
-    "evaluate_cost", "falling_binomial", "multisite_binding_model",
-    "parse_edge_list", "parse_model", "parse_partition_file",
-    "project_control", "quotient", "rate_between", "reconstruct_trajectory",
-    "refine_partition", "refines", "scaled_generator", "schedule_from_csv",
+    "ReconstructionResult", "SirParams", "Species", "StateSpace",
+    "StructuralError", "Trajectory", "VectorField", "block_indicator",
+    "block_sums", "build_drift_match", "build_generator", "check_equivalence",
+    "check_ordinary_lumpability", "coarsest_equivalence",
+    "distribution_to_csv", "enumerate_ball", "enumerate_states",
+    "evaluate_cost", "falling_binomial", "jump_path_to_csv",
+    "multisite_binding_model", "parse_edge_list", "parse_model",
+    "parse_partition_file", "project_control", "project_key", "quotient",
+    "reconstruct_trajectory", "refines", "schedule_from_csv",
     "schedule_to_csv", "serialize_model", "simulate", "sir_network_model",
-    "sir_star_model", "solve_box_ls", "species_signature", "ssa_simulate",
-    "trajectory_from_csv", "trajectory_to_csv", "transient_solve",
-    "vector_field",
+    "sir_star_model", "solve_box_ls", "ssa_simulate", "trajectory_from_csv",
+    "trajectory_to_csv", "transient_solve", "vector_field",
 ]

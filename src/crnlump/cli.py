@@ -17,7 +17,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,15 +70,60 @@ def _initial_partition(doc: ModelDocument, partition_file: Optional[str]) -> Par
     return Partition.one_block(doc.network.n_species)
 
 
-def _parse_assignments(text: str, net: ReactionNetwork) -> Dict[int, float]:
+def _parse_assignments(text: str, net: ReactionNetwork, flag: str,
+                       counts: bool = False) -> Dict[int, float]:
+    """Parse a `NAME=VALUE,...` flag value. A missing `=`, an unknown
+    species, or a value that is not a finite number (with `counts`, not a
+    non-negative integer) is a ParseError at the item's column."""
     out: Dict[int, float] = {}
-    for item in text.split(","):
-        item = item.strip()
+    col = 1
+    for raw in text.split(","):
+        item = raw.strip()
+        where = col + len(raw) - len(raw.lstrip())
+        col += len(raw) + 1
         if not item:
             continue
-        name, _, value = item.partition("=")
-        out[net.index_of(name.strip())] = float(value)
+        name, eq, value = (part.strip() for part in item.partition("="))
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not eq:
+            why = "expected NAME=VALUE"
+        elif name not in net.names:
+            why = f"unknown species {name!r}"
+        elif not math.isfinite(number):
+            why = f"value {value!r} is not a finite number"
+        elif counts and not (number >= 0 and number.is_integer()):
+            why = f"count {value!r} is not a non-negative integer"
+        else:
+            out[net.index_of(name)] = number
+            continue
+        raise ParseError(f"{flag} item {item!r}: {why}", 1, where)
     return out
+
+
+def _initial_vector(text: Optional[str], net: ReactionNetwork,
+                    flag: str) -> Optional[np.ndarray]:
+    """Initial concentrations from the `flag` assignments, else from the
+    model's init, else None."""
+    if text:
+        v0 = np.zeros(net.n_species)
+        for i, v in _parse_assignments(text, net, flag).items():
+            v0[i] = v
+        return v0
+    if net.initial_concentration is not None:
+        return np.array(net.initial_concentration)
+    return None
+
+
+def _write_block_map(path, net: ReactionNetwork, part: Partition):
+    """Block map JSON: each block's representative and members, by name."""
+    names = net.names
+    blocks = [{"representative": names[rep], "members": [names[i] for i in block]}
+              for rep, block in zip(part.representatives, part.blocks)]
+    Path(path).write_text(json.dumps({"blocks": blocks}, indent=2) + "\n",
+                          encoding="utf-8")
 
 
 def cmd_reduce(args) -> int:
@@ -89,18 +134,15 @@ def cmd_reduce(args) -> int:
     initial = _initial_partition(doc, args.partition_file)
     phases.mark("parse")
     stats: dict = {}
-    part = coarsest_equivalence(doc.network, initial, tolerance=args.tolerance,
-                                stats=stats)
+    part = coarsest_equivalence(doc.network, initial, stats=stats)
     phases.mark("lump")
-    lumped, bmap = quotient(doc.network, part, tolerance=args.tolerance)
+    lumped, part = quotient(doc.network, part)
     phases.mark("quotient")
     if args.output:
         Path(args.output).write_text(serialize_model(ModelDocument(lumped)),
                                      encoding="utf-8")
     if args.map:
-        Path(args.map).write_text(
-            json.dumps(bmap.to_json_dict(doc.network, part), indent=2) + "\n",
-            encoding="utf-8")
+        _write_block_map(args.map, doc.network, part)
     phases.mark("write")
     _emit_report({
         "command": "reduce",
@@ -111,26 +153,23 @@ def cmd_reduce(args) -> int:
         "rounds": stats.get("rounds", 0),
         "sweeps": stats.get("sweeps", 0),
         "phases_ms": phases.entries,
-        "flags": {"tolerance": args.tolerance, "tolerance_used": args.tolerance > 0},
+        "flags": {},
     }, args.report)
     return EXIT_OK
 
 
 def _reduce_one_file(task):
-    path, out_dir, tolerance = task
+    path, out_dir = task
     try:
         doc = _load_document(path)
-        initial = doc.initial_partition or Partition.one_block(doc.network.n_species)
+        initial = _initial_partition(doc, None)
         stats: dict = {}
-        part = coarsest_equivalence(doc.network, initial, tolerance=tolerance,
-                                    stats=stats)
-        lumped, bmap = quotient(doc.network, part, tolerance=tolerance)
+        part = coarsest_equivalence(doc.network, initial, stats=stats)
+        lumped, part = quotient(doc.network, part)
         stem = Path(path).stem
         Path(out_dir, f"{stem}.red.crn").write_text(
             serialize_model(ModelDocument(lumped)), encoding="utf-8")
-        Path(out_dir, f"{stem}.map.json").write_text(
-            json.dumps(bmap.to_json_dict(doc.network, part), indent=2) + "\n",
-            encoding="utf-8")
+        _write_block_map(Path(out_dir, f"{stem}.map.json"), doc.network, part)
         return {"file": path, "ok": True,
                 "input": {"species": doc.network.n_species,
                           "reactions": doc.network.n_reactions},
@@ -168,15 +207,14 @@ def _reduce_batch(args) -> int:
         print(f"reduce: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(f, str(out_dir), args.tolerance) for f in files]
+    tasks = [(f, str(out_dir)) for f in files]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_reduce_one_file, tasks))
     else:
         results = [_reduce_one_file(t) for t in tasks]
-    _emit_report({"command": "reduce-batch", "files": results,
-                  "flags": {"tolerance": args.tolerance,
-                            "tolerance_used": args.tolerance > 0}}, args.report)
+    _emit_report({"command": "reduce-batch", "files": results, "flags": {}},
+                 args.report)
     return EXIT_OK if all(r["ok"] for r in results) else EXIT_INTERNAL
 
 
@@ -203,8 +241,8 @@ def cmd_check(args) -> int:
         # space; otherwise it enumerates the full population ball, which sees
         # every state the reaction-level criterion quantifies over.
         if args.init:
-            init = Multiset((i, int(v)) for i, v in
-                            _parse_assignments(args.init, net).items())
+            init = Multiset((i, int(v)) for i, v in _parse_assignments(
+                args.init, net, "--init", counts=True).items())
             space = enumerate_states(net, init, args.pop_bound)
         elif net.initial_state is not None:
             space = enumerate_states(net, net.initial_state, args.pop_bound)
@@ -234,13 +272,8 @@ def cmd_simulate(args) -> int:
         sched = schedule_from_csv(Path(args.schedule).read_text(encoding="utf-8"))
     else:
         sched = ControlSchedule.midpoint(net)
-    if args.init:
-        v0 = np.zeros(net.n_species)
-        for i, v in _parse_assignments(args.init, net).items():
-            v0[i] = v
-    elif net.initial_concentration is not None:
-        v0 = np.array(net.initial_concentration)
-    else:
+    v0 = _initial_vector(args.init, net, "--init")
+    if v0 is None:
         print("simulation needs an initial state (--init or model init)",
               file=sys.stderr)
         return EXIT_INTERNAL
@@ -260,21 +293,36 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _check_lumped_header(text: str, got: Tuple[str, ...],
+                         want: Tuple[str, ...]):
+    """A lumped trajectory's columns must be the lumped model's species in
+    order; otherwise a ParseError names the first mismatching column."""
+    for k in range(max(len(got), len(want))):
+        g, w = got[k:k + 1], want[k:k + 1]
+        if g != w:
+            have = repr(g[0]) if g else "missing"
+            need = f"species {w[0]!r}" if w else "no more species"
+            no, header = next((no, ln) for no, ln in
+                              enumerate(text.splitlines(), 1) if ln.strip())
+            col = min(2 + len(",".join(header.split(",")[:k + 1])),
+                      len(header) + 1)
+            raise ParseError(f"lumped trajectory header: column {k + 2} is "
+                             f"{have} where the lumped model has {need}", no, col)
+
+
 def cmd_reconstruct(args) -> int:
     phases = _Phases()
     doc = _load_document(args.model)
     net = doc.network
     part = _initial_partition(doc, args.partition_file)
-    lumped_traj = trajectory_from_csv(Path(args.lumped_traj).read_text(encoding="utf-8"))
+    traj_text = Path(args.lumped_traj).read_text(encoding="utf-8")
+    lumped_traj = trajectory_from_csv(traj_text)
+    _check_lumped_header(traj_text, lumped_traj.names,
+                         tuple(net.names[i] for i in part.representatives))
     lumped_sched = schedule_from_csv(
         Path(args.lumped_schedule).read_text(encoding="utf-8"))
-    if args.v0:
-        v0 = np.zeros(net.n_species)
-        for i, v in _parse_assignments(args.v0, net).items():
-            v0[i] = v
-    elif net.initial_concentration is not None:
-        v0 = np.array(net.initial_concentration)
-    else:
+    v0 = _initial_vector(args.v0, net, "--v0")
+    if v0 is None:
         print("reconstruction needs an initial state (--v0 or model init)",
               file=sys.stderr)
         return EXIT_INTERNAL
@@ -336,14 +384,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="crnlump",
@@ -357,9 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="reduced model file")
     p.add_argument("--map", help="block map JSON output")
     p.add_argument("--partition-file", help="initial partition override")
-    p.add_argument("--tolerance", type=_tolerance, default=0.0,
-                   help="absolute rate-comparison tolerance (soundness-"
-                        "weakening; default 0 = exact)")
     p.add_argument("--batch", help="reduce every *.crn file in a directory")
     p.add_argument("--out-dir", help="output directory for --batch")
     p.add_argument("--report", help="write the run report JSON to a file")

@@ -1,7 +1,7 @@
 """Stochastic semantics at desk scale: explicit state enumeration, extremal
 generator matrices, the ordinary-lumpability oracle, uniformized transient
-solves, scaled approximations with a population cutoff, and stochastic
-simulation.
+solves, and stochastic simulation, optionally population-scaled with a
+cutoff.
 
 Everything here deliberately enumerates states and is only meant for small
 populations; it serves as an independent oracle against the reaction-level
@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import (Multiset, Partition, ReactionNetwork, StructuralError,
-                    falling_binomial)
+                    falling_binomial, project_key)
 
 
 class CapacityError(RuntimeError):
@@ -200,14 +200,6 @@ class LumpabilityResult:
     counterexample: Optional[LumpabilityCounterexample] = None
 
 
-def _lift_key(sigma: Multiset, block_of: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
-    acc: Dict[int, int] = {}
-    for i, c in sigma:
-        b = block_of[i]
-        acc[b] = acc.get(b, 0) + c
-    return tuple(sorted(acc.items()))
-
-
 def check_ordinary_lumpability(gen: Generator, space: StateSpace,
                                part: Partition) -> LumpabilityResult:
     """Lift the species partition to states via block projection and test that
@@ -224,7 +216,7 @@ def check_ordinary_lumpability(gen: Generator, space: StateSpace,
     rearrangements or refactorings of the same real rates compare equal.
     """
     block_of = part.block_of
-    keys = [_lift_key(s, block_of) for s in space.states]
+    keys = [project_key(s.entries, block_of) for s in space.states]
     groups: Dict[tuple, List[int]] = {}
     for i, k in enumerate(keys):
         groups.setdefault(k, []).append(i)
@@ -296,59 +288,6 @@ def transient_solve(gen: Generator, p0: Sequence[float], t: float,
             cumulative += weight
         p = out
     return p
-
-
-@dataclass
-class ScaledKinetics:
-    """Rate law of the N-th population-scaled approximation: counts n stand
-    for concentrations n / N, each reaction rate is divided by N^(arity - 1),
-    and all rates are damped by the cutoff g = clamp(2 - |n|/(N c), 0, 1)."""
-
-    net: ReactionNetwork
-    N: int
-    c: float
-    alpha: Tuple[float, ...]
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
-        if not (self.c > 0):
-            raise ValueError("cutoff scale c must be positive")
-        if len(self.alpha) != self.net.n_reactions:
-            raise ValueError("one rate per reaction required")
-
-    def cutoff(self, total_count: int) -> float:
-        return max(0.0, min(1.0, 2.0 - total_count / (self.N * self.c)))
-
-    def scaled_rate(self, reaction_id: int) -> float:
-        r = self.net.reactions[reaction_id]
-        return self.alpha[reaction_id] / self.N ** (r.arity - 1)
-
-    def propensity(self, sigma: Multiset, reaction_id: int) -> float:
-        r = self.net.reactions[reaction_id]
-        return (self.cutoff(sigma.total) * self.scaled_rate(reaction_id)
-                * falling_binomial(sigma, r.reactant))
-
-    def transition_rate(self, sigma: Multiset, theta: Multiset) -> float:
-        """Aggregate jump rate between two count states (counts = N * state)."""
-        if sigma == theta:
-            raise ValueError("transition rate is defined between distinct states")
-        total = 0.0
-        for r in self.net.reactions:
-            if r.is_noop:
-                continue
-            fb = falling_binomial(sigma, r.reactant)
-            if fb == 0:
-                continue
-            if sigma.subtract(r.reactant).add(r.product) == theta:
-                total += self.scaled_rate(r.id) * fb
-        return self.cutoff(sigma.total) * total
-
-
-def scaled_generator(net: ReactionNetwork, N: int, c: float,
-                     extremal: str = "lower") -> ScaledKinetics:
-    """Scaled rate law at the chosen extremal rate vector."""
-    return ScaledKinetics(net, N, c, net.rates(extremal))
 
 
 @dataclass

@@ -21,21 +21,17 @@ contributions are aggregated with exact (correctly rounded) summation, which
 is independent of enumeration order: two aggregates compare equal exactly
 when the real sums of their contributions are equal, so symmetric sums built
 from permuted or differently factored reaction lists cannot drift apart by
-rounding. An optional absolute tolerance (default 0) supports models
-authored with rounded rates; it weakens soundness and is surfaced as such by
-the command-line tool.
+rounding.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .model import (BlockProjection, Multiset, Partition, RateInterval,
-                    Reaction, ReactionNetwork, Species, StructuralError,
-                    block_projection)
+from .model import (Multiset, Partition, RateInterval, Reaction,
+                    ReactionNetwork, Species, StructuralError, project_key)
 
 
 class InvalidPartitionError(ValueError):
@@ -43,9 +39,9 @@ class InvalidPartitionError(ValueError):
 
 
 class _ProvedPartition(Partition):
-    """A partition that exact-mode `coarsest_equivalence` proved to be a
-    species equivalence of one network object, held by weak reference.
-    `quotient` trusts it for that network only."""
+    """A partition that `coarsest_equivalence` proved to be a species
+    equivalence of one network object, held by weak reference. `quotient`
+    trusts it for that network only."""
 
     __slots__ = ("_proved_for",)
 
@@ -53,45 +49,9 @@ class _ProvedPartition(Partition):
         super().__init__(blocks, net.n_species)
         self._proved_for = weakref.ref(net)
 
-    def proved_for(self, net: ReactionNetwork) -> bool:
-        return self._proved_for() is net
-
     def __reduce__(self):
         # a weak reference cannot be pickled; a copy is a plain partition
         return (Partition, (self.blocks, self.n))
-
-
-@dataclass
-class Signature:
-    """Off-diagonal aggregate rates of one species, keyed by
-    (context multiset, lifted-target projection). Zero aggregates are omitted."""
-
-    entries: Dict[Tuple[Multiset, BlockProjection], float]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Signature) and self.entries == other.entries
-
-    def close_to(self, other: "Signature", tolerance: float) -> bool:
-        if tolerance <= 0.0:
-            return self.entries == other.entries
-        keys = set(self.entries) | set(other.entries)
-        return all(abs(self.entries.get(k, 0.0) - other.entries.get(k, 0.0)) <= tolerance
-                   for k in keys)
-
-
-def rate_between(net: ReactionNetwork, extremal: str, rho: Multiset,
-                 pi: Multiset) -> float:
-    """Aggregate extremal rate from reactant multiset `rho` to product `pi`.
-
-    For rho != pi this sums the chosen endpoint of every reaction with exactly
-    that reactant and product; the diagonal is the negated total outflow.
-    """
-    rates = net.rates(extremal)
-    if rho != pi:
-        return math.fsum(rates[r.id] for r in net.reactions
-                         if r.reactant == rho and r.product == pi)
-    return -math.fsum(rates[r.id] for r in net.reactions
-                      if r.reactant == rho and r.product != rho)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +62,7 @@ class _Compiled:
     extremal rates, and one (species, context) pair per distinct reactant
     species. No-op reactions are dropped up front."""
 
-    __slots__ = ("rx", "pr", "lower", "upper", "ctxs", "n_species")
+    __slots__ = ("rx", "pr", "rates", "ctxs", "n_species")
 
     def __init__(self, net: ReactionNetwork):
         rx: List[Tuple[Tuple[int, int], ...]] = []
@@ -126,143 +86,79 @@ class _Compiled:
             ctxs.append(tuple(per_species))
         self.rx = rx
         self.pr = pr
-        self.lower = tuple(lower)
-        self.upper = tuple(upper)
+        self.rates = {"lower": tuple(lower), "upper": tuple(upper)}
         self.ctxs = ctxs
         self.n_species = net.n_species
 
-    def rates(self, extremal: str) -> Tuple[float, ...]:
-        if extremal == "lower":
-            return self.lower
-        if extremal == "upper":
-            return self.upper
-        raise ValueError(f"extremal must be 'lower' or 'upper', got {extremal!r}")
-
-
-def _project_key(pairs: Tuple[Tuple[int, int], ...],
-                 block_of: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
-    """Sparse canonical per-block counts of a support list."""
-    m = len(pairs)
-    if m == 0:
-        return ()
-    if m == 1:
-        i, c = pairs[0]
-        return ((block_of[i], c),)
-    if m == 2:
-        (i, c), (j, d) = pairs
-        bi, bj = block_of[i], block_of[j]
-        if bi == bj:
-            return ((bi, c + d),)
-        if bi < bj:
-            return ((bi, c), (bj, d))
-        return ((bj, d), (bi, c))
-    acc: Dict[int, int] = {}
-    for i, c in pairs:
-        b = block_of[i]
-        acc[b] = acc.get(b, 0) + c
-    return tuple(sorted(acc.items()))
-
-
-def _exact_sum(value) -> float:
-    """Finalize an accumulator cell: single contributions stay as they are,
-    multiple ones are summed exactly (correctly rounded, order-independent)."""
-    return math.fsum(value) if type(value) is list else value
-
-
-def _finalize(acc: Dict) -> Dict[tuple, float]:
-    return {k: _exact_sum(v) for k, v in acc.items()}
-
-
-def _accumulate(d: Dict, key, rate: float):
-    cur = d.get(key)
-    if cur is None:
-        d[key] = rate
-    elif type(cur) is list:
-        cur.append(rate)
-    else:
-        d[key] = [cur, rate]
-
 
 def _sweep(comp: _Compiled, rates: Sequence[float], block_of: Sequence[int],
-           block_size_of: Optional[Sequence[int]]) -> Dict[int, Dict[tuple, float]]:
+           block_size_of: Sequence[int]) -> Dict[int, Dict[tuple, float]]:
     """One signature pass over all reactions. Contributions sharing a key are
     collected and summed exactly at the end.
 
-    When `block_size_of` is given, species sitting in singleton blocks are
-    skipped: they can never split further and need no signature.
+    Species sitting in singleton blocks are skipped: they can never split
+    further and need no signature.
     """
     sigs: Dict[int, Dict] = {}
-    project = _project_key
+    project = project_key
     rx, pr, ctxs = comp.rx, comp.pr, comp.ctxs
     for r in range(len(rx)):
         rate = rates[r]
         if rate == 0.0:
             continue
         per_species = ctxs[r]
-        if block_size_of is not None:
-            if all(block_size_of[block_of[a]] == 1 for a, _ in per_species):
-                continue
+        if all(block_size_of[block_of[a]] == 1 for a, _ in per_species):
+            continue
         tgt = project(pr[r], block_of)
         if tgt == project(rx[r], block_of):
             continue
         for a, ctx in per_species:
-            if block_size_of is not None and block_size_of[block_of[a]] == 1:
+            if block_size_of[block_of[a]] == 1:
                 continue
             d = sigs.get(a)
             if d is None:
                 d = sigs[a] = {}
-            _accumulate(d, (ctx, tgt), rate)
-    return {a: _finalize(d) for a, d in sigs.items()}
-
-
-def _sig_close(a: Dict[tuple, float], b: Dict[tuple, float], tol: float) -> bool:
-    for k in a.keys() | b.keys():
-        if abs(a.get(k, 0.0) - b.get(k, 0.0)) > tol:
-            return False
-    return True
+            key = (ctx, tgt)
+            cur = d.get(key)
+            if cur is None:
+                d[key] = rate
+            elif type(cur) is list:
+                cur.append(rate)
+            else:
+                d[key] = [cur, rate]
+    # a single contribution stays as it is; several are summed exactly
+    # (correctly rounded, independent of their order)
+    return {a: {k: math.fsum(v) if type(v) is list else v for k, v in d.items()}
+            for a, d in sigs.items()}
 
 
 def _split_blocks(blocks: Sequence[Tuple[int, ...]],
-                  sigs: Dict[int, Dict[tuple, float]],
-                  tolerance: float) -> Tuple[List[Tuple[int, ...]], bool]:
+                  sigs: Dict[int, Dict[tuple, float]]
+                  ) -> Tuple[List[Tuple[int, ...]], bool]:
     new_blocks: List[Tuple[int, ...]] = []
     changed = False
     for block in blocks:
         if len(block) == 1:
             new_blocks.append(block)
             continue
-        if tolerance <= 0.0:
-            groups: Dict[tuple, List[int]] = {}
-            for a in block:
-                d = sigs.get(a)
-                key = tuple(sorted(d.items())) if d else ()
-                groups.setdefault(key, []).append(a)
-            pieces = list(groups.values())
-        else:
-            leaders: List[Tuple[Dict[tuple, float], List[int]]] = []
-            for a in block:
-                d = sigs.get(a) or {}
-                for sig0, members in leaders:
-                    if _sig_close(d, sig0, tolerance):
-                        members.append(a)
-                        break
-                else:
-                    leaders.append((d, [a]))
-            pieces = [members for _, members in leaders]
-        if len(pieces) == 1:
+        groups: Dict[tuple, List[int]] = {}
+        for a in block:
+            d = sigs.get(a)
+            key = tuple(sorted(d.items())) if d else ()
+            groups.setdefault(key, []).append(a)
+        if len(groups) == 1:
             new_blocks.append(block)
         else:
             changed = True
-            new_blocks.extend(tuple(p) for p in pieces)
+            new_blocks.extend(tuple(p) for p in groups.values())
     if changed:
         new_blocks.sort(key=lambda b: b[0])
     return new_blocks, changed
 
 
 def _refine_fixpoint(comp: _Compiled, blocks: List[Tuple[int, ...]],
-                     extremal: str, tolerance: float,
-                     counter: Optional[dict] = None) -> List[Tuple[int, ...]]:
-    rates = comp.rates(extremal)
+                     extremal: str, counter: dict) -> List[Tuple[int, ...]]:
+    rates = comp.rates[extremal]
     n = comp.n_species
     block_of = [0] * n
     for bid, b in enumerate(blocks):
@@ -271,9 +167,8 @@ def _refine_fixpoint(comp: _Compiled, blocks: List[Tuple[int, ...]],
     while True:
         sizes = [len(b) for b in blocks]
         sigs = _sweep(comp, rates, block_of, sizes)
-        if counter is not None:
-            counter["sweeps"] = counter.get("sweeps", 0) + 1
-        blocks, changed = _split_blocks(blocks, sigs, tolerance)
+        counter["sweeps"] = counter.get("sweeps", 0) + 1
+        blocks, changed = _split_blocks(blocks, sigs)
         if not changed:
             return blocks
         for bid, b in enumerate(blocks):
@@ -281,26 +176,16 @@ def _refine_fixpoint(comp: _Compiled, blocks: List[Tuple[int, ...]],
                 block_of[i] = bid
 
 
-def refine_partition(net: ReactionNetwork, part: Partition, extremal: str,
-                     tolerance: float = 0.0) -> Partition:
-    """Coarsest partition refining `part` that is a species equivalence of the
-    single extremal network, computed by block splitting to a fixpoint."""
-    comp = _Compiled(net)
-    blocks = _refine_fixpoint(comp, list(part.blocks), extremal, tolerance)
-    return Partition(blocks, net.n_species)
-
-
 def coarsest_equivalence(net: ReactionNetwork, initial: Partition,
-                         tolerance: float = 0.0,
                          stats: Optional[dict] = None) -> Partition:
     """Coarsest species equivalence of both extremal networks refining
     `initial`: alternate single-extremal refinement until a full round leaves
     the partition unchanged. The result refines the input, passes
     check_equivalence, and successive rounds only ever split blocks.
 
-    In exact mode the last round is the proof: its sweeps under both
-    extremals split nothing, which is check_equivalence's criterion, so
-    `quotient` on this same network does not check the result again."""
+    The last round is the proof: its sweeps under both extremals split
+    nothing, which is check_equivalence's criterion, so `quotient` on this
+    same network does not check the result again."""
     if initial.n != net.n_species:
         raise StructuralError("initial partition over wrong species universe")
     comp = _Compiled(net)
@@ -310,105 +195,50 @@ def coarsest_equivalence(net: ReactionNetwork, initial: Partition,
     while True:
         rounds += 1
         before = len(blocks)
-        blocks = _refine_fixpoint(comp, blocks, "lower", tolerance, counter)
-        blocks = _refine_fixpoint(comp, blocks, "upper", tolerance, counter)
+        blocks = _refine_fixpoint(comp, blocks, "lower", counter)
+        blocks = _refine_fixpoint(comp, blocks, "upper", counter)
         if len(blocks) == before:
             break
     if stats is not None:
         stats["rounds"] = rounds
         stats["sweeps"] = counter.get("sweeps", 0)
-    if tolerance <= 0.0:
-        return _ProvedPartition(blocks, net)
-    # greedy-leader clustering is not transitive: no proof
-    return Partition(blocks, net.n_species)
+    return _ProvedPartition(blocks, net)
 
 
-def species_signature(net: ReactionNetwork, part: Partition, extremal: str,
-                      species: int) -> Signature:
-    """Signature of one species under a partition and extremal rate vector."""
-    if part.n != net.n_species:
-        raise StructuralError("partition over wrong species universe")
-    rates = net.rates(extremal)
-    acc: Dict[Tuple[Multiset, BlockProjection], object] = {}
-    for r in net.reactions:
-        if r.is_noop or r.reactant.count(species) == 0:
-            continue
-        rate = rates[r.id]
-        if rate == 0.0:
-            continue
-        ctx = r.reactant.remove_one(species)
-        tgt = block_projection(r.product, part)
-        if tgt == block_projection(r.reactant, part):
-            continue
-        _accumulate(acc, (ctx, tgt), rate)
-    return Signature(_finalize(acc))
-
-
-def check_equivalence(net: ReactionNetwork, part: Partition,
-                      tolerance: float = 0.0) -> bool:
+def check_equivalence(net: ReactionNetwork, part: Partition) -> bool:
     """Direct criterion check: every pair of species sharing a block must have
-    equal signatures under both extremal rate vectors."""
+    equal signatures under both extremal rate vectors, so that no block
+    splits."""
     if part.n != net.n_species:
         raise StructuralError("partition over wrong species universe")
     if all(len(b) == 1 for b in part.blocks):
         return True
     comp = _Compiled(net)
-    block_of = part.block_of
     sizes = [len(b) for b in part.blocks]
     for extremal in ("lower", "upper"):
-        sigs = _sweep(comp, comp.rates(extremal), block_of, sizes)
-        for block in part.blocks:
-            if len(block) == 1:
-                continue
-            ref = sigs.get(block[0]) or {}
-            for a in block[1:]:
-                d = sigs.get(a) or {}
-                if tolerance <= 0.0:
-                    if d != ref:
-                        return False
-                elif not _sig_close(d, ref, tolerance):
-                    return False
+        sigs = _sweep(comp, comp.rates[extremal], part.block_of, sizes)
+        if _split_blocks(part.blocks, sigs)[1]:
+            return False
     return True
 
 
-@dataclass
-class BlockMap:
-    """Representative selection for a partition: block id -> representative
-    species index (the smallest member) and species index -> block id."""
-
-    representatives: Tuple[int, ...]
-    member_of: Tuple[int, ...]
-
-    @classmethod
-    def for_partition(cls, part: Partition) -> "BlockMap":
-        return cls(part.representatives, part.block_of)
-
-    def to_json_dict(self, net: ReactionNetwork, part: Partition) -> dict:
-        blocks = []
-        for bid, block in enumerate(part.blocks):
-            blocks.append({
-                "representative": net.species[self.representatives[bid]].name,
-                "members": [net.species[i].name for i in block],
-            })
-        return {"blocks": blocks}
-
-
-def quotient(net: ReactionNetwork, part: Partition,
-             tolerance: float = 0.0) -> Tuple[ReactionNetwork, BlockMap]:
-    """Lumped network over block representatives.
+def quotient(net: ReactionNetwork,
+             part: Partition) -> Tuple[ReactionNetwork, Partition]:
+    """Lumped network over block representatives, and the partition it was
+    lumped by. The species of block i is the block's representative (its
+    smallest member), renumbered to index i.
 
     Reactions whose reactant mentions a non-representative are discarded,
     product species are rewritten to their block representatives, and
     reactions sharing (reactant, product) are fused by summing lower and
     upper bounds independently. Raises InvalidPartitionError when the
     partition is not a species equivalence. The check is skipped only for
-    an exact-mode result of `coarsest_equivalence` on this same network.
+    a result of `coarsest_equivalence` on this same network.
     """
-    proved = isinstance(part, _ProvedPartition) and part.proved_for(net)
-    if not proved and not check_equivalence(net, part, tolerance):
+    proved = isinstance(part, _ProvedPartition) and part._proved_for() is net
+    if not proved and not check_equivalence(net, part):
         raise InvalidPartitionError("partition is not a species equivalence")
-    bmap = BlockMap.for_partition(part)
-    reps = bmap.representatives
+    reps = part.representatives
     block_of = part.block_of
     is_rep = [False] * net.n_species
     for orig in reps:
@@ -423,8 +253,8 @@ def quotient(net: ReactionNetwork, part: Partition,
         rent = r.reactant.entries
         if not all(is_rep[i] for i, _ in rent):
             continue
-        key = (_project_key(rent, block_of),
-               _project_key(r.product.entries, block_of))
+        key = (project_key(rent, block_of),
+               project_key(r.product.entries, block_of))
         rates = fused.get(key)
         if rates is None:
             rates = fused[key] = ([], [])
@@ -436,17 +266,14 @@ def quotient(net: ReactionNetwork, part: Partition,
 
     init_state = None
     if net.initial_state is not None:
-        sums: Dict[int, int] = {}
-        for i, c in net.initial_state:
-            b = part.block_of[i]
-            sums[b] = sums.get(b, 0) + c
-        init_state = Multiset(sums.items())
+        init_state = Multiset.from_canonical(
+            project_key(net.initial_state.entries, block_of))
     init_conc = None
     if net.initial_concentration is not None:
         acc = [0.0] * len(reps)
         for i, v in enumerate(net.initial_concentration):
-            acc[part.block_of[i]] += v
+            acc[block_of[i]] += v
         init_conc = tuple(acc)
 
     lumped = ReactionNetwork(species, reactions, init_state, init_conc)
-    return lumped, bmap
+    return lumped, part

@@ -51,10 +51,6 @@ class Multiset:
         self.entries: Tuple[Tuple[int, int], ...] = tuple(sorted(acc.items()))
 
     @classmethod
-    def from_counts(cls, counts: Dict[int, int]) -> "Multiset":
-        return cls(counts.items())
-
-    @classmethod
     def from_canonical(cls, entries: Tuple[Tuple[int, int], ...]) -> "Multiset":
         """Trusted constructor: `entries` must already be canonical (sorted
         by distinct index, counts positive); it is stored without checks."""
@@ -72,9 +68,6 @@ class Multiset:
             if idx == index:
                 return cnt
         return 0
-
-    def support(self) -> Tuple[int, ...]:
-        return tuple(idx for idx, _ in self.entries)
 
     def add(self, other: "Multiset") -> "Multiset":
         return Multiset(self.entries + other.entries)
@@ -94,10 +87,6 @@ class Multiset:
 
     def contains(self, other: "Multiset") -> bool:
         return all(self.count(idx) >= cnt for idx, cnt in other.entries)
-
-    def remove_one(self, index: int) -> "Multiset":
-        """A copy with one occurrence of `index` removed."""
-        return self.subtract(Multiset(((index, 1),)))
 
     def format(self, names: Sequence[str]) -> str:
         """Render as '2 A + B', or '0' for the empty multiset."""
@@ -153,9 +142,6 @@ class RateInterval:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def clamp(self, x: float) -> float:
-        return min(max(x, self.lo), self.hi)
 
 
 @dataclass(frozen=True)
@@ -313,13 +299,6 @@ class Partition:
             return cls((), 0)
         return cls((tuple(range(n)),), n)
 
-    @classmethod
-    def from_block_of(cls, block_of: Sequence[int]) -> "Partition":
-        groups: Dict[int, list] = {}
-        for i, b in enumerate(block_of):
-            groups.setdefault(b, []).append(i)
-        return cls(groups.values(), len(block_of))
-
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
@@ -339,27 +318,31 @@ class Partition:
         return f"Partition({self.n_blocks} blocks over {self.n} species)"
 
 
-@dataclass(frozen=True)
-class BlockProjection:
-    """Per-block cumulative counts of a multiset: the computable fingerprint
-    of the multiset lifting. Two multisets are lifted-equivalent exactly when
-    their projections are equal."""
-
-    counts: Tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def block_projection(sigma: Multiset, part: Partition) -> BlockProjection:
-    """Project a multiset onto per-block cumulative counts."""
-    counts = [0] * part.n_blocks
-    for idx, cnt in sigma:
-        if idx >= part.n:
-            raise StructuralError(f"species index {idx} not covered by partition")
-        counts[part.block_of[idx]] += cnt
-    return BlockProjection(tuple(counts))
+def project_key(entries: Tuple[Tuple[int, int], ...],
+                block_of: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+    """Per-block cumulative counts of a multiset's canonical `entries`, as
+    sorted (block id, count) pairs: the computable fingerprint of the
+    multiset lifting. Two multisets are lifted-equivalent exactly when their
+    keys are equal."""
+    m = len(entries)
+    if m == 0:
+        return ()
+    if m == 1:
+        i, c = entries[0]
+        return ((block_of[i], c),)
+    if m == 2:
+        (i, c), (j, d) = entries
+        bi, bj = block_of[i], block_of[j]
+        if bi == bj:
+            return ((bi, c + d),)
+        if bi < bj:
+            return ((bi, c), (bj, d))
+        return ((bj, d), (bi, c))
+    acc: Dict[int, int] = {}
+    for i, c in entries:
+        b = block_of[i]
+        acc[b] = acc.get(b, 0) + c
+    return tuple(sorted(acc.items()))
 
 
 def falling_binomial(sigma: Multiset, rho: Multiset) -> int:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import Partition, ReactionNetwork, StructuralError
+from .parser import ParseError
 from .reconstruct import _solve_box_core
 
 
@@ -79,7 +80,7 @@ class ControlSchedule:
             raise StructuralError("schedule width does not match reaction count")
         lo = np.array([r.rate.lo for r in net.reactions])
         hi = np.array([r.rate.hi for r in net.reactions])
-        if np.any(self.values < lo) or np.any(self.values > hi):
+        if not np.all((self.values >= lo) & (self.values <= hi)):
             raise StructuralError("schedule value outside its rate interval")
 
     def segment_at(self, t: float) -> int:
@@ -355,21 +356,57 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_csv(text: str, first: str, header_required: bool,
+              t0: Optional[float] = None
+              ) -> Tuple[Optional[List[str]], List[float], List[List[float]]]:
+    """Header fields (None when absent), times and value rows of a numeric
+    CSV file whose header starts with `first`. Blank lines are skipped. Every
+    row must have the header's width (without a header, the first row's),
+    every cell must be a finite number, times must increase strictly and,
+    when `t0` is given, start at it; anything else is a ParseError at its
+    line and column."""
+    rows = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    header = None
+    if rows and rows[0][1].split(",")[0].strip() == first:
+        header = [h.strip() for h in rows.pop(0)[1].split(",")]
+    elif header_required:
+        raise ParseError(f"header must start with {first!r}",
+                         rows[0][0] if rows else 1, 1)
+    if not rows:
+        raise ParseError("no data rows", text.count("\n") + 1, 1)
+    width = len(header or rows[0][1].split(","))
+    times: List[float] = []
+    values: List[List[float]] = []
+    for no, ln in rows:
+        cells = ln.split(",")
+        if len(cells) != width:
+            raise ParseError(f"row has {len(cells)} cells, expected {width}", no, 1)
+        row = []
+        col = 1
+        for cell in cells:
+            try:
+                x = float(cell)
+            except ValueError:
+                x = math.nan
+            if not math.isfinite(x):
+                raise ParseError(f"cell {cell.strip()!r} is not a finite number",
+                                 no, col)
+            row.append(x)
+            col += len(cell) + 1
+        if times and row[0] <= times[-1]:
+            raise ParseError(f"time {row[0]!r} is not after the previous "
+                             f"row's {times[-1]!r}", no, 1)
+        if not times and t0 is not None and row[0] != t0:
+            raise ParseError(f"first row must be at t = {t0!r}", no, 1)
+        times.append(row[0])
+        values.append(row[1:])
+    return header, times, values
+
+
 def trajectory_from_csv(text: str) -> Trajectory:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty trajectory file")
-    header = lines[0].split(",")
-    if header[0] != "t":
-        raise ValueError("trajectory header must start with 't'")
-    names = tuple(h.strip() for h in header[1:])
-    times = []
-    states = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        times.append(float(parts[0]))
-        states.append([float(x) for x in parts[1:]])
-    return Trajectory(np.array(times), np.array(states), None, names)
+    """Read a `t,<species...>` trajectory; bad input is a located ParseError."""
+    header, times, states = _read_csv(text, "t", header_required=True)
+    return Trajectory(np.array(times), np.array(states), None, tuple(header[1:]))
 
 
 def schedule_to_csv(sched: ControlSchedule) -> str:
@@ -381,14 +418,8 @@ def schedule_to_csv(sched: ControlSchedule) -> str:
 
 
 def schedule_from_csv(text: str) -> ControlSchedule:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty schedule file")
-    start = 1 if lines[0].split(",")[0].strip() == "t_start" else 0
-    breakpoints = []
-    values = []
-    for ln in lines[start:]:
-        parts = ln.split(",")
-        breakpoints.append(float(parts[0]))
-        values.append([float(x) for x in parts[1:]])
+    """Read a schedule, `t_start,<controls...>` rows with an optional header;
+    bad input, including a first row not at t = 0, is a located ParseError."""
+    _, breakpoints, values = _read_csv(text, "t_start", header_required=False,
+                                       t0=0.0)
     return ControlSchedule(breakpoints, values)

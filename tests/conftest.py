@@ -1,4 +1,7 @@
+import math
 import random
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import pytest
 
@@ -98,3 +101,64 @@ def set_partitions(items):
         for i in range(len(smaller)):
             yield smaller[:i] + [smaller[i] + [first]] + smaller[i + 1:]
         yield [[first]] + smaller
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: direct, unoptimized restatements of the signature
+# definition in crnlump.lumping, used to cross-check the compiled sweep.
+
+def block_projection(sigma: Multiset, part: Partition) -> Tuple[int, ...]:
+    """Per-block cumulative counts of a multiset, dense over all blocks."""
+    counts = [0] * part.n_blocks
+    for idx, cnt in sigma:
+        counts[part.block_of[idx]] += cnt
+    return tuple(counts)
+
+
+@dataclass
+class Signature:
+    """Off-diagonal aggregate rates of one species, keyed by
+    (context multiset, dense lifted-target projection)."""
+
+    entries: Dict[Tuple[Multiset, Tuple[int, ...]], float]
+
+
+def species_signature(net: ReactionNetwork, part: Partition, extremal: str,
+                      species: int) -> Signature:
+    """Signature of one species under a partition and extremal rate vector,
+    straight from the definition: every reaction with the species among its
+    reactants contributes its rate at (reactant minus one copy of the
+    species, projected product), unless the projection of the product equals
+    that of the reactant. Contributions sharing a key are summed exactly."""
+    rates = net.rates(extremal)
+    acc: Dict[Tuple[Multiset, Tuple[int, ...]], list] = {}
+    for r in net.reactions:
+        if r.is_noop or r.reactant.count(species) == 0:
+            continue
+        rate = rates[r.id]
+        if rate == 0.0:
+            continue
+        tgt = block_projection(r.product, part)
+        if tgt == block_projection(r.reactant, part):
+            continue
+        ctx = r.reactant.subtract(Multiset(((species, 1),)))
+        acc.setdefault((ctx, tgt), []).append(rate)
+    return Signature({k: math.fsum(v) for k, v in acc.items()})
+
+
+def refine_partition(net: ReactionNetwork, part: Partition,
+                     extremal: str) -> Partition:
+    """Coarsest partition refining `part` that is a species equivalence of
+    the single extremal network: split every block by oracle signature until
+    nothing splits."""
+    while True:
+        blocks = []
+        for block in part.blocks:
+            groups: Dict[frozenset, list] = {}
+            for a in block:
+                sig = species_signature(net, part, extremal, a)
+                groups.setdefault(frozenset(sig.entries.items()), []).append(a)
+            blocks.extend(groups.values())
+        if len(blocks) == part.n_blocks:
+            return part
+        part = Partition(blocks, part.n)

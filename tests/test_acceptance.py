@@ -12,8 +12,7 @@ import pytest
 
 import crnlump as cl
 from crnlump.cli import run
-from crnlump.ctmc import _lift_key
-from crnlump.model import Multiset, Partition
+from crnlump.model import Multiset, Partition, project_key
 from crnlump.ode import block_indicator
 
 from conftest import TWO_SITE_TEXT, random_network, random_partition
@@ -298,7 +297,7 @@ def test_criterion_8_transient_lumping():
             qt = cl.transient_solve(gen_l, q0, t)
             lifted = {}
             for i, s in enumerate(space_o.states):
-                key = _lift_key(s, part.block_of)
+                key = project_key(s.entries, part.block_of)
                 lifted[key] = lifted.get(key, 0.0) + pt[i]
             for j, s in enumerate(space_l.states):
                 gap = abs(qt[j] - lifted.get(tuple(s.entries), 0.0))

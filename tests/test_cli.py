@@ -33,7 +33,7 @@ class TestReduce:
         report = read_report(rep)
         assert report["output"] == {"species": 4, "reactions": 4}
         assert report["blocks"] == 4
-        assert report["flags"] == {"tolerance": 0.0, "tolerance_used": False}
+        assert report["flags"] == {}
         assert set(report["phases_ms"]) == {"parse", "lump", "quotient", "write"}
         blocks = read_report(mp)["blocks"]
         assert {"representative": "A01", "members": ["A01", "A10"]} in blocks
@@ -77,14 +77,6 @@ class TestReduce:
                     "--report", str(rep)]) == 0
         assert read_report(rep)["blocks"] == 5  # isolating A10 forces singletons
 
-    def test_tolerance_flag_stamped(self, tmp_path, two_site_file):
-        rep = tmp_path / "rep.json"
-        assert run(["reduce", "-i", str(two_site_file), "-o",
-                    str(tmp_path / "o.crn"), "--tolerance", "1e-6",
-                    "--report", str(rep)]) == 0
-        assert read_report(rep)["flags"] == {"tolerance": 1e-6,
-                                             "tolerance_used": True}
-
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.crn"
         bad.write_text("A -> B , [2.0 : 1.0]\n")
@@ -100,9 +92,10 @@ class TestReduce:
         bad.write_text(text)
         assert run(["reduce", "-i", str(bad), "-o", str(tmp_path / "o.crn")]) == 1
 
-    @pytest.mark.parametrize("value", ["-1e-6", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["-1e-6", "nan", "inf", "-inf", "0"])
     def test_tolerance_out_of_range_rejected(self, tmp_path, two_site_file,
                                              value):
+        # lumping is exact only: argparse rejects --tolerance as unknown
         with pytest.raises(SystemExit) as exc:
             run(["reduce", "-i", str(two_site_file), "-o",
                  str(tmp_path / "o.crn"), f"--tolerance={value}"])
@@ -236,6 +229,42 @@ class TestCheck:
         assert rc == 0
 
 
+class TestAssignments:
+    @pytest.mark.parametrize("command,value,item,col,why", [
+        ("simulate", "A00", "A00", 1, "expected NAME=VALUE"),
+        ("simulate", "B=1, A00", "A00", 6, "expected NAME=VALUE"),
+        ("simulate", "Q=1", "Q=1", 1, "unknown species 'Q'"),
+        ("simulate", "A00=x", "A00=x", 1, "value 'x' is not a finite number"),
+        ("simulate", "B=1,A00=", "A00=", 5, "value '' is not a finite number"),
+        ("simulate", "A00=nan", "A00=nan", 1, "'nan' is not a finite number"),
+        ("simulate", "A00=-inf", "A00=-inf", 1, "not a finite number"),
+        ("simulate", "A00=1e999", "A00=1e999", 1, "not a finite number"),
+        ("check", "A00=1.5", "A00=1.5", 1,
+         "count '1.5' is not a non-negative integer"),
+        ("check", "B=2,A00=-1", "A00=-1", 5,
+         "count '-1' is not a non-negative integer"),
+        ("check", "A00=x", "A00=x", 1, "not a finite number"),
+        ("check", "A00", "A00", 1, "expected NAME=VALUE"),
+        ("check", "Z=1", "Z=1", 1, "unknown species 'Z'"),
+    ])
+    def test_bad_item_is_a_located_parse_error(self, two_site_file, capsys,
+                                               command, value, item, col, why):
+        if command == "simulate":
+            argv = ["simulate", str(two_site_file), "--t-end", "0.01",
+                    "--init", value]
+        else:
+            argv = ["check", str(two_site_file), "--oracle", "--pop-bound",
+                    "3", "--init", value]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"col {col}: --init item {item!r}: " in err
+        assert why in err
+
+    def test_integral_counts_accepted(self, two_site_file):
+        assert run(["check", str(two_site_file), "--oracle", "--pop-bound",
+                    "3", "--init", "A00=1.0, B=2"]) == 0
+
+
 class TestSimulateCommand:
     def test_row_count_matches_grid(self, tmp_path, two_site_file):
         out = tmp_path / "traj.csv"
@@ -345,3 +374,50 @@ class TestReconstructCommand:
         reconstructed = cl.schedule_from_csv(ctrl.read_text())
         reconstructed.validate_for(cl.parse_model(TWO_SITE_TEXT).network)
         assert resid.read_text().startswith("t,residual")
+
+    def lumped_inputs(self, tmp_path, two_site_file, header=None, drop=None,
+                      extra=False):
+        """A lumped trajectory and schedule for the two-site model; the
+        trajectory file may get another header, lose a column, or gain one."""
+        red = tmp_path / "red.crn"
+        assert run(["reduce", "-i", str(two_site_file), "-o", str(red)]) == 0
+        lumped = cl.parse_model(red.read_text()).network
+        sched = cl.ControlSchedule.midpoint(lumped)
+        sfile = tmp_path / "s.csv"
+        sfile.write_text(cl.schedule_to_csv(sched))
+        ltraj = cl.simulate(lumped, np.array([0.6, 0.5, 0.5, 0.1]), sched,
+                            0.01, 1e-3)
+        rows = [line.split(",") for line in
+                cl.trajectory_to_csv(ltraj).splitlines()]
+        if header is not None:
+            rows[0] = header.split(",")
+        if drop is not None:
+            rows = [r[:drop] + r[drop + 1:] for r in rows]
+        if extra:
+            rows = [r + (["X"] if i == 0 else ["0.0"]) for i, r in enumerate(rows)]
+        tfile = tmp_path / "lt.csv"
+        tfile.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        return ["--lumped-traj", str(tfile), "--lumped-schedule", str(sfile)]
+
+    @pytest.mark.parametrize("kwargs,col,why", [
+        ({"header": "t,B,A01,A00,A11"}, 5,
+         "column 3 is 'A01' where the lumped model has species 'A00'"),
+        ({"drop": 4}, 12,
+         "column 5 is missing where the lumped model has species 'A11'"),
+        ({"extra": True}, 17,
+         "column 6 is 'X' where the lumped model has no more species"),
+    ])
+    def test_header_must_match_lumped_species(self, tmp_path, two_site_file,
+                                              capsys, kwargs, col, why):
+        argv = self.lumped_inputs(tmp_path, two_site_file, **kwargs)
+        rc = run(["reconstruct", str(two_site_file), *argv,
+                  "--v0", "B=0.6,A00=0.5,A01=0.2,A10=0.3,A11=0.1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"line 1, col {col}: lumped trajectory header: {why}" in err
+
+    def test_bad_v0_item(self, tmp_path, two_site_file, capsys):
+        argv = self.lumped_inputs(tmp_path, two_site_file)
+        assert run(["reconstruct", str(two_site_file), *argv,
+                    "--v0", "B=0.6,A00=oops"]) == 1
+        assert "col 7: --v0 item 'A00=oops': value 'oops'" in capsys.readouterr().err

@@ -7,11 +7,11 @@ import scipy.stats
 
 import crnlump as cl
 from crnlump.ctmc import (ApproximateResultWarning, CapacityError,
-                          PropensityOverflowError, _lift_key, build_generator,
+                          PropensityOverflowError, build_generator,
                           check_ordinary_lumpability, distribution_to_csv,
                           enumerate_ball, enumerate_states, jump_path_to_csv,
-                          scaled_generator, ssa_simulate, transient_solve)
-from crnlump.model import Multiset, Partition, StructuralError
+                          ssa_simulate, transient_solve)
+from crnlump.model import Multiset, Partition, StructuralError, project_key
 
 from conftest import perturb_rate
 
@@ -137,8 +137,8 @@ class TestOrdinaryLumpability:
         assert not res.ok
         ce = res.counterexample
         assert ce is not None
-        assert _lift_key(ce.state_a, two_site_partition.block_of) \
-            == _lift_key(ce.state_b, two_site_partition.block_of)
+        assert project_key(ce.state_a.entries, two_site_partition.block_of) \
+            == project_key(ce.state_b.entries, two_site_partition.block_of)
         assert ce.aggregate_a != ce.aggregate_b
         d = ce.to_json_dict(broken)
         assert {"state_a", "state_b", "target_block_counts",
@@ -190,7 +190,7 @@ class TestTransient:
                 qt = transient_solve(gen_l, q0, t)
                 lifted = {}
                 for i, s in enumerate(space_o.states):
-                    key = _lift_key(s, two_site_partition.block_of)
+                    key = project_key(s.entries, two_site_partition.block_of)
                     lifted[key] = lifted.get(key, 0.0) + pt[i]
                 for j, s in enumerate(space_l.states):
                     key = tuple((i, c) for i, c in s.entries)
@@ -211,34 +211,6 @@ class TestTransient:
         pt = transient_solve(gen, np.array([1.0, 0.0]), 50.0)
         assert np.all(np.abs(pt - 0.5) < 1e-9)
         assert abs(pt.sum() - 1.0) < 1e-10
-
-
-class TestScaledKinetics:
-    def test_cutoff_regions(self, two_site):
-        sk = scaled_generator(two_site, 10, 0.5, "upper")
-        assert sk.cutoff(3) == 1.0          # |sigma| = 0.3 <= c
-        assert sk.cutoff(10) == 0.0         # |sigma| = 1.0 >= 2c
-        assert sk.cutoff(7) == pytest.approx(2.0 - 0.7 / 0.5)
-
-    def test_scale_one_matches_generator(self, two_site):
-        init = two_site.multiset({"A01": 1, "A10": 1, "B": 1})
-        space = enumerate_states(two_site, init, 4)
-        gen = build_generator(space, two_site, "upper")
-        sk = scaled_generator(two_site, 1, 100.0, "upper")
-        si = space.index[init]
-        row = gen.matrix.getrow(si)
-        for j, v in zip(row.indices, row.data):
-            if j == si:
-                continue
-            assert sk.transition_rate(init, space.states[j]) == pytest.approx(v)
-
-    def test_unary_rates_unscaled(self, two_site):
-        # arity-1 reactions keep their rate: alpha / N^0
-        sk = scaled_generator(two_site, 50, 10.0, "lower")
-        unary = next(r for r in two_site.reactions if r.arity == 1)
-        assert sk.scaled_rate(unary.id) == unary.rate.lo
-        binary = next(r for r in two_site.reactions if r.arity == 2)
-        assert sk.scaled_rate(binary.id) == binary.rate.lo / 50.0
 
 
 class TestSsa:

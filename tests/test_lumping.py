@@ -6,38 +6,19 @@ import pytest
 import crnlump as cl
 from crnlump import lumping
 from crnlump.lumping import (InvalidPartitionError, check_equivalence,
-                             coarsest_equivalence, quotient, rate_between,
-                             refine_partition, species_signature)
+                             coarsest_equivalence, quotient)
 from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
-                           ReactionNetwork, Species, block_projection, refines)
+                           ReactionNetwork, Species, refines)
 
-from conftest import (perturb_rate, random_network, random_partition,
-                      set_partitions)
+from conftest import (block_projection, perturb_rate, random_network,
+                      random_partition, refine_partition, set_partitions,
+                      species_signature)
 
 # two-site fixture rate endpoints, by reaction id (0-based)
 A1 = (1.0, 2.0)     # site-1 binding == site-2 binding (ids 0, 2)
 A2 = (0.5, 0.75)    # unbinding pair (ids 1, 3)
 A5 = (1.25, 2.25)   # second binding pair (ids 4, 6)
 A6 = (0.25, 0.4)    # second unbinding pair (ids 5, 7)
-
-
-class TestRateBetween:
-    def test_single_unbinding(self, two_site):
-        a01 = two_site.multiset({"A01": 1})
-        out = two_site.multiset({"A00": 1, "B": 1})
-        assert rate_between(two_site, "upper", a01, out) == A2[1]
-        a10 = two_site.multiset({"A10": 1})
-        assert rate_between(two_site, "upper", a10, out) == A2[1]
-
-    def test_diagonal_is_negated_outflow(self):
-        doc = cl.parse_model("species A B C\nA -> B , 1.5\nA -> C , 0.25\n")
-        net = doc.network
-        a = net.multiset({"A": 1})
-        assert rate_between(net, "lower", a, a) == -(1.5 + 0.25)
-
-    def test_missing_reactant_gives_zero(self, two_site):
-        b = two_site.multiset({"B": 1})
-        assert rate_between(two_site, "upper", b, two_site.multiset({"A11": 1})) == 0.0
 
 
 class TestSpeciesSignature:
@@ -159,17 +140,10 @@ class TestCheckEquivalence:
             assert cl.check_ordinary_lumpability(gen, space,
                                                  two_site_partition).ok
 
-    def test_tolerance_recovers_rounded_rates(self, two_site, two_site_partition):
-        broken = perturb_rate(two_site, 4, dhi=0.01)
-        assert not check_equivalence(broken, two_site_partition)
-        assert check_equivalence(broken, two_site_partition, tolerance=0.02)
-        out = coarsest_equivalence(broken, two_site_partition, tolerance=0.02)
-        assert out == two_site_partition
-
 
 class TestQuotient:
     def test_two_site_quotient_structure(self, two_site, two_site_partition):
-        lumped, bmap = quotient(two_site, two_site_partition)
+        lumped, part = quotient(two_site, two_site_partition)
         assert lumped.names == ("B", "A00", "A01", "A11")
         expected = {
             (("A00", "B"), ("A01",), A1[0] + A1[0], A1[1] + A1[1]),
@@ -185,8 +159,9 @@ class TestQuotient:
                                    for _ in range(c)))
             actual.add((reactant, product, r.rate.lo, r.rate.hi))
         assert actual == expected
-        assert bmap.to_json_dict(two_site, two_site_partition)["blocks"][2] == {
-            "representative": "A01", "members": ["A01", "A10"]}
+        assert part == two_site_partition
+        assert [two_site.names[i] for i in part.blocks[2]] == ["A01", "A10"]
+        assert two_site.names[part.representatives[2]] == "A01"
 
     def test_finest_partition_identity(self, two_site):
         lumped, _ = quotient(two_site, Partition.singletons(5))
@@ -243,7 +218,7 @@ class TestQuotient:
 
 
 class TestProvedPartition:
-    """quotient skips its equivalence check only for an exact-mode result of
+    """quotient skips its equivalence check only for a result of
     coarsest_equivalence, and only on the network it was computed for."""
 
     @pytest.fixture
@@ -283,14 +258,29 @@ class TestProvedPartition:
         quotient(two_site, pickle.loads(pickle.dumps(part)))
         assert len(check_calls) == 2
 
-    def test_tolerance_mode_result_is_checked(
-            self, two_site, two_site_partition, check_calls):
-        broken = perturb_rate(two_site, 4, dhi=0.01)
-        part = coarsest_equivalence(broken, two_site_partition, tolerance=0.02)
-        quotient(broken, part, tolerance=0.02)
-        assert len(check_calls) == 1
-        with pytest.raises(InvalidPartitionError):
-            quotient(broken, part)
+
+class TestSignatureOracle:
+    def test_oracle_signatures_match_the_sweep(self):
+        # for every species in a non-singleton block, the compiled sweep's
+        # signature equals the oracle's, keys translated to sparse form
+        rng = random.Random(5)
+        nonempty = 0
+        for _ in range(80):
+            net = random_network(rng)
+            part = random_partition(rng, net.n_species)
+            comp = lumping._Compiled(net)
+            sizes = [len(b) for b in part.blocks]
+            for extremal in ("lower", "upper"):
+                sigs = lumping._sweep(comp, comp.rates[extremal],
+                                      part.block_of, sizes)
+                for a in (a for b in part.blocks if len(b) > 1 for a in b):
+                    oracle = species_signature(net, part, extremal, a).entries
+                    want = {(ctx.entries,
+                             tuple((b, c) for b, c in enumerate(tgt) if c)): v
+                            for (ctx, tgt), v in oracle.items()}
+                    assert sigs.get(a, {}) == want
+                    nonempty += bool(want)
+        assert nonempty >= 100  # the networks must exercise real signatures
 
 
 class TestNoopReactions:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crnlump as cl
 from crnlump.model import Partition, StructuralError
+from crnlump.parser import ParseError
 from crnlump.ode import (ControlSchedule, CostSpec, DivergenceError,
                          Trajectory, block_indicator, block_sums,
                          evaluate_cost, project_control, schedule_from_csv,
@@ -141,6 +144,67 @@ class TestSimulate:
         assert np.array_equal(again.times, traj.times)
         assert np.array_equal(again.states, traj.states)
         assert again.names == two_site.names
+
+
+class TestCsvReaders:
+    @pytest.mark.parametrize("text,line,col,message", [
+        ("", 1, 1, "header must start with 't'"),
+        ("x,A\n0,1\n", 1, 1, "header must start with 't'"),
+        ("t,A\n", 2, 1, "no data rows"),
+        ("t,A\n0,1\n1,2,3\n", 3, 1, "row has 3 cells, expected 2"),
+        ("t,A\n0,1\n\n1\n", 4, 1, "row has 1 cells, expected 2"),
+        ("t,A,B\n0,1,x\n", 2, 5, "'x' is not a finite number"),
+        ("t,A\n0, nan\n", 2, 3, "'nan' is not a finite number"),
+        ("t,A\ninf,1\n", 2, 1, "'inf' is not a finite number"),
+        ("t,A\n0,1\n0,2\n", 3, 1, "not after the previous"),
+        ("t,A\n0,1\n1,2\n0.5,3\n", 4, 1, "not after the previous"),
+    ])
+    def test_trajectory_errors_are_located(self, text, line, col, message):
+        with pytest.raises(ParseError) as err:
+            trajectory_from_csv(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert message in err.value.message
+
+    @pytest.mark.parametrize("text,line,col,message", [
+        ("", 1, 1, "no data rows"),
+        ("t_start,r0\n", 2, 1, "no data rows"),
+        ("t_start,r0,r1\n0,1,2\n1,2\n", 3, 1, "row has 2 cells, expected 3"),
+        ("0,1\n1,2,3\n", 2, 1, "row has 3 cells, expected 2"),
+        ("t_start,r0\n0,nan\n", 2, 3, "'nan' is not a finite number"),
+        ("t_start,r0\n0,1e999\n", 2, 3, "'1e999' is not a finite number"),
+        ("t_start,r0\n0,1\n0,2\n", 3, 1, "not after the previous"),
+        ("t_start,r0\n0.5,1\n", 2, 1, "first row must be at t = 0.0"),
+    ])
+    def test_schedule_errors_are_located(self, text, line, col, message):
+        with pytest.raises(ParseError) as err:
+            schedule_from_csv(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert message in err.value.message
+
+    def test_headerless_schedule(self):
+        s = schedule_from_csv("0,1,2\n0.5,3,4\n")
+        assert np.array_equal(s.breakpoints, [0.0, 0.5])
+        assert np.array_equal(s.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_nan_control_fails_validation(self, two_site):
+        values = [r.rate.midpoint for r in two_site.reactions]
+        values[3] = float("nan")
+        with pytest.raises(StructuralError):
+            ControlSchedule.constant(values).validate_for(two_site)
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.text(alphabet="0123456789.,-+eEnaif t_sr\n ", max_size=60),
+        st.lists(st.lists(st.sampled_from(
+            ["t", "t_start", "0", "0.5", "1", "-1", "2e-3", " 3 ", "nan",
+             "inf", "1e999", "x", ""]), min_size=1, max_size=4).map(",".join),
+            max_size=6).map("\n".join)))
+    def test_only_parse_errors_escape(self, text):
+        for reader in (trajectory_from_csv, schedule_from_csv):
+            try:
+                reader(text)
+            except ParseError:
+                pass
 
 
 class TestBlockSums:
