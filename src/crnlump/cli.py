@@ -278,7 +278,11 @@ def cmd_simulate(args) -> int:
               file=sys.stderr)
         return EXIT_INTERNAL
     phases.mark("parse")
-    traj = simulate(net, v0, sched, args.t_end, args.step)
+    try:
+        traj = simulate(net, v0, sched, args.t_end, args.step)
+    except ValueError as exc:
+        print(f"simulate: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     phases.mark("integrate")
     if args.output:
         Path(args.output).write_text(trajectory_to_csv(traj), encoding="utf-8")

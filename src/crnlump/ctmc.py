@@ -272,7 +272,8 @@ def transient_solve(gen: Generator, p0: Sequence[float], t: float,
     chunks = max(1, int(math.ceil(rate * t / 100.0)))
     dt = t / chunks
     chunk_eps = eps / chunks
-    P = sp.eye(Q.shape[0], format="csr") + Q.multiply(1.0 / rate)
+    # stepped as PT @ term: `term @ P` would transpose P on every product
+    PT = (sp.eye(Q.shape[0], format="csr") + Q.multiply(1.0 / rate)).T.tocsr()
     for _ in range(chunks):
         lam = rate * dt
         weight = math.exp(-lam)
@@ -282,7 +283,7 @@ def transient_solve(gen: Generator, p0: Sequence[float], t: float,
         k = 0
         while cumulative < 1.0 - chunk_eps:
             k += 1
-            term = term @ P
+            term = PT @ term
             weight *= lam / k
             out += weight * term
             cumulative += weight

@@ -113,43 +113,68 @@ class Trajectory:
         return (1.0 - w) * self.states[i] + w * self.states[i + 1]
 
 
+_ONE = np.ones(1)
+
+
 class VectorField:
     """Compiled evaluator for one network: monomials, drift, and the
-    coefficient matrix of the drift as a linear function of the controls."""
+    coefficient matrix of the drift as a linear function of the controls.
+
+    Storage is sparse, so one evaluation costs O(nnz), not O(R * S):
+    `idx`/`exp` is a (K, R) table of reactant species and exponents, K the
+    most distinct reactant species of any reaction, whose padding slots
+    point at an extra state entry holding 1.0 (reaction-major rows would
+    make the product a slow reduction over a short inner axis); the
+    stoichiometry is the list of nonzero `(rx, sp, dn)` triples (reaction,
+    species, net change) in reaction order. The drift sums those triples in
+    that fixed order, so identical inputs give bit-identical output."""
 
     def __init__(self, net: ReactionNetwork):
-        self.net = net
         R, S = net.n_reactions, net.n_species
-        cols = sorted({i for r in net.reactions for i, _ in r.reactant})
-        self.cols = np.array(cols, dtype=int)
-        E = np.zeros((R, len(cols)), dtype=float)
-        fact = np.ones(R)
-        N = np.zeros((R, S))
-        pos = {c: k for k, c in enumerate(cols)}
+        K = max((len(r.reactant.entries) for r in net.reactions), default=0)
+        pad = ((S, 0),) * K
+        rows = []
+        fact: List[float] = []
+        rx: List[int] = []
+        sp: List[int] = []
+        dn: List[int] = []
         for r in net.reactions:
-            for i, c in r.reactant:
-                E[r.id, pos[i]] = c
-                fact[r.id] *= math.factorial(c)
-                N[r.id, i] -= c
-            for i, c in r.product:
-                N[r.id, i] += c
-        self.E = E
-        self.fact = fact
-        self.stoich = N
+            reactant = r.reactant.entries
+            rows.append(reactant + pad[len(reactant):])
+            fact.append(math.prod((math.factorial(c) for _, c in reactant),
+                                  start=1.0))
+            change = {i: -c for i, c in reactant}
+            for i, c in r.product.entries:
+                change[i] = change.get(i, 0) + c
+            for i in sorted(change):
+                if change[i]:
+                    rx.append(r.id)
+                    sp.append(i)
+                    dn.append(change[i])
+        table = np.array(rows, dtype=np.intp).reshape(R, K, 2).T.copy()
+        self.n_species = S
+        self.idx = table[0]
+        self.exp = table[1].astype(float)
+        self.fact = np.array(fact)
+        self.rx = np.array(rx, dtype=np.intp)
+        self.sp = np.array(sp, dtype=np.intp)
+        self.dn = np.array(dn, dtype=float)
 
     def monomials(self, v: np.ndarray) -> np.ndarray:
         """prod_B v_B^{rho(B)} / rho(B)! per reaction."""
-        if len(self.cols) == 0:
-            return 1.0 / self.fact
-        base = v[self.cols]
-        return np.prod(base[None, :] ** self.E, axis=1) / self.fact
+        ext = np.concatenate((v, _ONE))
+        return (ext[self.idx] ** self.exp).prod(axis=0) / self.fact
 
     def __call__(self, v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        return (alpha * self.monomials(v)) @ self.stoich
+        rate = alpha * self.monomials(v)
+        return np.bincount(self.sp, weights=rate[self.rx] * self.dn,
+                           minlength=self.n_species)
 
     def block_coefficients(self, indicator: np.ndarray) -> np.ndarray:
         """Per-reaction block-summed stoichiometric change, shape (R, n_blocks)."""
-        return self.stoich @ indicator.T
+        out = np.zeros((len(self.fact), indicator.shape[0]))
+        np.add.at(out, self.rx, self.dn[:, None] * indicator[:, self.sp].T)
+        return out
 
 
 def vector_field(net: ReactionNetwork, v: Sequence[float],
@@ -168,10 +193,15 @@ def block_indicator(part: Partition) -> np.ndarray:
 
 
 def _time_grid(t_end: float, step: float, breakpoints: np.ndarray) -> np.ndarray:
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    """Grid 0, step, 2 step, ..., t_end plus the breakpoints inside it;
+    a ValueError names the argument that is not finite or out of range."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a positive finite number, got {step!r}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be a nonnegative finite number, "
+                         f"got {t_end!r}")
+    if not math.isfinite(t_end / step):
+        raise ValueError(f"t_end / step overflows: {t_end!r} / {step!r}")
     n = int(math.floor(t_end / step + 1e-9))
     times = [i * step for i in range(n + 1)]
     if not times or abs(times[-1] - t_end) > 1e-9 * max(1.0, t_end):
@@ -302,6 +332,7 @@ def project_control(net: ReactionNetwork, part: Partition,
         raise StructuralError("partition size does not match lumped network")
     vf = VectorField(net)
     lvf = VectorField(lumped)
+    lstoich = lvf.block_coefficients(np.eye(lumped.n_species))
     lo = np.array([r.rate.lo for r in lumped.reactions])
     hi = np.array([r.rate.hi for r in lumped.reactions])
     vhat = traj.states @ B.T
@@ -310,7 +341,7 @@ def project_control(net: ReactionNetwork, part: Partition,
 
     def solve_at(k: int, alpha: np.ndarray, warm: np.ndarray):
         target = B @ vf(traj.states[k], alpha)
-        coeff = (lvf.stoich * lvf.monomials(vhat[k])[:, None]).T
+        coeff = (lstoich * lvf.monomials(vhat[k])[:, None]).T
         lam = float((coeff * coeff).sum())
         res = _solve_box_core(coeff, target, lo, hi, 1e-11, 2000, warm, lam)
         return res.x, res.residual

@@ -3,6 +3,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
 import pytest
 
 import crnlump as cl
@@ -162,3 +163,33 @@ def refine_partition(net: ReactionNetwork, part: Partition,
         if len(blocks) == part.n_blocks:
             return part
         part = Partition(blocks, part.n)
+
+
+class DenseVectorField:
+    """Mass-action vector field from dense (R, S) exponent and
+    stoichiometry matrices: the direct formula `crnlump.ode.VectorField`
+    evaluates sparsely, kept as the reference it is compared against."""
+
+    def __init__(self, net: ReactionNetwork):
+        R, S = net.n_reactions, net.n_species
+        self.cols = sorted({i for r in net.reactions for i, _ in r.reactant})
+        pos = {c: k for k, c in enumerate(self.cols)}
+        self.E = np.zeros((R, len(self.cols)))
+        self.fact = np.ones(R)
+        self.stoich = np.zeros((R, S))
+        for r in net.reactions:
+            for i, c in r.reactant:
+                self.E[r.id, pos[i]] = c
+                self.fact[r.id] *= math.factorial(c)
+                self.stoich[r.id, i] -= c
+            for i, c in r.product:
+                self.stoich[r.id, i] += c
+
+    def monomials(self, v: np.ndarray) -> np.ndarray:
+        if not self.cols:
+            return 1.0 / self.fact
+        base = v[self.cols]
+        return np.prod(base[None, :] ** self.E, axis=1) / self.fact
+
+    def __call__(self, v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        return (alpha * self.monomials(v)) @ self.stoich

@@ -296,6 +296,21 @@ class TestSimulateCommand:
         assert run(["simulate", str(src), "--t-end", "1", "--step", "0.1",
                     "-o", str(out)]) == 0
 
+    @pytest.mark.parametrize("t_end,step,why", [
+        ("nan", "1e-3", "t_end must be a nonnegative finite number, got nan"),
+        ("inf", "1e-3", "t_end must be a nonnegative finite number, got inf"),
+        ("-1", "1e-3", "t_end must be a nonnegative finite number, got -1.0"),
+        ("1", "0", "step must be a positive finite number, got 0.0"),
+        ("1", "nan", "step must be a positive finite number, got nan"),
+        ("1e308", "1e-300", "t_end / step overflows: 1e+308 / 1e-300"),
+    ])
+    def test_bad_horizon_is_a_usage_error(self, two_site_file, capsys,
+                                          t_end, step, why):
+        rc = run(["simulate", str(two_site_file), "--t-end", t_end, "--step",
+                  step, "--init", "B=1,A00=1"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"simulate: {why}\n"
+
     def test_missing_init_is_an_error(self, tmp_path):
         src = tmp_path / "m.crn"
         src.write_text("species A B\nA -> B , 1.0\n")

@@ -1,16 +1,21 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crnlump as cl
-from crnlump.model import Partition, StructuralError
+from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
+                           ReactionNetwork, Species, StructuralError)
 from crnlump.parser import ParseError
 from crnlump.ode import (ControlSchedule, CostSpec, DivergenceError,
                          Trajectory, block_indicator, block_sums,
                          evaluate_cost, project_control, schedule_from_csv,
                          schedule_to_csv, simulate, trajectory_from_csv,
                          trajectory_to_csv, vector_field)
+
+from conftest import DenseVectorField, random_partition
 
 
 class TestVectorField:
@@ -48,6 +53,68 @@ class TestVectorField:
         doc = cl.parse_model("species A\n0 -> A , 2.0\n")
         f = vector_field(doc.network, np.array([5.0]), np.array([2.0]))
         assert f[0] == 2.0
+
+
+def mass_action_network(rng: random.Random) -> ReactionNetwork:
+    """Random network over S0..S{k-1} with `0 -> S0`, `2 S0 + S1 -> S2`, the
+    no-op `S0 -> S0`, and random reactions of up to three distinct reactant
+    species with counts up to 3; the last species occurs only as a product."""
+    k = rng.randint(3, 7)
+    sides = [([], [(0, 1)]), ([(0, 2), (1, 1)], [(2, 1)]), ([(0, 1)], [(0, 1)])]
+    for _ in range(rng.randint(0, 12)):
+        picked = rng.sample(range(k - 1), rng.randint(0, min(3, k - 1)))
+        reactant = [(i, rng.randint(1, 3)) for i in picked]
+        product = [(rng.randrange(k), rng.randint(1, 2))
+                   for _ in range(rng.randint(0, 3))]
+        sides.append((reactant, product))
+    rng.shuffle(sides)
+    reactions = [Reaction(Multiset(a), Multiset(b), RateInterval(1.0, 2.0), j)
+                 for j, (a, b) in enumerate(sides)]
+    return ReactionNetwork([Species(f"S{i}", i) for i in range(k)], reactions)
+
+
+class TestSparseVectorField:
+    """The sparse evaluator against the dense reference formula."""
+
+    @staticmethod
+    def _compare(net: ReactionNetwork, v: np.ndarray, alpha: np.ndarray):
+        vf, ref = cl.VectorField(net), DenseVectorField(net)
+        mono, mono_ref = vf.monomials(v), ref.monomials(v)
+        few = np.array([len(r.reactant.entries) <= 2 for r in net.reactions],
+                       dtype=bool)
+        assert np.array_equal(mono[few], mono_ref[few])
+        assert np.allclose(mono[~few], mono_ref[~few], rtol=1e-15, atol=0)
+        # the sums run in another order: bound the difference by the
+        # magnitude of the summed terms
+        scale = np.abs(alpha * mono_ref) @ np.abs(ref.stoich)
+        assert np.all(np.abs(vf(v, alpha) - ref(v, alpha)) <= 1e-12 * scale)
+        assert np.array_equal(vf.block_coefficients(np.eye(net.n_species)),
+                              ref.stoich)
+        return vf, ref
+
+    def test_matches_dense_reference_on_random_networks(self):
+        for seed in range(150):
+            rng = random.Random(seed)
+            net = mass_action_network(rng)
+            nprng = np.random.default_rng(seed)
+            v = nprng.uniform(0.0, 2.0, net.n_species)
+            v[nprng.random(net.n_species) < 0.2] = 0.0
+            alpha = nprng.uniform(0.1, 3.0, net.n_reactions)
+            vf, ref = self._compare(net, v, alpha)
+            B = block_indicator(random_partition(rng, net.n_species))
+            assert np.array_equal(vf.block_coefficients(B), ref.stoich @ B.T)
+
+    @pytest.mark.parametrize("sides", [
+        [],
+        [([], [(0, 1)])],
+        [([], [(0, 1)]), ([], [(1, 2)])],
+        [([(0, 1)], [(0, 1)])],
+    ], ids=["no-reactions", "creation", "creations", "noop"])
+    def test_degenerate_networks(self, sides):
+        reactions = [Reaction(Multiset(a), Multiset(b), RateInterval(1.0, 1.0), j)
+                     for j, (a, b) in enumerate(sides)]
+        net = ReactionNetwork([Species("A", 0), Species("B", 1)], reactions)
+        self._compare(net, np.array([0.5, 3.0]), np.full(len(sides), 1.5))
 
 
 class TestSchedule:
@@ -312,7 +379,8 @@ class TestProjectControl:
         B = block_indicator(two_site_partition)
         target = B @ vector_field(two_site, v, np.asarray(alpha))
         lvf = VectorField(lumped)
-        M = (lvf.stoich * lvf.monomials(B @ v)[:, None]).T
+        coeff = lvf.block_coefficients(np.eye(lumped.n_species))
+        M = (coeff * lvf.monomials(B @ v)[:, None]).T
         return float(np.linalg.norm(M @ ahat - target))
 
     def test_symmetric_controls_match_term_by_term(self, two_site,
