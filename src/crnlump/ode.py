@@ -1,6 +1,7 @@
 """Deterministic semantics: mass-action vector field, fixed-step integration
 under piecewise-constant controls, block-sum projection, cost functionals,
-and projection of controls onto a quotient network.
+the box least-squares solver behind drift matching, and projection of
+controls onto a quotient network.
 
 The vector field of species A is
 
@@ -22,7 +23,16 @@ import numpy as np
 
 from .model import Partition, ReactionNetwork, StructuralError
 from .parser import ParseError
-from .reconstruct import _solve_box_core
+
+# Drift-match residual above which projection and reconstruction fail.
+RESIDUAL_MAX = 1e-6
+# KKT sign tolerance of `box_least_squares`, relative to the size of the
+# terms summed into each gradient entry times the problem's dimensions.
+KKT_RTOL = 1e-14
+# Iteration cap of `box_least_squares` per coordinate of the problem.
+ITERS_PER_COORDINATE = 3
+# Most grid points times species `simulate` allocates a trajectory for.
+MAX_GRID_CELLS = 10 ** 8
 
 
 class DivergenceError(RuntimeError):
@@ -37,8 +47,9 @@ class ProjectionFailureError(RuntimeError):
     """Drift matching left a residual above threshold; the partition is not an
     equivalence or the trajectory is inconsistent with the network."""
 
-    def __init__(self, time: float, residual: float):
-        super().__init__(f"projection residual {residual:.3e} at t = {time}")
+    def __init__(self, time: float, residual: float, converged: bool = True):
+        super().__init__(f"projection residual {residual:.3e} at t = {time}"
+                         + ("" if converged else "; solver did not converge"))
         self.time = time
         self.residual = residual
 
@@ -192,9 +203,12 @@ def block_indicator(part: Partition) -> np.ndarray:
     return B
 
 
-def _time_grid(t_end: float, step: float, breakpoints: np.ndarray) -> np.ndarray:
+def _time_grid(t_end: float, step: float, breakpoints: np.ndarray,
+               width: int) -> np.ndarray:
     """Grid 0, step, 2 step, ..., t_end plus the breakpoints inside it;
-    a ValueError names the argument that is not finite or out of range."""
+    a ValueError names the argument that is not finite or out of range, or
+    `t_end` and `step` when the grid times `width` species would hold more
+    than MAX_GRID_CELLS values."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a positive finite number, got {step!r}")
     if not (math.isfinite(t_end) and t_end >= 0):
@@ -203,12 +217,15 @@ def _time_grid(t_end: float, step: float, breakpoints: np.ndarray) -> np.ndarray
     if not math.isfinite(t_end / step):
         raise ValueError(f"t_end / step overflows: {t_end!r} / {step!r}")
     n = int(math.floor(t_end / step + 1e-9))
-    times = [i * step for i in range(n + 1)]
-    if not times or abs(times[-1] - t_end) > 1e-9 * max(1.0, t_end):
-        times.append(t_end)
+    if (n + 1) * max(width, 1) > MAX_GRID_CELLS:
+        raise ValueError(f"t_end / step gives {n + 1} grid points of {width} "
+                         f"species, more than {MAX_GRID_CELLS} values: "
+                         f"{t_end!r} / {step!r}")
+    grid = np.arange(n + 1) * step
+    if abs(grid[-1] - t_end) > 1e-9 * max(1.0, t_end):
+        grid = np.append(grid, t_end)
     else:
-        times[-1] = t_end
-    grid = np.array(times)
+        grid[-1] = t_end
     extra = [b for b in breakpoints if 0.0 < b < t_end
              and np.min(np.abs(grid - b)) > 1e-12 * max(1.0, t_end)]
     if extra:
@@ -225,8 +242,8 @@ def simulate(net: ReactionNetwork, v0: Sequence[float], schedule: ControlSchedul
     v = np.asarray(v0, dtype=float).copy()
     if v.shape != (net.n_species,):
         raise StructuralError("initial state length mismatch")
+    times = _time_grid(t_end, step, schedule.breakpoints, net.n_species)
     vf = VectorField(net)
-    times = _time_grid(t_end, step, schedule.breakpoints)
     states = np.empty((len(times), net.n_species))
     states[0] = v
     seg = np.searchsorted(schedule.breakpoints, times[:-1], side="right") - 1
@@ -308,10 +325,71 @@ def evaluate_cost(traj: Trajectory, cost: CostSpec) -> float:
     return total + float(cost.final_weights @ traj.state_at(T))
 
 
+@dataclass
+class BoxLsResult:
+    x: np.ndarray
+    residual: float
+    converged: bool
+    iterations: int
+
+
+def box_least_squares(M: np.ndarray, b: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray, x0: Optional[np.ndarray] = None,
+                      max_iter: Optional[int] = None) -> BoxLsResult:
+    """Exact active-set solver of min ||M x - b|| subject to lo <= x <= hi
+    (Lawson-Hanson NNLS extended to boxes, as in Stark-Parker BVLS).
+
+    The coordinates on a bound of the warm start `x0` (default: the box
+    midpoint) start fixed there. Each iteration moves the free coordinates
+    by the minimum-norm least-squares correction from the current point,
+    which copes with wide, rank-deficient M. If that leaves the box, the
+    step stops at the first bound crossed and fixes that coordinate;
+    otherwise the fixed coordinates' gradient signs are checked and the
+    worst violator is freed, or the point is optimal. A coordinate with
+    lo == hi is never freed. After `max_iter` iterations (default
+    ITERS_PER_COORDINATE * (n + 1) for n coordinates) the current point is
+    returned with `converged=False`."""
+    m, n = M.shape
+    x = 0.5 * (lo + hi) if x0 is None else np.clip(x0, lo, hi)
+    at_lo, at_hi = x <= lo, x >= hi
+    movable = lo < hi
+    absM = np.abs(M)
+    cap = ITERS_PER_COORDINATE * (n + 1) if max_iter is None else max_iter
+    for it in range(1, cap + 1):
+        free = ~(at_lo | at_hi)
+        r = b - M @ x
+        if free.any():
+            d = np.linalg.lstsq(M[:, free], r, rcond=None)[0]
+            xf, lf, hf = x[free], lo[free], hi[free]
+            z = xf + d
+            out = (z < lf) | (z > hf)
+            if out.any():
+                bound = np.where(d < 0, lf, hf)
+                t = np.full(len(d), np.inf)
+                t[out] = (bound[out] - xf[out]) / d[out]
+                j = int(np.argmin(t))
+                x[free] = np.clip(xf + t[j] * d, lf, hf)
+                k = int(np.flatnonzero(free)[j])
+                x[k] = bound[j]
+                (at_lo if d[j] < 0 else at_hi)[k] = True
+                continue
+            x[free] = z
+            r = b - M @ x
+        g = -(M.T @ r)
+        tol = KKT_RTOL * (m + n) * (absM.T @ (absM @ np.abs(x) + np.abs(b)))
+        viol = np.where(at_lo, -g, np.where(at_hi, g, 0.0)) - tol
+        viol[~movable] = 0.0
+        if not np.any(viol > 0):
+            return BoxLsResult(x, float(np.sqrt(r @ r)), True, it)
+        i = int(np.argmax(viol))
+        at_lo[i] = at_hi[i] = False
+    r = b - M @ x
+    return BoxLsResult(x, float(np.sqrt(r @ r)), False, cap)
+
+
 def project_control(net: ReactionNetwork, part: Partition,
                     lumped: ReactionNetwork, traj: Trajectory,
-                    schedule: ControlSchedule,
-                    residual_threshold: float = 1e-6
+                    schedule: ControlSchedule
                     ) -> Tuple[ControlSchedule, float]:
     """Controls for the quotient network matching a trajectory of the original.
 
@@ -321,8 +399,8 @@ def project_control(net: ReactionNetwork, part: Partition,
     returned piecewise-constant schedule averages the solutions at its two
     endpoints (both evaluated under that step's original control value), which
     centers the constant approximation on the step. Returns the schedule and
-    the worst drift-match residual; a residual above `residual_threshold`
-    raises ProjectionFailureError.
+    the worst drift-match residual; a residual above RESIDUAL_MAX, or a solve
+    that does not converge, raises ProjectionFailureError.
     """
     schedule.validate_for(net)
     if traj.states.shape[1] != net.n_species:
@@ -342,8 +420,9 @@ def project_control(net: ReactionNetwork, part: Partition,
     def solve_at(k: int, alpha: np.ndarray, warm: np.ndarray):
         target = B @ vf(traj.states[k], alpha)
         coeff = (lstoich * lvf.monomials(vhat[k])[:, None]).T
-        lam = float((coeff * coeff).sum())
-        res = _solve_box_core(coeff, target, lo, hi, 1e-11, 2000, warm, lam)
+        res = box_least_squares(coeff, target, lo, hi, warm)
+        if not res.converged:
+            raise ProjectionFailureError(float(times[k]), res.residual, False)
         return res.x, res.residual
 
     n_steps = len(times) - 1
@@ -366,7 +445,7 @@ def project_control(net: ReactionNetwork, part: Partition,
         out[k] = np.clip(0.5 * (a_left + a_right), lo, hi)
         warm = a_right
         carried = a_right
-    if worst > residual_threshold:
+    if worst > RESIDUAL_MAX:
         raise ProjectionFailureError(worst_time, worst)
     return ControlSchedule(times[:-1].copy(), out), worst
 

@@ -1,5 +1,4 @@
-"""Box-constrained least-squares drift matching and closed-loop control
-reconstruction.
+"""Drift matching and closed-loop control reconstruction.
 
 Given a state v of the original network and a target per-block drift, the
 drift-match problem asks for per-reaction controls a inside their rate
@@ -8,28 +7,36 @@ stoichiometric change of reaction r scaled by its mass-action monomial at v.
 The objective is convex; on consistent states (block sums of v equal to the
 lumped state that produced the target) the minimum is zero.
 
-The solver is projected gradient descent with a Lipschitz step estimated by
-power iteration, warm-startable, with an exact least-squares polish on the
-currently inactive coordinates once the active face has settled. The polish
-only ever replaces an iterate by a feasible point with smaller objective, so
-plain projected-gradient convergence guarantees are preserved.
+Every drift match, here and in `ode.project_control`, is solved by the exact
+active-set solver `ode.box_least_squares`. When M is rank-deficient the
+minimizer is not unique; the solver returns the one reached by minimum-norm
+corrections from its warm start, and `reconstruct_trajectory` warm-starts
+each RK4 stage from the previous stage's controls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
+from .lumping import quotient
 from .model import Partition, ReactionNetwork, StructuralError
+from .ode import (RESIDUAL_MAX, BoxLsResult, ControlSchedule, Trajectory,
+                  VectorField, block_indicator, box_least_squares)
+
+# Largest gap allowed between the block sums of `v0` and the lumped start.
+CONSISTENCY_TOL = 1e-9
 
 
 class ReconstructionFailureError(RuntimeError):
-    """A reconstruction step left a drift-match residual above threshold."""
+    """A reconstruction step left a drift-match residual above threshold or
+    its solver did not converge."""
 
-    def __init__(self, time: float, residual: float):
-        super().__init__(f"reconstruction residual {residual:.3e} at t = {time}")
+    def __init__(self, time: float, residual: float, converged: bool = True):
+        super().__init__(f"reconstruction residual {residual:.3e} at t = {time}"
+                         + ("" if converged else "; solver did not converge"))
         self.time = time
         self.residual = residual
 
@@ -54,19 +61,10 @@ class DriftMatchProblem:
             raise ValueError("box lower bound exceeds upper bound")
 
 
-@dataclass
-class BoxLsResult:
-    x: np.ndarray
-    residual: float
-    converged: bool
-    iterations: int
-
-
 def build_drift_match(net: ReactionNetwork, part: Partition,
                       v: np.ndarray, target: np.ndarray) -> DriftMatchProblem:
     """Assemble the drift-match problem at state `v` with a per-block target,
     using linearity of the mass-action drift in the controls."""
-    from .ode import VectorField, block_indicator  # local import to avoid a cycle
     if part.n != net.n_species:
         raise StructuralError("partition over wrong species universe")
     v = np.asarray(v, dtype=float)
@@ -78,127 +76,25 @@ def build_drift_match(net: ReactionNetwork, part: Partition,
     return DriftMatchProblem(coeff, np.asarray(target, dtype=float), lo, hi)
 
 
-def _spectral_bound(G: np.ndarray, iters: int = 50) -> float:
-    """Largest-eigenvalue estimate of a PSD matrix by power iteration."""
-    n = G.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(iters):
-        w = G @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam = norm
-    return lam
-
-
-def _polish(M, b, lo, hi, x, fx):
-    """Subspace acceleration: exact least squares over the strictly-inactive
-    coordinates, taken as a minimum-norm correction from the current iterate
-    (M may be rank deficient), clipped to the box and followed by an exact
-    line search along the resulting feasible direction. Only ever moves to a
-    feasible point with a smaller objective, so projected-gradient convergence
-    guarantees are untouched."""
-    for _ in range(3):
-        free = (x > lo) & (x < hi)
-        if not free.any():
-            return x, fx
-        r = b - M @ x
-        delta, *_ = np.linalg.lstsq(M[:, free], r, rcond=None)
-        d = np.zeros_like(x)
-        d[free] = delta
-        d = np.clip(x + d, lo, hi) - x
-        Md = M @ d
-        den = float(Md @ Md)
-        if den <= 0.0:
-            return x, fx
-        theta = min(1.0, max(0.0, float(r @ Md) / den))
-        if theta == 0.0:
-            return x, fx
-        cand = x + theta * d
-        rc = M @ cand - b
-        fc = 0.5 * float(rc @ rc)
-        if fc >= fx:
-            return x, fx
-        x, fx = cand, fc
-    return x, fx
-
-
-def _solve_box_core(M: np.ndarray, b: np.ndarray, lo: np.ndarray,
-                    hi: np.ndarray, tol: float, max_iter: int,
-                    x0: Optional[np.ndarray], lam: float) -> BoxLsResult:
-    if lam <= 0.0:
-        x = 0.5 * (lo + hi)
-        return BoxLsResult(x, float(np.sqrt(b @ b)), True, 0)
-    G = M.T @ M
-    c = M.T @ b
-    step = 0.9 / lam
-    x = 0.5 * (lo + hi) if x0 is None else np.clip(x0, lo, hi)
-    converged = False
-    it = 0
-    polish_at = 2
-    while it < max_iter:
-        it += 1
-        g = G @ x - c
-        xn = np.clip(x - step * g, lo, hi)
-        d = x - xn
-        pg = float(np.sqrt(d @ d)) / step
-        x = xn
-        if pg <= tol or it >= polish_at:
-            polish_at = it + 10
-            r = M @ x - b
-            fx = 0.5 * float(r @ r)
-            x, fx = _polish(M, b, lo, hi, x, fx)
-            g = G @ x - c
-            d = x - np.clip(x - step * g, lo, hi)
-            pg = float(np.sqrt(d @ d)) / step
-            if pg <= tol:
-                converged = True
-                break
-    r = M @ x - b
-    return BoxLsResult(x, float(np.sqrt(r @ r)), converged, it)
-
-
-def solve_box_ls(prob: DriftMatchProblem, tol: float = 1e-11,
-                 max_iter: int = 2000, x0: Optional[np.ndarray] = None
-                 ) -> BoxLsResult:
-    """Projected gradient descent on ||M a - b||^2 over the box.
-
-    Step size is 0.9 / ||M^T M||_2 with the spectral norm estimated by 50
-    power iterations. Every few iterations an exact subspace polish runs on
-    the inactive coordinates (see _polish); it only ever improves the iterate.
-    Terminates when the projected-gradient norm drops to `tol` or after
-    `max_iter` iterations; in the latter case the last iterate is returned
-    with `converged=False`. When M is identically zero any point is optimal
-    and the box midpoint is returned.
-    """
-    M, b, lo, hi = prob.M, prob.b, prob.lo, prob.hi
-    if not np.any(M):
-        x = 0.5 * (lo + hi)
-        return BoxLsResult(x, float(np.sqrt(b @ b)), True, 0)
-    x0 = None if x0 is None else np.asarray(x0, dtype=float)
-    lam = _spectral_bound(M.T @ M)
-    return _solve_box_core(M, b, lo, hi, tol, max_iter, x0, lam)
-
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .ode import ControlSchedule, Trajectory
+def solve_box_ls(prob: DriftMatchProblem, max_iter: Optional[int] = None,
+                 x0: Optional[np.ndarray] = None) -> BoxLsResult:
+    """Solve `prob` with the active-set solver `ode.box_least_squares`,
+    warm-started from `x0` (default: the box midpoint). A solve stopped by
+    `max_iter` returns its last point with `converged=False`. When M is
+    identically zero any point is optimal and the box midpoint is returned."""
+    return box_least_squares(prob.M, prob.b, prob.lo, prob.hi, x0, max_iter)
 
 
 @dataclass
 class ReconstructionResult:
-    trajectory: "Trajectory"
-    schedule: "ControlSchedule"
+    trajectory: Trajectory
+    schedule: ControlSchedule
     step_residuals: np.ndarray
     max_residual: float
 
 
 def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
-                           lumped_traj, lumped_schedule, v0,
-                           qp_tol: float = 1e-12, qp_max_iter: int = 400,
-                           residual_threshold: float = 1e-6,
-                           consistency_tol: float = 1e-9
+                           lumped_traj, lumped_schedule, v0
                            ) -> ReconstructionResult:
     """Closed-loop reconstruction of an original-network trajectory from a
     lumped trajectory and control schedule.
@@ -212,11 +108,9 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     drift-match problem at the current reconstructed state, warm-started from
     the previous stage. Returns the reconstructed trajectory, the realized
     piecewise-constant control (the first-stage solution of each step) and
-    per-step residuals.
+    per-step residuals. A stage residual above RESIDUAL_MAX, or a stage solve
+    that does not converge, raises ReconstructionFailureError.
     """
-    from .lumping import quotient
-    from .ode import ControlSchedule, Trajectory, VectorField, block_indicator
-
     lumped, _ = quotient(net, part)
     lumped_schedule.validate_for(lumped)
     B = block_indicator(part)
@@ -224,7 +118,7 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     if v0.shape != (net.n_species,):
         raise StructuralError("initial state length mismatch")
     gap = float(np.max(np.abs(B @ v0 - lumped_traj.states[0])))
-    if gap > consistency_tol:
+    if gap > CONSISTENCY_TOL:
         raise StructuralError(
             f"initial state inconsistent with lumped trajectory (gap {gap:.3e})")
 
@@ -244,13 +138,14 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     controls = np.empty((n_steps, net.n_reactions))
     residuals = np.empty(n_steps)
     v = v0.copy()
-    warm = np.clip(0.5 * (lo + hi), lo, hi)
+    warm = 0.5 * (lo + hi)
 
     def stage_control(v_stage, target, warm):
         coeff = (coeff_blocks * vf.monomials(v_stage)[:, None]).T
-        # trace bound on ||M^T M||_2: cheap, always a valid Lipschitz constant
-        lam = float((coeff * coeff).sum())
-        res = _solve_box_core(coeff, target, lo, hi, qp_tol, qp_max_iter, warm, lam)
+        res = box_least_squares(coeff, target, lo, hi, warm)
+        if not res.converged:
+            raise ReconstructionFailureError(float(times[k]), res.residual,
+                                             False)
         return res.x, res.residual
 
     for k in range(n_steps):
@@ -288,7 +183,7 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
         controls[k] = a1
         residuals[k] = worst
         warm = a4
-        if worst > residual_threshold:
+        if worst > RESIDUAL_MAX:
             raise ReconstructionFailureError(float(times[k]), worst)
 
     schedule = ControlSchedule(times[:-1].copy(), controls)

@@ -303,6 +303,8 @@ class TestSimulateCommand:
         ("1", "0", "step must be a positive finite number, got 0.0"),
         ("1", "nan", "step must be a positive finite number, got nan"),
         ("1e308", "1e-300", "t_end / step overflows: 1e+308 / 1e-300"),
+        ("1e4", "1e-9", "t_end / step gives 10000000000001 grid points of 5 "
+         "species, more than 100000000 values: 10000.0 / 1e-09"),
     ])
     def test_bad_horizon_is_a_usage_error(self, two_site_file, capsys,
                                           t_end, step, why):

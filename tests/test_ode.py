@@ -434,3 +434,13 @@ class TestProjectControl:
                                         traj, sched)
         assert worst == 0.0
         lsched.validate_for(lumped)
+
+    def test_non_convergence_raises(self, two_site, two_site_partition,
+                                    monkeypatch):
+        vals = [1.2, 0.55, 1.7, 0.7, 2.0, 0.3, 2.0, 0.35]
+        lumped, sched, traj = self._setup(two_site, two_site_partition, vals)
+        monkeypatch.setattr("crnlump.ode.ITERS_PER_COORDINATE", 0)
+        with pytest.raises(cl.ProjectionFailureError,
+                           match="solver did not converge") as err:
+            project_control(two_site, two_site_partition, lumped, traj, sched)
+        assert err.value.time == 0.0

@@ -93,6 +93,50 @@ class TestSolveBoxLs:
         assert not res.converged and res.iterations == 1
         assert np.all(res.x >= 0.0) and np.all(res.x <= 1.0)
 
+    @staticmethod
+    def _assert_kkt(prob, x):
+        """x is in the box and satisfies the KKT sign conditions: zero
+        gradient on free coordinates, gradient >= 0 at a lower bound and
+        <= 0 at an upper one, up to rounding of the gradient's terms."""
+        M, b, lo, hi = prob.M, prob.b, prob.lo, prob.hi
+        assert np.all(x >= lo) and np.all(x <= hi)
+        g = M.T @ (M @ x - b)
+        tol = 1e-9 * (np.abs(M).T @ (np.abs(M) @ np.abs(x) + np.abs(b)))
+        at_lo = (lo < hi) & (x == lo)
+        at_hi = (lo < hi) & (x == hi)
+        free = (x > lo) & (x < hi)
+        assert np.all(np.abs(g[free]) <= tol[free])
+        assert np.all(g[at_lo] >= -tol[at_lo])
+        assert np.all(g[at_hi] <= tol[at_hi])
+
+    @pytest.mark.parametrize("rows,cols,rank", [
+        (2, 6, 1), (3, 8, 2), (4, 12, 3), (4, 8, 4), (5, 16, 2)])
+    def test_wide_rank_deficient_with_point_boxes(self, rows, cols, rank):
+        rng = np.random.default_rng(100 * rows + cols)
+        for trial in range(20):
+            M = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+            lo = rng.random(cols)
+            hi = lo + rng.random(cols)
+            point = rng.random(cols) < 0.25
+            hi[point] = lo[point]
+            # alternately reachable targets and targets out of the box's reach
+            spread = (0.0, 1.0) if trial % 2 else (-1.0, 2.0)
+            b = M @ (lo + (hi - lo) * rng.uniform(*spread, cols))
+            prob = DriftMatchProblem(M, b, lo, hi)
+            res = solve_box_ls(prob)
+            assert res.converged
+            self._assert_kkt(prob, res.x)
+            assert np.array_equal(res.x[point], lo[point])
+            if trial % 2:
+                assert res.residual <= 1e-10
+            # warm-started from its own answer the solver keeps its active
+            # set and stops after one least-squares solve and KKT check
+            again = solve_box_ls(prob, x0=res.x)
+            assert again.converged and again.iterations == 1
+            assert np.array_equal(again.x == lo, res.x == lo)
+            assert np.array_equal(again.x == hi, res.x == hi)
+            assert np.allclose(again.x, res.x, rtol=0, atol=1e-12)
+
     def test_matches_grid_search_oracle(self):
         rng = np.random.default_rng(3)
         pitch = 1e-2
@@ -181,3 +225,12 @@ class TestReconstructTrajectory:
                                    sched, v0)
         assert err.value.residual > 1e-6
         assert err.value.time > 0.0
+
+    def test_non_convergence_raises(self, two_site, two_site_partition,
+                                    monkeypatch):
+        lumped, sched, ltraj, v0 = self._lumped_setup(two_site, two_site_partition)
+        monkeypatch.setattr("crnlump.ode.ITERS_PER_COORDINATE", 0)
+        with pytest.raises(ReconstructionFailureError,
+                           match="solver did not converge") as err:
+            reconstruct_trajectory(two_site, two_site_partition, ltraj, sched, v0)
+        assert err.value.time == 0.0
