@@ -388,6 +388,13 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _population_bound(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="crnlump",
@@ -414,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="also check ordinary lumpability of both extremal "
                         "generators on the enumerated space")
-    p.add_argument("--pop-bound", type=int, default=4)
+    p.add_argument("--pop-bound", type=_population_bound, default=4)
     p.add_argument("--init", help="initial state, e.g. 'A=1,B=2'")
     p.add_argument("--report")
     p.set_defaults(func=cmd_check)

@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .model import (Multiset, Partition, ReactionNetwork, StructuralError,
-                    falling_binomial, project_key)
+                    project_key)
 
 
 class CapacityError(RuntimeError):
@@ -28,10 +28,11 @@ class CapacityError(RuntimeError):
 
 
 class PropensityOverflowError(RuntimeError):
-    """Total propensity became non-finite or absurdly large."""
+    """A propensity or generator entry is non-finite, absurdly large, or
+    cannot be represented exactly; `state` is where it happened."""
 
-    def __init__(self, state: np.ndarray):
-        super().__init__("propensity overflow")
+    def __init__(self, state, message: str = "propensity overflow"):
+        super().__init__(message)
         self.state = state
 
 
@@ -39,56 +40,149 @@ class ApproximateResultWarning(UserWarning):
     """The result was computed on a truncated state space."""
 
 
+# Largest falling binomial that is an exact float, so that the TwoProduct
+# split of rate x binomial below stays error-free.
+_EXACT_INT_MAX = 2 ** 53
+_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+
+
+def _row_keys(counts: np.ndarray) -> np.ndarray:
+    """One opaque fixed-width key per row (the row's bytes), so rows sort,
+    deduplicate and search as scalars, with no bound on the counts."""
+    c = np.ascontiguousarray(counts, dtype=np.int64)
+    if c.shape[1] == 0:
+        c = np.zeros((len(c), 1), dtype=np.int64)
+    return c.view(np.dtype((np.void, 8 * c.shape[1]))).ravel()
+
+
+def _canonical_order(counts: np.ndarray) -> np.ndarray:
+    """Permutation sorting count rows as their `Multiset.entries` tuples
+    sort: lexicographic over the flattened (index, count) pairs, a shorter
+    prefix first (padding with -1 gives exactly that)."""
+    if counts.shape[1] == 0:
+        return np.arange(len(counts))
+    cols = np.argsort(counts == 0, axis=1, kind="stable")
+    vals = np.take_along_axis(counts, cols, axis=1)
+    pad = vals == 0
+    flat = np.empty((len(counts), 2 * counts.shape[1]), dtype=np.int64)
+    flat[:, 0::2] = np.where(pad, -1, cols)
+    flat[:, 1::2] = np.where(pad, -1, vals)
+    return np.lexsort(flat.T[::-1])
+
+
+def _moves(net: ReactionNetwork):
+    """(reaction, net-change row) for every reaction that is not a no-op."""
+    out = []
+    for r in net.reactions:
+        if r.is_noop:
+            continue
+        delta = np.zeros(net.n_species, dtype=np.int64)
+        for i, c in r.reactant:
+            delta[i] -= c
+        for i, c in r.product:
+            delta[i] += c
+        out.append((r, delta))
+    return out
+
+
+def _check_bound(pop_bound: int):
+    if pop_bound < 0:
+        raise ValueError(f"pop_bound must be a non-negative integer, "
+                         f"got {pop_bound}")
+
+
 @dataclass
 class StateSpace:
     """Enumerated CTMC states in canonical order: breadth-first from the
     initial state with lexicographic tie-breaking within each level.
-    `truncated` is set when any transition left the population bound."""
+    `truncated` is set when any transition left the population bound.
+    `counts` holds the same states as a (states, species) integer matrix."""
 
     states: List[Multiset]
     index: Dict[Multiset, int]
     truncated: bool
+    counts: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        self._keys = _row_keys(self.counts)  # a view of `counts`
+        self._order = np.argsort(self._keys)
 
     @property
     def n_states(self) -> int:
         return len(self.states)
+
+    def locate(self, rows: np.ndarray) -> np.ndarray:
+        """State index of each count row, -1 for a row not in the space."""
+        keys = _row_keys(rows)
+        pos = np.searchsorted(self._keys, keys, sorter=self._order)
+        at = self._order[np.minimum(pos, len(self._order) - 1)]
+        return np.where(self._keys[at] == keys, at, -1)
+
+
+def _space(counts: np.ndarray, truncated: bool) -> StateSpace:
+    """The space of the given count rows, in their order."""
+    rows, cols = np.nonzero(counts)
+    pairs = list(zip(cols.tolist(), counts[rows, cols].tolist()))
+    bounds = np.searchsorted(rows, np.arange(len(counts) + 1)).tolist()
+    states = [Multiset.from_canonical(tuple(pairs[a:b]))
+              for a, b in zip(bounds, bounds[1:])]
+    return StateSpace(states, dict(zip(states, range(len(states)))),
+                      truncated, counts)
 
 
 def enumerate_states(net: ReactionNetwork, init: Multiset, pop_bound: int,
                      max_states: int = 10 ** 6) -> StateSpace:
     """Breadth-first closure of the initial state under all applicable
     reactions, discarding successors whose total population exceeds
-    `pop_bound` (and flagging the space truncated when that happens)."""
+    `pop_bound` (and flagging the space truncated when that happens).
+
+    Each level is expanded on arrays: every reaction is applied to the whole
+    frontier at once, and successors are deduplicated and checked against
+    the states seen so far by their row keys."""
+    _check_bound(pop_bound)
     if init.total > pop_bound:
         raise StructuralError("population bound smaller than the initial state")
-    states: List[Multiset] = []
-    index: Dict[Multiset, int] = {}
+    moves = [(np.array([i for i, _ in r.reactant], dtype=np.intp),
+              np.array([c for _, c in r.reactant], dtype=np.int64),
+              delta, int(delta.sum())) for r, delta in _moves(net)]
+    level = np.zeros((1, net.n_species), dtype=np.int64)
+    for i, c in init:
+        if i >= net.n_species:
+            raise StructuralError(f"initial state references species index "
+                                  f"{i}; the network has {net.n_species}")
+        level[0, i] = c
+    levels = [level]
+    seen = _row_keys(level)
+    n_seen = 1
     truncated = False
-    frontier = [init]
-    seen = {init}
-    while frontier:
-        frontier.sort(key=lambda m: m.entries)
-        for s in frontier:
-            index[s] = len(states)
-            states.append(s)
-        nxt: List[Multiset] = []
-        for sigma in frontier:
-            for r in net.reactions:
-                if r.is_noop:
-                    continue
-                if falling_binomial(sigma, r.reactant) == 0:
-                    continue
-                theta = sigma.subtract(r.reactant).add(r.product)
-                if theta.total > pop_bound:
+    while True:
+        totals = level.sum(axis=1)
+        succ = []
+        for idx, cnt, delta, grow in moves:
+            ok = np.all(level[:, idx] >= cnt, axis=1)
+            if grow > 0:
+                over = ok & (totals + grow > pop_bound)
+                if over.any():
                     truncated = True
-                    continue
-                if theta not in seen:
-                    seen.add(theta)
-                    nxt.append(theta)
-        if len(seen) > max_states:
+                    ok &= ~over
+            if ok.any():
+                succ.append(level[ok] + delta)
+        new = np.zeros((0, net.n_species), dtype=np.int64)
+        if succ:
+            cand = np.concatenate(succ)
+            keys, first = np.unique(_row_keys(cand), return_index=True)
+            pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+            fresh = seen[pos] != keys
+            new = cand[first[fresh]]
+            seen = np.sort(np.concatenate([seen, keys[fresh]]))
+        n_seen += len(new)
+        if n_seen > max_states:
             raise CapacityError(f"state space exceeds cap of {max_states}")
-        frontier = nxt
-    return StateSpace(states, index, truncated)
+        if not len(new):
+            break
+        level = new[_canonical_order(new)]
+        levels.append(level)
+    return _space(np.concatenate(levels), truncated)
 
 
 def enumerate_ball(net: ReactionNetwork, pop_bound: int,
@@ -96,83 +190,201 @@ def enumerate_ball(net: ReactionNetwork, pop_bound: int,
     """Every multiset with total population <= pop_bound, ordered by total then
     lexicographically. Flagged truncated when some reaction can increase the
     population (its transitions out of the ball are dropped)."""
+    _check_bound(pop_bound)
     n = net.n_species
     if math.comb(pop_bound + n, n) > max_states:
         raise CapacityError(f"population ball exceeds cap of {max_states}")
-    states: List[Multiset] = []
-
-    def rec(idx: int, remaining: int, acc: List[Tuple[int, int]], total: int):
-        if idx == n:
-            states.append(Multiset(list(acc)))
-            return
-        for c in range(remaining + 1):
-            if c:
-                acc.append((idx, c))
-            rec(idx + 1, remaining - c, acc, total + c)
-            if c:
-                acc.pop()
-
-    rec(0, pop_bound, [], 0)
-    if len(states) > max_states:
-        raise CapacityError(f"state space exceeds cap of {max_states}")
-    states.sort(key=lambda m: (m.total, m.entries))
-    index = {s: i for i, s in enumerate(states)}
+    # species by species, each partial row branches into every count that
+    # its remaining budget allows
+    counts = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n):
+        width = pop_bound - counts.sum(axis=1) + 1
+        counts = np.repeat(counts, width, axis=0)
+        first = np.repeat(np.cumsum(width) - width, width)
+        value = np.arange(len(counts)) - first
+        counts = np.column_stack([counts, value])
+    order = _canonical_order(counts)
+    order = order[np.argsort(counts.sum(axis=1)[order], kind="stable")]
+    counts = counts[order]
     truncated = any(r.product.total > r.reactant.total for r in net.reactions)
-    return StateSpace(states, index, truncated)
+    return _space(counts, truncated)
+
+
+class ExactTerms(NamedTuple):
+    """Error-free transition rates, one per (state, reaction) transition kept
+    in a generator, sorted by (row, col): the real rate of the transition
+    from state `row` to state `col` is exactly `hi + lo`."""
+
+    row: np.ndarray
+    col: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
 
 
 @dataclass
 class Generator:
     """Sparse transition-rate matrix over an enumerated space; the diagonal is
     the negated row sum of the retained off-diagonal entries, so rows sum to
-    zero exactly even on truncated spaces."""
+    zero exactly even on truncated spaces. Each off-diagonal entry is the
+    correctly rounded sum of its `terms`."""
 
     matrix: sp.csr_matrix
     space: StateSpace
     extremal: str
+    terms: ExactTerms
 
     @property
     def truncated(self) -> bool:
         return self.space.truncated
 
 
+def _falling_binomials(counts: np.ndarray, rho: Multiset) -> np.ndarray:
+    """C(sigma, rho) for every state row sigma, in exact integers; any value
+    above _EXACT_INT_MAX comes out as _EXACT_INT_MAX + 1."""
+    cap = _EXACT_INT_MAX + 1
+    out = np.ones(len(counts), dtype=np.int64)
+    for i, c in rho:
+        col = counts[:, i]
+        if c == 1:
+            b = col
+        else:
+            vals, inv = np.unique(col, return_inverse=True)
+            b = np.array([min(math.comb(v, c), cap) for v in vals.tolist()],
+                         dtype=np.int64)[inv]
+        over = (b > _EXACT_INT_MAX) | (out > _EXACT_INT_MAX // np.maximum(b, 1))
+        out = np.where(over & (b > 0) & (out > 0), cap, out * b)
+    return out
+
+
+def _split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(rate: float, fb: np.ndarray):
+    """(hi, lo) with hi + lo == rate * fb exactly (Dekker's TwoProduct with
+    Veltkamp's split), for integers fb <= 2**53. The rate is scaled into
+    [0.5, 1) by its binary exponent first, so no split can overflow, and
+    scaling back is exact unless hi overflows to infinity."""
+    m, e = math.frexp(rate)
+    p = m * fb
+    mh, ml = _split(m)
+    fh, fl = _split(fb)
+    err = ((mh * fh - p) + mh * fl + ml * fh) + ml * fl
+    with np.errstate(over="ignore"):
+        return np.ldexp(p, e), np.ldexp(err, e)
+
+
+def _fsum(values) -> float:
+    """`math.fsum` of non-negative sums, giving inf where it would raise
+    OverflowError."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+_FSUM_CHUNK = 4096  # terms turned into Python floats at a time
+
+
+def _group_sums(key: np.ndarray, hi: np.ndarray, lo: np.ndarray):
+    """For terms sorted by `key`: the position of each key's first term and
+    the correctly rounded sum of the key's terms hi + lo. A single term's
+    sum is its `hi`, the rounded product; a longer group's is one
+    `math.fsum` over all its hi and lo parts."""
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]][:len(key)])
+    sums = hi[start]
+    size = np.diff(np.r_[start, len(key)])
+    multi = np.flatnonzero(size > 1)
+    base, flat = 0, []
+    for g, s, k in zip(multi.tolist(), start[multi].tolist(),
+                       size[multi].tolist()):
+        if 2 * (s + k - base) > len(flat):
+            base = s
+            end = s + max(k, _FSUM_CHUNK)
+            flat = np.column_stack([hi[s:end], lo[s:end]]).ravel().tolist()
+        sums[g] = _fsum(flat[2 * (s - base):2 * (s + k - base)])
+    return start, sums
+
+
 def build_generator(space: StateSpace, net: ReactionNetwork,
                     extremal: str) -> Generator:
+    """Extremal generator over an enumerated space, built one reaction at a
+    time over all states at once. Each transition rate, rate x falling
+    binomial, is split exactly into a pair (hi, lo); each off-diagonal entry
+    is the `math.fsum` of its pairs and the diagonal is minus the `fsum` of
+    the row's entries. A falling binomial above 2**53, a product that
+    overflows or an overflowing row sum raises PropensityOverflowError
+    naming the state (and the reaction, for the first two)."""
     rates = net.rates(extremal)
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    for si, sigma in enumerate(space.states):
-        acc: Dict[int, List[float]] = {}
-        for r in net.reactions:
-            if r.is_noop or rates[r.id] == 0.0:
-                continue
-            fb = falling_binomial(sigma, r.reactant)
-            if fb == 0:
-                continue
-            theta = sigma.subtract(r.reactant).add(r.product)
-            ti = space.index.get(theta)
-            if ti is None:
-                if not space.truncated:
-                    raise StructuralError("state space not closed under reactions")
-                continue
-            acc.setdefault(ti, []).append(rates[r.id] * fb)
-        # entries and the diagonal are exact sums, so rows sum to zero and
-        # symmetric states get bit-identical rate values
-        row_vals = []
-        for ti in sorted(acc):
-            rows.append(si)
-            cols.append(ti)
-            value = math.fsum(acc[ti])
-            vals.append(value)
-            row_vals.append(value)
-        rows.append(si)
-        cols.append(si)
-        vals.append(-math.fsum(row_vals))
+    counts = space.counts
+    if counts.shape[1] != net.n_species:
+        raise StructuralError("state space and network have different species")
+    names = net.names
+
+    def overflow(si: int, what: str, r=None) -> PropensityOverflowError:
+        if r is not None:
+            what = (f"reaction {r.id} ({r.reactant.format(names)} -> "
+                    f"{r.product.format(names)}): {what}")
+        return PropensityOverflowError(
+            counts[si].copy(),
+            f"{what} at state {space.states[si].format(names)}")
+
+    parts = []
+    for r, delta in _moves(net):
+        rate = rates[r.id]
+        if rate == 0.0:
+            continue
+        fb = _falling_binomials(counts, r.reactant)
+        src = np.flatnonzero(fb)
+        if not len(src):
+            continue
+        big = np.flatnonzero(fb[src] > _EXACT_INT_MAX)
+        if len(big):
+            raise overflow(src[big[0]], "falling binomial exceeds 2**53", r)
+        dst = space.locate(counts[src] + delta)
+        inside = dst >= 0
+        if not inside.all():
+            if not space.truncated:
+                raise StructuralError("state space not closed under reactions")
+            src, dst = src[inside], dst[inside]
+        hi, lo = _two_product(rate, fb[src].astype(float))
+        bad = np.flatnonzero(~np.isfinite(hi))
+        if len(bad):
+            si = src[bad[0]]
+            raise overflow(si, f"rate {rate!r} x falling binomial "
+                               f"{int(fb[si])} overflows", r)
+        parts.append((src.astype(np.int32), dst.astype(np.int32), hi, lo))
     n = space.n_states
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    matrix.sum_duplicates()
-    return Generator(matrix, space, extremal)
+    if parts:
+        row, col, hi, lo = (np.concatenate(x) for x in zip(*parts))
+    else:
+        row = col = np.zeros(0, dtype=np.int32)
+        hi = lo = np.zeros(0)
+    del parts  # keep one copy of the terms alive at a time
+    key = row.astype(np.int64) * n + col
+    order = np.argsort(key, kind="stable")
+    terms = ExactTerms(row[order], col[order], hi[order], lo[order])
+    del row, col, hi, lo
+    key = key[order]
+    start, entries = _group_sums(key, terms.hi, terms.lo)
+    e_row, e_col = terms.row[start], terms.col[start]
+    # the diagonal is minus the exact row sum, so rows sum to zero exactly;
+    # an infinite entry makes its row sum infinite too
+    first, row_sums = _group_sums(e_row, entries, np.zeros_like(entries))
+    diag = np.zeros(n)
+    diag[e_row[first]] = -row_sums
+    bad = np.flatnonzero(~np.isfinite(diag))
+    if len(bad):
+        raise overflow(bad[0], "total outflow overflows")
+    # CSR rows: the sorted entries with the diagonal slotted in by column
+    at = np.searchsorted(key[start], np.arange(n) * (n + 1))
+    indptr = np.r_[0, np.cumsum(np.bincount(e_row, minlength=n) + 1)]
+    matrix = sp.csr_matrix((np.insert(entries, at, diag),
+                            np.insert(e_col, at, np.arange(n)), indptr),
+                           shape=(n, n))
+    return Generator(matrix, space, extremal, terms)
 
 
 @dataclass
@@ -204,52 +416,63 @@ def check_ordinary_lumpability(gen: Generator, space: StateSpace,
                                part: Partition) -> LumpabilityResult:
     """Lift the species partition to states via block projection and test that
     all states in a lifted class have equal off-diagonal aggregate rates into
-    every other lifted class (exact comparison; entries summed in state-index
-    order).
+    every other lifted class (exact comparison).
 
     The class containing the compared pair is suppressed, mirroring the
     signature convention: rows of the generator sum to zero, so equality of
     the aggregates into all other classes already forces equality on the own
     class, and skipping it avoids re-deriving sums through the diagonal
     (which mixes every rate value and is needlessly exposed to rounding).
-    Aggregates are exact sums of the entries, so states whose outflows are
-    rearrangements or refactorings of the same real rates compare equal.
+    Each aggregate is one `math.fsum` over the generator's exact terms, the
+    correctly rounded real sum, so states whose outflows are rearrangements
+    or refactorings of the same real rates compare equal, exactly as
+    `lumping` compares its signatures. Every state is compared with the
+    first state of its class; the counterexample is the first failing pair
+    in state order.
     """
+    n = space.n_states
     block_of = part.block_of
-    keys = [project_key(s.entries, block_of) for s in space.states]
-    groups: Dict[tuple, List[int]] = {}
-    for i, k in enumerate(keys):
-        groups.setdefault(k, []).append(i)
-    Q = gen.matrix
+    indicator = np.zeros((len(block_of), part.n_blocks), dtype=np.int64)
+    indicator[np.arange(len(block_of)), block_of] = 1
+    _, first, cls = np.unique(_row_keys(space.counts @ indicator),
+                              return_index=True, return_inverse=True)
+    cls = cls.ravel()
+    ref = first[cls]  # the lowest-index state of each state's lifted class
+    row, col, hi, lo = gen.terms
+    tgt = cls[col]
+    sel = np.flatnonzero(tgt != cls[row])
+    key = row[sel].astype(np.int64) * len(first) + tgt[sel]
+    order = np.argsort(key, kind="stable")
+    key, sel = key[order], sel[order]
+    at, agg = _group_sums(key, hi[sel], lo[sel])
+    a_row, a_tgt = row[sel[at]], tgt[sel[at]]
+    # state s's aggregates are items start[s]:start[s + 1], sorted by class;
+    # compare them item by item with those of ref[s]
+    start = np.searchsorted(a_row, np.arange(n + 1))
+    size = np.diff(start)
+    bad = size != size[ref]
+    same = ~bad[a_row]
+    mate = np.where(same, start[ref[a_row]] + np.arange(len(a_row))
+                    - start[a_row], 0)
+    differs = same & ((a_tgt[mate] != a_tgt) | (agg[mate] != agg))
+    bad[a_row[differs]] = True
+    failing = np.flatnonzero(bad)
+    if not len(failing):
+        return LumpabilityResult(True)
+    sb = int(failing[np.lexsort((failing, ref[failing]))[0]])
+    sa = int(ref[sb])
 
-    def row_aggregates(i: int, own: tuple) -> Dict[tuple, float]:
-        acc: Dict[tuple, List[float]] = {}
-        start, end = Q.indptr[i], Q.indptr[i + 1]
-        for pos in range(start, end):
-            j = Q.indices[pos]
-            if j == i:
-                continue
-            k = keys[j]
-            if k == own:
-                continue
-            acc.setdefault(k, []).append(Q.data[pos])
-        agg = {k: math.fsum(v) for k, v in acc.items()}
-        return {k: v for k, v in agg.items() if v != 0.0}
+    def aggregates(s: int) -> Dict[tuple, float]:
+        return {project_key(space.states[first[c]].entries, block_of): float(v)
+                for c, v in zip(a_tgt[start[s]:start[s + 1]].tolist(),
+                                agg[start[s]:start[s + 1]].tolist())}
 
-    for own, members in groups.items():
-        if len(members) < 2:
-            continue
-        ref_i = members[0]
-        ref = row_aggregates(ref_i, own)
-        for i in members[1:]:
-            agg = row_aggregates(i, own)
-            if agg != ref:
-                for k in sorted(set(ref) | set(agg)):
-                    va, vb = ref.get(k, 0.0), agg.get(k, 0.0)
-                    if va != vb:
-                        return LumpabilityResult(False, LumpabilityCounterexample(
-                            space.states[ref_i], space.states[i], k, va, vb))
-    return LumpabilityResult(True)
+    agg_a, agg_b = aggregates(sa), aggregates(sb)
+    k = next(k for k in sorted(set(agg_a) | set(agg_b))
+             if agg_a.get(k, 0.0) != agg_b.get(k, 0.0))
+    return LumpabilityResult(False, LumpabilityCounterexample(
+        space.states[sa], space.states[sb], k, agg_a.get(k, 0.0),
+        agg_b.get(k, 0.0)))
 
 
 def transient_solve(gen: Generator, p0: Sequence[float], t: float,
@@ -260,6 +483,8 @@ def transient_solve(gen: Generator, p0: Sequence[float], t: float,
     p = np.asarray(p0, dtype=float).copy()
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError("initial distribution must sum to 1")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be a finite number, got {t}")
     if t < 0:
         raise ValueError("negative time")
     if gen.truncated:

@@ -1,14 +1,16 @@
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
 
 import crnlump as cl
 from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
-                           ReactionNetwork, Species)
+                           ReactionNetwork, Species, StructuralError,
+                           falling_binomial, project_key)
 
 # Two-site reversible binding with sitewise-symmetric rate intervals: the
 # binding/unbinding pair of site 1 mirrors the pair of site 2, which makes
@@ -193,3 +195,131 @@ class DenseVectorField:
 
     def __call__(self, v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         return (alpha * self.monomials(v)) @ self.stoich
+
+
+# ---------------------------------------------------------------------------
+# Reference state-space oracles: the per-state, per-reaction loops over
+# `Multiset` objects that crnlump.ctmc evaluates on count arrays, with exact
+# rational arithmetic (fractions.Fraction) where ctmc splits products into
+# error-free float pairs.
+
+@dataclass
+class LoopSpace:
+    states: List[Multiset]
+    index: Dict[Multiset, int]
+    truncated: bool
+
+
+def loop_enumerate_states(net: ReactionNetwork, init: Multiset,
+                          pop_bound: int) -> LoopSpace:
+    """Breadth-first closure of `init`, one state and reaction at a time;
+    each level sorted by `Multiset.entries`."""
+    states: List[Multiset] = []
+    truncated = False
+    frontier = [init]
+    seen = {init}
+    while frontier:
+        frontier.sort(key=lambda m: m.entries)
+        states.extend(frontier)
+        nxt: List[Multiset] = []
+        for sigma in frontier:
+            for r in net.reactions:
+                if r.is_noop or falling_binomial(sigma, r.reactant) == 0:
+                    continue
+                theta = sigma.subtract(r.reactant).add(r.product)
+                if theta.total > pop_bound:
+                    truncated = True
+                    continue
+                if theta not in seen:
+                    seen.add(theta)
+                    nxt.append(theta)
+        frontier = nxt
+    return LoopSpace(states, {s: i for i, s in enumerate(states)}, truncated)
+
+
+def loop_enumerate_ball(net: ReactionNetwork, pop_bound: int) -> LoopSpace:
+    """Every multiset of total <= pop_bound, by total then entries."""
+    n = net.n_species
+    states: List[Multiset] = []
+
+    def rec(idx: int, remaining: int, acc: List[Tuple[int, int]]):
+        if idx == n:
+            states.append(Multiset(list(acc)))
+            return
+        for c in range(remaining + 1):
+            rec(idx + 1, remaining - c, acc + [(idx, c)] if c else acc)
+
+    rec(0, pop_bound, [])
+    states.sort(key=lambda m: (m.total, m.entries))
+    truncated = any(r.product.total > r.reactant.total for r in net.reactions)
+    return LoopSpace(states, {s: i for i, s in enumerate(states)}, truncated)
+
+
+def exact_transitions(space, net: ReactionNetwork,
+                      extremal: str) -> List[Dict[int, Fraction]]:
+    """Per state, the exact rational rate into each successor state: the sum
+    over reactions of rate x falling binomial."""
+    rates = net.rates(extremal)
+    out = []
+    for sigma in space.states:
+        acc: Dict[int, Fraction] = {}
+        for r in net.reactions:
+            if r.is_noop or rates[r.id] == 0.0:
+                continue
+            fb = falling_binomial(sigma, r.reactant)
+            if fb == 0:
+                continue
+            ti = space.index.get(sigma.subtract(r.reactant).add(r.product))
+            if ti is None:
+                if not space.truncated:
+                    raise StructuralError("state space not closed under reactions")
+                continue
+            acc[ti] = acc.get(ti, 0) + Fraction(rates[r.id]) * fb
+        out.append(acc)
+    return out
+
+
+def loop_generator(space, net: ReactionNetwork, extremal: str) -> np.ndarray:
+    """Dense generator: every off-diagonal entry is its exact rate rounded
+    once to float, the diagonal minus the `fsum` of the row's entries."""
+    n = len(space.states)
+    Q = np.zeros((n, n))
+    for i, acc in enumerate(exact_transitions(space, net, extremal)):
+        for j, v in acc.items():
+            Q[i, j] = float(v)
+        Q[i, i] = -math.fsum(float(v) for v in acc.values())
+    return Q
+
+
+def loop_lumpability(space, net: ReactionNetwork, extremal: str,
+                     part: Partition) -> Optional[tuple]:
+    """Ordinary lumpability straight from the definition, with each aggregate
+    the exact rational rate into a lifted class other than the state's own,
+    rounded once to float. Returns None when lumpable, otherwise the first
+    counterexample (state a, state b, class key, aggregate a, aggregate b):
+    classes in order of their first state, a the first state of its class,
+    b the first state after it that differs, the key the smallest that
+    differs."""
+    trans = exact_transitions(space, net, extremal)
+    keys = [project_key(s.entries, part.block_of) for s in space.states]
+    groups: Dict[tuple, List[int]] = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+
+    def aggregates(i: int) -> Dict[tuple, float]:
+        acc: Dict[tuple, Fraction] = {}
+        for j, v in trans[i].items():
+            if keys[j] != keys[i]:
+                acc[keys[j]] = acc.get(keys[j], 0) + v
+        return {k: float(v) for k, v in acc.items()}
+
+    for members in groups.values():
+        ref = aggregates(members[0])
+        for i in members[1:]:
+            agg = aggregates(i)
+            if agg != ref:
+                k = min(k for k in set(ref) | set(agg)
+                        if ref.get(k, 0.0) != agg.get(k, 0.0))
+                return (space.states[members[0]], space.states[i], k,
+                        ref.get(k, 0.0), agg.get(k, 0.0))
+    return None

@@ -229,6 +229,17 @@ class TestCheck:
         assert rc == 0
 
 
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5"])
+    def test_bad_pop_bound_is_a_usage_error(self, tmp_path, capsys, value):
+        src = tmp_path / "m.crn"
+        src.write_text("species A B\nA -> B , 1.0\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["check", str(src), "--oracle", "--pop-bound", value])
+        assert exc.value.code == 2
+        assert (f"argument --pop-bound: must be a non-negative integer, "
+                f"got {value!r}") in capsys.readouterr().err
+
+
 class TestAssignments:
     @pytest.mark.parametrize("command,value,item,col,why", [
         ("simulate", "A00", "A00", 1, "expected NAME=VALUE"),

@@ -1,5 +1,8 @@
 import math
+import random
 import warnings
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,9 +15,13 @@ from crnlump.ctmc import (ApproximateResultWarning, CapacityError,
                           check_ordinary_lumpability, distribution_to_csv,
                           enumerate_ball, enumerate_states, jump_path_to_csv,
                           ssa_simulate, transient_solve)
-from crnlump.model import Multiset, Partition, StructuralError, project_key
+from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
+                           ReactionNetwork, Species, StructuralError,
+                           project_key)
 
-from conftest import perturb_rate
+from conftest import (exact_transitions, loop_enumerate_ball,
+                      loop_enumerate_states, loop_generator,
+                      loop_lumpability, perturb_rate, random_partition)
 
 
 class TestEnumerateStates:
@@ -40,6 +47,11 @@ class TestEnumerateStates:
     def test_bound_below_initial_state(self, two_site):
         with pytest.raises(StructuralError):
             enumerate_states(two_site, two_site.multiset({"A00": 3}), 2)
+
+    def test_initial_state_outside_network(self, two_site):
+        with pytest.raises(StructuralError, match="species index 5; the "
+                                                  "network has 5"):
+            enumerate_states(two_site, Multiset([(5, 1)]), 3)
 
     def test_capacity_error(self):
         doc = cl.parse_model("species A B\nA -> B , 1.0\nB -> A , 1.0\n")
@@ -146,6 +158,202 @@ class TestOrdinaryLumpability:
                 "aggregate_a", "aggregate_b"} <= set(d)
 
 
+def free_substrate_start(net, bound: int) -> Multiset:
+    """bound // 2 ligands B plus the rest as free substrate A0...0."""
+    free = net.index_of("A" + "0" * (len(net.names[1]) - 1))
+    return Multiset([(0, bound // 2), (free, bound - bound // 2)])
+
+
+class TestMultisiteOracleAgreesWithReactionLevel:
+    """Multisite rates (9.95, 10.05, 0.05, 0.15) are not dyadic, so rounding
+    each rate x binomial product before summing made the oracle report
+    differences of one ulp between aggregates whose real values coincide."""
+
+    @pytest.mark.parametrize("n,bound", [(2, 20), (3, 20), (2, 40)])
+    def test_coarsest_partition_lumpable_both_extremals(self, n, bound):
+        net = cl.multisite_binding_model(n).network
+        part = cl.coarsest_equivalence(net, Partition.one_block(net.n_species))
+        assert cl.check_equivalence(net, part)
+        space = enumerate_states(net, free_substrate_start(net, bound), bound)
+        for extremal in ("lower", "upper"):
+            gen = build_generator(space, net, extremal)
+            res = check_ordinary_lumpability(gen, space, part)
+            assert res.ok, res.counterexample
+
+    def test_one_ulp_association_rate_is_a_counterexample(self):
+        net = cl.multisite_binding_model(2).network
+        part = cl.coarsest_equivalence(net, Partition.one_block(net.n_species))
+        # an association whose substrate shares its block with another species
+        r = next(r for r in net.reactions if r.reactant.total == 2
+                 and len(part.blocks[part.block_of[r.reactant.entries[1][0]]]) > 1)
+        # lo + (nextafter(lo) - lo) is nextafter(lo) exactly
+        broken = perturb_rate(net, r.id,
+                              math.nextafter(r.rate.lo, math.inf) - r.rate.lo,
+                              math.nextafter(r.rate.hi, math.inf) - r.rate.hi)
+        assert broken.reactions[r.id].rate.hi == math.nextafter(r.rate.hi,
+                                                               math.inf)
+        assert not cl.check_equivalence(broken, part)
+        space = enumerate_states(broken, free_substrate_start(broken, 20), 20)
+        for extremal in ("lower", "upper"):
+            gen = build_generator(space, broken, extremal)
+            res = check_ordinary_lumpability(gen, space, part)
+            assert not res.ok
+            ce = res.counterexample
+            assert project_key(ce.state_a.entries, part.block_of) \
+                == project_key(ce.state_b.entries, part.block_of)
+            assert ce.aggregate_a != ce.aggregate_b
+
+
+RATES = [0.05, 0.1, 0.25, 1.0 / 3.0, 2.0, 9.95, 10.05]
+
+
+def oracle_network(rng: random.Random) -> ReactionNetwork:
+    """Small network mixing unimolecular, bimolecular, homodimer and trimer
+    reactions, creation reactions (which truncate), degradation, no-ops and
+    zero lower rates. Duplicated reactions put several terms into one
+    generator entry; species-swapped twins make lifted classes with several
+    states lumpable."""
+    k = rng.randint(1, 4)
+    species = [Species(f"S{i}", i) for i in range(k)]
+    reactions: list = []
+
+    def add(reactant, product, rate):
+        reactions.append(Reaction(Multiset(reactant), Multiset(product), rate,
+                                  len(reactions)))
+
+    for _ in range(rng.randint(1, 6)):
+        a, b, c = (rng.randrange(k) for _ in range(3))
+        reactant, product = rng.choice([
+            ([(a, 1)], [(b, 1)]), ([(a, 1), (b, 1)], [(c, 1)]),
+            ([(a, 2)], [(b, 1)]), ([(a, 3)], [(b, 1), (c, 1)]),
+            ([(a, 1)], [(a, 1), (b, 1)]), ([], [(a, 1)]),
+            ([(a, 1)], []), ([(a, 1)], [(a, 1)])])
+        lo = rng.choice([0.0] + RATES)
+        rate = RateInterval(lo, lo + rng.choice([0.0, 0.05, 1.0]))
+        add(reactant, product, rate)
+        if rng.random() < 0.2:
+            add(reactant, product, RateInterval.exact(rng.choice(RATES)))
+        if k >= 2 and rng.random() < 0.5:
+            x, y = rng.sample(range(k), 2)
+            swap = {x: y, y: x}
+            add([(swap.get(i, i), n) for i, n in reactant],
+                [(swap.get(i, i), n) for i, n in product], rate)
+    return ReactionNetwork(species, reactions)
+
+
+class TestArrayOracleMatchesLoops:
+    """The array-based enumeration, generator and lumpability check against
+    the per-state loops in conftest, with exact rational arithmetic."""
+
+    def cases(self):
+        rng = random.Random(20261018)
+        for _ in range(80):
+            net = oracle_network(rng)
+            parts = [cl.coarsest_equivalence(net, Partition.one_block(net.n_species)),
+                     random_partition(rng, net.n_species)]
+            bound = rng.randint(0, 4)
+            yield net, parts, enumerate_ball(net, bound), \
+                loop_enumerate_ball(net, bound)
+            init = Multiset([(rng.randrange(net.n_species), rng.randint(1, 3))
+                             for _ in range(2)])
+            bound = init.total + rng.randint(0, 3)
+            yield net, parts, enumerate_states(net, init, bound), \
+                loop_enumerate_states(net, init, bound)
+
+    def test_spaces_generators_and_verdicts(self):
+        seen = {"truncated": 0, "multi_term": 0, "lumpable": 0, "not": 0}
+        for net, parts, space, ref in self.cases():
+            assert space.states == ref.states
+            assert space.index == ref.index
+            assert space.truncated == ref.truncated
+            assert [tuple(r) for r in space.counts.tolist()] == [
+                tuple(s.count(i) for i in range(net.n_species))
+                for s in ref.states]
+            seen["truncated"] += space.truncated
+            for extremal in ("lower", "upper"):
+                gen = build_generator(space, net, extremal)
+                assert np.array_equal(gen.matrix.toarray(),
+                                      loop_generator(ref, net, extremal))
+                # the terms are error-free: they sum to the exact rates
+                exact: dict = {}
+                n_terms = Counter()
+                for i, j, h, l in zip(*gen.terms):
+                    exact[i, j] = exact.get((i, j), 0) + Fraction(h) + Fraction(l)
+                    n_terms[i, j] += 1
+                seen["multi_term"] += max(n_terms.values(), default=0) > 1
+                assert exact == {(i, j): v for i, acc in enumerate(
+                    exact_transitions(ref, net, extremal)) for j, v in acc.items()}
+                for part in parts:
+                    res = check_ordinary_lumpability(gen, space, part)
+                    want = loop_lumpability(ref, net, extremal, part)
+                    assert res.ok == (want is None)
+                    seen["lumpable" if res.ok else "not"] += 1
+                    if want is not None:
+                        ce = res.counterexample
+                        assert (ce.state_a, ce.state_b, ce.target_key,
+                                ce.aggregate_a, ce.aggregate_b) == want
+        # the corpus exercises every path it is meant to
+        assert all(v > 0 for v in seen.values()), seen
+
+
+class TestGeneratorRange:
+    def test_large_rates_keep_their_entries(self):
+        # near the float maximum the split must not overflow: a single-term
+        # entry is the rounded product rate x binomial, as it always was
+        doc = cl.parse_model("species A B\n2 A -> B , [1e306 : 1.7e308]\n"
+                             "A -> 0 , 0.1\n")
+        net = doc.network
+        for extremal, rate, n in (("lower", 1e306, 4), ("upper", 1.7e308, 2)):
+            space = enumerate_states(net, Multiset([(0, n)]), n)
+            gen = build_generator(space, net, extremal)
+            i = space.index[Multiset([(0, n)])]
+            j = space.index[Multiset([(0, n - 2), (1, 1)])]
+            assert gen.matrix[i, j] == rate * math.comb(n, 2)
+            assert np.array_equal(gen.matrix.toarray(),
+                                  loop_generator(space, net, extremal))
+            exact = exact_transitions(space, net, extremal)
+            assert all(Fraction(h) + Fraction(l) == exact[i][j]
+                       for i, j, h, l in zip(*gen.terms))
+
+    @pytest.mark.parametrize("extremal", ["lower", "upper"])
+    def test_overflowing_product_names_reaction_and_state(self, extremal):
+        doc = cl.parse_model("species A B\n2 A -> B , [1e306 : 1e307]\n")
+        net = doc.network
+        space = enumerate_states(net, Multiset([(0, 400)]), 400)
+        with pytest.raises(PropensityOverflowError,
+                           match=r"reaction 0 \(2 A -> B\).* at state 400 A$"):
+            build_generator(space, net, extremal)
+
+    def test_overflowing_row_sum_names_state(self):
+        doc = cl.parse_model("species A B C\nA -> B , 1.7e308\n"
+                             "A -> C , 1.7e308\n")
+        net = doc.network
+        space = enumerate_states(net, Multiset([(0, 1)]), 1)
+        with pytest.raises(PropensityOverflowError,
+                           match="total outflow overflows at state A$"):
+            build_generator(space, net, "lower")
+
+    def test_falling_binomial_above_2_53_is_rejected(self):
+        # C(5000, 5) > 2**53 > C(4000, 5)
+        doc = cl.parse_model("species A\n5 A -> 0 , 0.1\n")
+        net = doc.network
+        space = enumerate_states(net, Multiset([(0, 5000)]), 5000)
+        with pytest.raises(PropensityOverflowError,
+                           match=r"falling binomial exceeds 2\*\*53 at state 5000 A$"):
+            build_generator(space, net, "lower")
+        space = enumerate_states(net, Multiset([(0, 4000)]), 4000)
+        gen = build_generator(space, net, "lower")
+        i = space.index[Multiset([(0, 4000)])]
+        assert gen.matrix[i, space.index[Multiset([(0, 3995)])]] == float(
+            Fraction(0.1) * math.comb(4000, 5))
+
+    def test_negative_bound_is_rejected(self, two_site):
+        for enumerate_ in (lambda: enumerate_ball(two_site, -1),
+                           lambda: enumerate_states(two_site, Multiset(), -1)):
+            with pytest.raises(ValueError, match="pop_bound .* got -1"):
+                enumerate_()
+
+
 class TestTransient:
     def test_time_zero_is_identity(self, two_site):
         init = two_site.multiset({"A00": 1, "B": 1})
@@ -225,6 +433,16 @@ class TestTransient:
                 p = out
             assert (chunks > 1) == (t > 1.0)  # the long horizon is chunked
             assert np.array_equal(transient_solve(gen, p0, t), p)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_rejected(self, two_site, t):
+        init = two_site.multiset({"A00": 1, "B": 1})
+        space = enumerate_states(two_site, init, 2)
+        gen = build_generator(space, two_site, "lower")
+        p0 = np.zeros(space.n_states)
+        p0[space.index[init]] = 1.0
+        with pytest.raises(ValueError, match="^t must be a finite number"):
+            transient_solve(gen, p0, t)
 
     def test_truncated_space_warns(self):
         doc = cl.parse_model("species A\nA -> A + A , 1.0\n")
