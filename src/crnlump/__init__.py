@@ -3,7 +3,7 @@ reaction networks whose kinetic rates are interval-valued control inputs."""
 
 from .model import (Multiset, Partition, RateInterval, Reaction,
                     ReactionNetwork, Species, StructuralError,
-                    falling_binomial, project_key, refines)
+                    falling_binomial, project_key)
 from .parser import (EdgeListGraph, ModelDocument, ParseError, parse_edge_list,
                      parse_model, parse_partition_file, serialize_model)
 from .lumping import (InvalidPartitionError, check_equivalence,
@@ -12,12 +12,12 @@ from .ode import (ControlSchedule, CostSpec, DivergenceError,
                   ProjectionFailureError, Trajectory, VectorField, block_sums,
                   block_indicator, evaluate_cost, project_control,
                   schedule_from_csv, schedule_to_csv, simulate,
-                  trajectory_from_csv, trajectory_to_csv, vector_field)
+                  trajectory_from_csv, trajectory_to_csv)
 from .ctmc import (ApproximateResultWarning, CapacityError, Generator,
                    JumpPath, LumpabilityResult, PropensityOverflowError,
                    StateSpace, build_generator, check_ordinary_lumpability,
-                   distribution_to_csv, enumerate_ball, enumerate_states,
-                   jump_path_to_csv, ssa_simulate, transient_solve)
+                   enumerate_ball, enumerate_states, ssa_simulate,
+                   transient_solve)
 from .reconstruct import (BoxLsResult, DriftMatchProblem,
                           ReconstructionFailureError, ReconstructionResult,
                           build_drift_match, reconstruct_trajectory,
@@ -35,17 +35,16 @@ __all__ = [
     "EdgeListGraph", "Generator", "InvalidPartitionError", "JumpPath",
     "LumpabilityResult", "ModelDocument", "Multiset", "ParseError",
     "Partition", "ProjectionFailureError", "PropensityOverflowError",
-    "RateInterval", "Reaction", "ReactionNetwork", "ReconstructionFailureError",
-    "ReconstructionResult", "SirParams", "Species", "StateSpace",
-    "StructuralError", "Trajectory", "VectorField", "block_indicator",
-    "block_sums", "build_drift_match", "build_generator", "check_equivalence",
-    "check_ordinary_lumpability", "coarsest_equivalence",
-    "distribution_to_csv", "enumerate_ball", "enumerate_states",
-    "evaluate_cost", "falling_binomial", "jump_path_to_csv",
+    "RateInterval", "Reaction", "ReactionNetwork",
+    "ReconstructionFailureError", "ReconstructionResult", "SirParams",
+    "Species", "StateSpace", "StructuralError", "Trajectory", "VectorField",
+    "block_indicator", "block_sums", "build_drift_match", "build_generator",
+    "check_equivalence", "check_ordinary_lumpability", "coarsest_equivalence",
+    "enumerate_ball", "enumerate_states", "evaluate_cost", "falling_binomial",
     "multisite_binding_model", "parse_edge_list", "parse_model",
     "parse_partition_file", "project_control", "project_key", "quotient",
-    "reconstruct_trajectory", "refines", "schedule_from_csv",
-    "schedule_to_csv", "serialize_model", "simulate", "sir_network_model",
-    "sir_star_model", "solve_box_ls", "ssa_simulate", "trajectory_from_csv",
-    "trajectory_to_csv", "transient_solve", "vector_field",
+    "reconstruct_trajectory", "schedule_from_csv", "schedule_to_csv",
+    "serialize_model", "simulate", "sir_network_model", "sir_star_model",
+    "solve_box_ls", "ssa_simulate", "trajectory_from_csv", "trajectory_to_csv",
+    "transient_solve",
 ]

@@ -44,6 +44,9 @@ class ApproximateResultWarning(UserWarning):
 # split of rate x binomial below stays error-free.
 _EXACT_INT_MAX = 2 ** 53
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+# Largest uniformization rate x time `transient_solve` accepts: its work is
+# about 1.7 sparse products per unit of rate x time.
+MAX_UNIFORMIZATION = 10 ** 6
 
 
 def _row_keys(counts: np.ndarray) -> np.ndarray:
@@ -70,19 +73,15 @@ def _canonical_order(counts: np.ndarray) -> np.ndarray:
     return np.lexsort(flat.T[::-1])
 
 
-def _moves(net: ReactionNetwork):
-    """(reaction, net-change row) for every reaction that is not a no-op."""
-    out = []
-    for r in net.reactions:
-        if r.is_noop:
-            continue
-        delta = np.zeros(net.n_species, dtype=np.int64)
-        for i, c in r.reactant:
-            delta[i] -= c
-        for i, c in r.product:
-            delta[i] += c
-        out.append((r, delta))
-    return out
+def _initial_counts(net: ReactionNetwork, init: Multiset) -> np.ndarray:
+    """`init` as a count vector over the network's species."""
+    counts = np.zeros(net.n_species, dtype=np.int64)
+    for i, c in init:
+        if i >= net.n_species:
+            raise StructuralError(f"initial state references species index "
+                                  f"{i}; the network has {net.n_species}")
+        counts[i] = c
+    return counts
 
 
 def _check_bound(pop_bound: int):
@@ -142,39 +141,32 @@ def enumerate_states(net: ReactionNetwork, init: Multiset, pop_bound: int,
     _check_bound(pop_bound)
     if init.total > pop_bound:
         raise StructuralError("population bound smaller than the initial state")
-    moves = [(np.array([i for i, _ in r.reactant], dtype=np.intp),
-              np.array([c for _, c in r.reactant], dtype=np.int64),
-              delta, int(delta.sum())) for r, delta in _moves(net)]
-    level = np.zeros((1, net.n_species), dtype=np.int64)
-    for i, c in init:
-        if i >= net.n_species:
-            raise StructuralError(f"initial state references species index "
-                                  f"{i}; the network has {net.n_species}")
-        level[0, i] = c
+    level = _initial_counts(net, init)[None, :]
+    c = net.compiled
+    # every reaction that is not a no-op: its reactant needs, its net change
+    # row and its change of total population
+    live = np.flatnonzero(np.diff(c.offsets))
+    idx, need = c.idx[:, live], c.exp[:, live].astype(np.int64)
+    delta = sp.csr_matrix((c.dn.astype(np.int64), (c.rx, c.sp)),
+                          shape=(net.n_reactions, net.n_species))[live]
+    grow = np.asarray(delta.sum(axis=1)).ravel()
     levels = [level]
     seen = _row_keys(level)
     n_seen = 1
     truncated = False
     while True:
-        totals = level.sum(axis=1)
-        succ = []
-        for idx, cnt, delta, grow in moves:
-            ok = np.all(level[:, idx] >= cnt, axis=1)
-            if grow > 0:
-                over = ok & (totals + grow > pop_bound)
-                if over.any():
-                    truncated = True
-                    ok &= ~over
-            if ok.any():
-                succ.append(level[ok] + delta)
-        new = np.zeros((0, net.n_species), dtype=np.int64)
-        if succ:
-            cand = np.concatenate(succ)
-            keys, first = np.unique(_row_keys(cand), return_index=True)
-            pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
-            fresh = seen[pos] != keys
-            new = cand[first[fresh]]
-            seen = np.sort(np.concatenate([seen, keys[fresh]]))
+        ext = np.column_stack([level, np.zeros(len(level), np.int64)])
+        ok = np.all(ext[:, idx] >= need, axis=1)
+        over = ok & (level.sum(axis=1)[:, None] + grow > pop_bound) & (grow > 0)
+        truncated |= bool(over.any())
+        src, move = np.nonzero(ok & ~over)
+        cand = delta[move].toarray()
+        cand += level[src]
+        keys, at = np.unique(_row_keys(cand), return_index=True)
+        pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+        fresh = seen[pos] != keys
+        new = cand[at[fresh]]
+        seen = np.sort(np.concatenate([seen, keys[fresh]]))
         n_seen += len(new)
         if n_seen > max_states:
             raise CapacityError(f"state space exceeds cap of {max_states}")
@@ -238,12 +230,14 @@ class Generator:
         return self.space.truncated
 
 
-def _falling_binomials(counts: np.ndarray, rho: Multiset) -> np.ndarray:
-    """C(sigma, rho) for every state row sigma, in exact integers; any value
-    above _EXACT_INT_MAX comes out as _EXACT_INT_MAX + 1."""
+def _falling_binomials(counts: np.ndarray, species: np.ndarray,
+                       need: np.ndarray) -> np.ndarray:
+    """C(sigma, rho) for every state row sigma, rho needing `need[k]` of
+    `species[k]`, in exact integers; any value above _EXACT_INT_MAX comes out
+    as _EXACT_INT_MAX + 1."""
     cap = _EXACT_INT_MAX + 1
     out = np.ones(len(counts), dtype=np.int64)
-    for i, c in rho:
+    for i, c in zip(species.tolist(), need.tolist()):
         col = counts[:, i]
         if c == 1:
             b = col
@@ -317,7 +311,11 @@ def build_generator(space: StateSpace, net: ReactionNetwork,
     the row's entries. A falling binomial above 2**53, a product that
     overflows or an overflowing row sum raises PropensityOverflowError
     naming the state (and the reaction, for the first two)."""
-    rates = net.rates(extremal)
+    if extremal not in ("lower", "upper"):
+        raise ValueError(f"extremal must be 'lower' or 'upper', "
+                         f"got {extremal!r}")
+    c = net.compiled
+    rates = (c.lo if extremal == "lower" else c.hi).tolist()
     counts = space.counts
     if counts.shape[1] != net.n_species:
         raise StructuralError("state space and network have different species")
@@ -331,19 +329,26 @@ def build_generator(space: StateSpace, net: ReactionNetwork,
             counts[si].copy(),
             f"{what} at state {space.states[si].format(names)}")
 
+    need = c.exp.astype(np.int64)
+    dn = c.dn.astype(np.int64)
     parts = []
-    for r, delta in _moves(net):
-        rate = rates[r.id]
+    for j in np.flatnonzero(np.diff(c.offsets)).tolist():
+        rate = rates[j]
         if rate == 0.0:
             continue
-        fb = _falling_binomials(counts, r.reactant)
+        r = net.reactions[j]
+        used = need[:, j] > 0
+        fb = _falling_binomials(counts, c.idx[used, j], need[used, j])
         src = np.flatnonzero(fb)
         if not len(src):
             continue
         big = np.flatnonzero(fb[src] > _EXACT_INT_MAX)
         if len(big):
             raise overflow(src[big[0]], "falling binomial exceeds 2**53", r)
-        dst = space.locate(counts[src] + delta)
+        succ = counts[src]
+        a, b = c.offsets[j], c.offsets[j + 1]
+        succ[:, c.sp[a:b]] += dn[a:b]
+        dst = space.locate(succ)
         inside = dst >= 0
         if not inside.all():
             if not space.truncated:
@@ -494,6 +499,9 @@ def transient_solve(gen: Generator, p0: Sequence[float], t: float,
     rate = float(-Q.diagonal().min())
     if rate <= 0.0 or t == 0.0:
         return p
+    if not rate * t <= MAX_UNIFORMIZATION:
+        raise ValueError(f"uniformization rate {rate!r} x t {t!r} exceeds "
+                         f"{MAX_UNIFORMIZATION}")
     chunks = max(1, int(math.ceil(rate * t / 100.0)))
     dt = t / chunks
     chunk_eps = eps / chunks
@@ -533,61 +541,48 @@ class JumpPath:
         return self.states[idx]
 
 
-def jump_path_to_csv(path: JumpPath, names: Sequence[str]) -> str:
-    """Jump path as CSV: `t,<species...>`, one row per jump."""
-    lines = ["t," + ",".join(names)]
-    for t, row in zip(path.times, path.states):
-        lines.append(repr(float(t)) + "," + ",".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def distribution_to_csv(space: StateSpace, p: Sequence[float],
-                        names: Sequence[str]) -> str:
-    """Distribution over an enumerated space as CSV: `state,probability`."""
-    lines = ["state,probability"]
-    for s, v in zip(space.states, p):
-        lines.append(f"\"{s.format(names)}\",{float(v)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def ssa_simulate(net: ReactionNetwork, init: Multiset, alpha: Sequence[float],
                  t_end: float, seed: int, N: Optional[int] = None,
                  c: Optional[float] = None) -> JumpPath:
     """Stochastic simulation by direct next-reaction sampling with mass-action
-    propensities alpha_r * C(state, reactant_r); when `N` is given, rates are
-    population-scaled and damped by the cutoff (then `c` is required).
-    Reproducible for a fixed seed."""
-    alpha = list(alpha)
-    if len(alpha) != net.n_reactions:
+    propensities alpha_r * C(state, reactant_r); when `N` (a positive
+    integer) is given, rates are population-scaled and damped by the cutoff
+    (then a finite `c > 0` is required). Reproducible for a fixed seed."""
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be a nonnegative finite number, "
+                         f"got {t_end!r}")
+    if N is not None and not (isinstance(N, (int, np.integer)) and N > 0):
+        raise ValueError(f"N must be a positive integer, got {N!r}")
+    if N is not None and not (c is not None and math.isfinite(c) and c > 0):
+        raise ValueError(f"scaled simulation requires a finite cutoff scale "
+                         f"c > 0, got {c!r}")
+    cn = net.compiled
+    rates = np.asarray(alpha, dtype=float)
+    if rates.shape != (net.n_reactions,):
         raise ValueError("one rate per reaction required")
-    for a, r in zip(alpha, net.reactions):
-        if not (r.rate.lo <= a <= r.rate.hi):
-            raise ValueError(f"rate {a} outside interval of reaction {r.id}")
-    if N is not None and c is None:
-        raise ValueError("scaled simulation requires the cutoff scale c")
+    outside = np.flatnonzero(~((cn.lo <= rates) & (rates <= cn.hi)))
+    if len(outside):
+        j = int(outside[0])
+        raise ValueError(f"rate {rates[j]} outside interval of reaction {j}")
 
     n = net.n_species
-    reactants: List[List[Tuple[int, int]]] = []
-    changes: List[List[Tuple[int, int]]] = []
-    eff_rate: List[float] = []
-    for r in net.reactions:
-        reactants.append(list(r.reactant))
-        delta: Dict[int, int] = {}
-        for i, cc in r.reactant:
-            delta[i] = delta.get(i, 0) - cc
-        for i, cc in r.product:
-            delta[i] = delta.get(i, 0) + cc
-        changes.append([(i, d) for i, d in sorted(delta.items()) if d != 0])
-        scale = 1.0 if N is None else 1.0 / N ** (r.arity - 1)
-        eff_rate.append(alpha[r.id] * scale)
+    # the Python event loop reads list views of the compiled arrays; the
+    # state's extra last entry, always 0, serves the padding slots (C(0, 0) = 1)
+    reactants = [list(zip(i, k)) for i, k in
+                 zip(cn.idx.T.tolist(), cn.exp.T.astype(np.int64).tolist())]
+    species, change = cn.sp.tolist(), cn.dn.astype(np.int64).tolist()
+    bounds = cn.offsets.tolist()
+    eff_rate = rates.tolist()
+    if N is not None:
+        arity = cn.exp.sum(axis=0).astype(np.int64).tolist()
+        eff_rate = [a * (1.0 / int(N) ** (k - 1))
+                    for a, k in zip(eff_rate, arity)]
 
-    state = [0] * n
-    for i, cc in init:
-        state[i] = cc
+    state = _initial_counts(net, init).tolist() + [0]
     rng = random.Random(seed)
     comb = math.comb
     times = [0.0]
-    snapshots = [list(state)]
+    snapshots = [state[:n]]
     t = 0.0
     m = len(reactants)
     props = [0.0] * m
@@ -608,7 +603,7 @@ def ssa_simulate(net: ReactionNetwork, init: Multiset, alpha: Sequence[float],
         if N is not None:
             exit_rate = total * max(0.0, min(1.0, 2.0 - sum(state) / (N * c)))
         if not math.isfinite(exit_rate) or exit_rate > 1e18:
-            raise PropensityOverflowError(np.array(state))
+            raise PropensityOverflowError(np.array(state[:n]))
         if exit_rate <= 0.0:
             break
         t += rng.expovariate(exit_rate)
@@ -624,8 +619,8 @@ def ssa_simulate(net: ReactionNetwork, init: Multiset, alpha: Sequence[float],
             if pick <= acc:
                 chosen = ridx
                 break
-        for i, d in changes[chosen]:
-            state[i] += d
+        for j in range(bounds[chosen], bounds[chosen + 1]):
+            state[species[j]] += change[j]
         times.append(t)
-        snapshots.append(list(state))
+        snapshots.append(state[:n])
     return JumpPath(np.array(times), np.array(snapshots, dtype=np.int64), t_end)

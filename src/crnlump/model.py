@@ -1,4 +1,5 @@
-"""Core domain types: species, multisets, rate intervals, reactions, partitions.
+"""Core domain types: species, multisets, rate intervals, reactions,
+partitions, and the compiled array form every layer reads a network through.
 
 Everything in this module is immutable after construction and safe to share
 across threads. Species are interned to dense integer indices so that all
@@ -9,7 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, NamedTuple, Optional, Sequence,
+                    Tuple)
+
+import numpy as np
 
 
 class StructuralError(ValueError):
@@ -161,10 +165,6 @@ class Reaction:
     def is_noop(self) -> bool:
         return self.reactant == self.product
 
-    @property
-    def arity(self) -> int:
-        return self.reactant.total
-
 
 class ReactionNetwork:
     """A finite species set plus reactions with interval-valued rates.
@@ -176,7 +176,8 @@ class ReactionNetwork:
     """
 
     __slots__ = ("species", "reactions", "initial_state",
-                 "initial_concentration", "_index_of", "__weakref__")
+                 "initial_concentration", "_index_of", "_compiled",
+                 "__weakref__")
 
     def __init__(self, species: Sequence[Species], reactions: Sequence[Reaction],
                  initial_state: Optional[Multiset] = None,
@@ -208,6 +209,7 @@ class ReactionNetwork:
         self.initial_state = initial_state
         self.initial_concentration = conc
         self._index_of: Dict[str, int] = {s.name: s.index for s in self.species}
+        self._compiled: Optional[CompiledNetwork] = None
 
     @property
     def n_species(self) -> int:
@@ -221,19 +223,18 @@ class ReactionNetwork:
     def names(self) -> Tuple[str, ...]:
         return tuple(s.name for s in self.species)
 
+    @property
+    def compiled(self) -> "CompiledNetwork":
+        """The network's read-only array form, built on first use."""
+        if self._compiled is None:
+            self._compiled = compile_network(self)
+        return self._compiled
+
     def index_of(self, name: str) -> int:
         try:
             return self._index_of[name]
         except KeyError:
             raise StructuralError(f"unknown species {name!r}") from None
-
-    def rates(self, extremal: str) -> Tuple[float, ...]:
-        """Rate vector with every interval pinned at its 'lower' or 'upper' end."""
-        if extremal == "lower":
-            return tuple(r.rate.lo for r in self.reactions)
-        if extremal == "upper":
-            return tuple(r.rate.hi for r in self.reactions)
-        raise ValueError(f"extremal must be 'lower' or 'upper', got {extremal!r}")
 
     def multiset(self, text_counts: Dict[str, int]) -> Multiset:
         """Build a multiset from a name -> count mapping."""
@@ -359,12 +360,55 @@ def falling_binomial(sigma: Multiset, rho: Multiset) -> int:
     return out
 
 
-def refines(fine: Partition, coarse: Partition) -> bool:
-    """True iff every block of `fine` is contained in a single block of `coarse`."""
-    if fine.n != coarse.n:
-        raise StructuralError("partitions over different species universes")
-    for b in fine.blocks:
-        target = coarse.block_of[b[0]]
-        if any(coarse.block_of[i] != target for i in b[1:]):
-            return False
-    return True
+class CompiledNetwork(NamedTuple):
+    """Read-only array form of a network, shared by the vector field, the
+    state-space oracle and stochastic simulation.
+
+    `idx`/`exp` is a (K, R) table of reactant species and counts, K the
+    most distinct reactant species of any reaction (K-major: the vector
+    field's product over a short inner axis would be slow); padding slots
+    hold species S with count 0. `fact` is the product of the reactant
+    counts' factorials. `rx`/`sp`/`dn` are the nonzero (reaction, species,
+    net change) triples sorted by reaction, then species; reaction r owns
+    `offsets[r]:offsets[r + 1]`, none for a no-op. `lo`/`hi` are the rate
+    bounds. Counts are floats, exact below 2**53."""
+
+    idx: np.ndarray
+    exp: np.ndarray
+    fact: np.ndarray
+    rx: np.ndarray
+    sp: np.ndarray
+    dn: np.ndarray
+    offsets: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def compile_network(net: ReactionNetwork) -> CompiledNetwork:
+    """Build `net`'s CompiledNetwork; `ReactionNetwork.compiled` caches it."""
+    R, S = net.n_reactions, net.n_species
+    rin, slot, sin, cin = np.array(
+        [(r.id, k, i, c) for r in net.reactions
+         for k, (i, c) in enumerate(r.reactant.entries)],
+        dtype=np.int64).reshape(-1, 4).T
+    rout, sout, cout = np.array(
+        [(r.id, i, c) for r in net.reactions for i, c in r.product.entries],
+        dtype=np.int64).reshape(-1, 3).T
+    K = int(slot.max(initial=-1)) + 1
+    idx = np.full((K, R), S, dtype=np.intp)
+    exp, fact = np.zeros((K, R)), np.ones((K, R))
+    idx[slot, rin], exp[slot, rin] = sin, cin
+    fact[slot, rin] = [float(math.factorial(c)) for c in cin.tolist()]
+    # net change per (reaction, species) key, summed over both sides
+    keys, at = np.unique(np.r_[rin, rout] * max(S, 1) + np.r_[sin, sout],
+                         return_inverse=True)
+    change = np.bincount(at, np.r_[-cin, cout], len(keys))
+    rx, sp = np.divmod(keys[change != 0], max(S, 1))
+    bounds = np.array([(r.rate.lo, r.rate.hi) for r in net.reactions],
+                      dtype=float).reshape(R, 2).T.copy()
+    arrays = CompiledNetwork(idx, exp, fact.prod(axis=0), rx, sp,
+                             change[change != 0],
+                             np.searchsorted(rx, np.arange(R + 1)), *bounds)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays

@@ -89,9 +89,8 @@ class ControlSchedule:
     def validate_for(self, net: ReactionNetwork):
         if self.n_reactions != net.n_reactions:
             raise StructuralError("schedule width does not match reaction count")
-        lo = np.array([r.rate.lo for r in net.reactions])
-        hi = np.array([r.rate.hi for r in net.reactions])
-        if not np.all((self.values >= lo) & (self.values <= hi)):
+        c = net.compiled
+        if not np.all((self.values >= c.lo) & (self.values <= c.hi)):
             raise StructuralError("schedule value outside its rate interval")
 
     def segment_at(self, t: float) -> int:
@@ -128,48 +127,21 @@ _ONE = np.ones(1)
 
 
 class VectorField:
-    """Compiled evaluator for one network: monomials, drift, and the
+    """Evaluator of one network's vector field: monomials, drift, and the
     coefficient matrix of the drift as a linear function of the controls.
 
-    Storage is sparse, so one evaluation costs O(nnz), not O(R * S):
-    `idx`/`exp` is a (K, R) table of reactant species and exponents, K the
-    most distinct reactant species of any reaction, whose padding slots
-    point at an extra state entry holding 1.0 (reaction-major rows would
-    make the product a slow reduction over a short inner axis); the
-    stoichiometry is the list of nonzero `(rx, sp, dn)` triples (reaction,
-    species, net change) in reaction order. The drift sums those triples in
-    that fixed order, so identical inputs give bit-identical output."""
+    It reads the network's compiled arrays (`ReactionNetwork.compiled`),
+    so one evaluation costs O(nnz), not O(R * S): the monomials are a
+    product over the (K, R) reactant table, whose padding slots point at
+    an extra state entry holding 1.0, and the drift sums the nonzero
+    (reaction, species, change) triples in their fixed order, so identical
+    inputs give bit-identical output."""
 
     def __init__(self, net: ReactionNetwork):
-        R, S = net.n_reactions, net.n_species
-        K = max((len(r.reactant.entries) for r in net.reactions), default=0)
-        pad = ((S, 0),) * K
-        rows = []
-        fact: List[float] = []
-        rx: List[int] = []
-        sp: List[int] = []
-        dn: List[int] = []
-        for r in net.reactions:
-            reactant = r.reactant.entries
-            rows.append(reactant + pad[len(reactant):])
-            fact.append(math.prod((math.factorial(c) for _, c in reactant),
-                                  start=1.0))
-            change = {i: -c for i, c in reactant}
-            for i, c in r.product.entries:
-                change[i] = change.get(i, 0) + c
-            for i in sorted(change):
-                if change[i]:
-                    rx.append(r.id)
-                    sp.append(i)
-                    dn.append(change[i])
-        table = np.array(rows, dtype=np.intp).reshape(R, K, 2).T.copy()
-        self.n_species = S
-        self.idx = table[0]
-        self.exp = table[1].astype(float)
-        self.fact = np.array(fact)
-        self.rx = np.array(rx, dtype=np.intp)
-        self.sp = np.array(sp, dtype=np.intp)
-        self.dn = np.array(dn, dtype=float)
+        c = net.compiled
+        self.n_species = net.n_species
+        self.idx, self.exp, self.fact = c.idx, c.exp, c.fact
+        self.rx, self.sp, self.dn = c.rx, c.sp, c.dn
 
     def monomials(self, v: np.ndarray) -> np.ndarray:
         """prod_B v_B^{rho(B)} / rho(B)! per reaction."""
@@ -188,18 +160,10 @@ class VectorField:
         return out
 
 
-def vector_field(net: ReactionNetwork, v: Sequence[float],
-                 alpha: Sequence[float]) -> np.ndarray:
-    """Drift of the deterministic model at state `v` under controls `alpha`."""
-    return VectorField(net)(np.asarray(v, dtype=float), np.asarray(alpha, dtype=float))
-
-
 def block_indicator(part: Partition) -> np.ndarray:
     """0/1 matrix (n_blocks, n_species) summing species into their blocks."""
     B = np.zeros((part.n_blocks, part.n), dtype=float)
-    for bid, block in enumerate(part.blocks):
-        for i in block:
-            B[bid, i] = 1.0
+    B[part.block_of, np.arange(part.n)] = 1.0
     return B
 
 
@@ -411,8 +375,7 @@ def project_control(net: ReactionNetwork, part: Partition,
     vf = VectorField(net)
     lvf = VectorField(lumped)
     lstoich = lvf.block_coefficients(np.eye(lumped.n_species))
-    lo = np.array([r.rate.lo for r in lumped.reactions])
-    hi = np.array([r.rate.hi for r in lumped.reactions])
+    lo, hi = lumped.compiled.lo, lumped.compiled.hi
     vhat = traj.states @ B.T
     times = traj.times
     seg = np.maximum(np.searchsorted(schedule.breakpoints, times[:-1], side="right") - 1, 0)

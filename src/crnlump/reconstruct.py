@@ -71,9 +71,8 @@ def build_drift_match(net: ReactionNetwork, part: Partition,
     vf = VectorField(net)
     B = block_indicator(part)
     coeff = (vf.block_coefficients(B) * vf.monomials(v)[:, None]).T
-    lo = np.array([r.rate.lo for r in net.reactions])
-    hi = np.array([r.rate.hi for r in net.reactions])
-    return DriftMatchProblem(coeff, np.asarray(target, dtype=float), lo, hi)
+    return DriftMatchProblem(coeff, np.asarray(target, dtype=float),
+                             net.compiled.lo, net.compiled.hi)
 
 
 def solve_box_ls(prob: DriftMatchProblem, max_iter: Optional[int] = None,
@@ -125,8 +124,7 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     vf = VectorField(net)
     lvf = VectorField(lumped)
     coeff_blocks = vf.block_coefficients(B)
-    lo = np.array([r.rate.lo for r in net.reactions])
-    hi = np.array([r.rate.hi for r in net.reactions])
+    lo, hi = net.compiled.lo, net.compiled.hi
     times = np.asarray(lumped_traj.times, dtype=float)
     vhat = np.asarray(lumped_traj.states, dtype=float)
     seg = np.maximum(

@@ -93,6 +93,17 @@ def random_partition(rng: random.Random, n: int) -> Partition:
     return Partition(blocks.values(), n)
 
 
+def refines(fine: Partition, coarse: Partition) -> bool:
+    """True iff every block of `fine` is contained in a single block of `coarse`."""
+    if fine.n != coarse.n:
+        raise StructuralError("partitions over different species universes")
+    for b in fine.blocks:
+        target = coarse.block_of[b[0]]
+        if any(coarse.block_of[i] != target for i in b[1:]):
+            return False
+    return True
+
+
 def set_partitions(items):
     """All set partitions of a list (Bell-number enumeration)."""
     items = list(items)
@@ -126,6 +137,12 @@ class Signature:
     entries: Dict[Tuple[Multiset, Tuple[int, ...]], float]
 
 
+def extremal_rates(net: ReactionNetwork, extremal: str) -> Tuple[float, ...]:
+    """Rate vector with every interval pinned at its 'lower' or 'upper' end."""
+    return tuple(r.rate.lo if extremal == "lower" else r.rate.hi
+                 for r in net.reactions)
+
+
 def species_signature(net: ReactionNetwork, part: Partition, extremal: str,
                       species: int) -> Signature:
     """Signature of one species under a partition and extremal rate vector,
@@ -133,7 +150,7 @@ def species_signature(net: ReactionNetwork, part: Partition, extremal: str,
     reactants contributes its rate at (reactant minus one copy of the
     species, projected product), unless the projection of the product equals
     that of the reactant. Contributions sharing a key are summed exactly."""
-    rates = net.rates(extremal)
+    rates = extremal_rates(net, extremal)
     acc: Dict[Tuple[Multiset, Tuple[int, ...]], list] = {}
     for r in net.reactions:
         if r.is_noop or r.reactant.count(species) == 0:
@@ -259,7 +276,7 @@ def exact_transitions(space, net: ReactionNetwork,
                       extremal: str) -> List[Dict[int, Fraction]]:
     """Per state, the exact rational rate into each successor state: the sum
     over reactions of rate x falling binomial."""
-    rates = net.rates(extremal)
+    rates = extremal_rates(net, extremal)
     out = []
     for sigma in space.states:
         acc: Dict[int, Fraction] = {}

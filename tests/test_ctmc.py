@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -12,9 +13,8 @@ import scipy.stats
 import crnlump as cl
 from crnlump.ctmc import (ApproximateResultWarning, CapacityError,
                           PropensityOverflowError, build_generator,
-                          check_ordinary_lumpability, distribution_to_csv,
-                          enumerate_ball, enumerate_states, jump_path_to_csv,
-                          ssa_simulate, transient_solve)
+                          check_ordinary_lumpability, enumerate_ball,
+                          enumerate_states, ssa_simulate, transient_solve)
 from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
                            ReactionNetwork, Species, StructuralError,
                            project_key)
@@ -34,9 +34,18 @@ class TestEnumerateStates:
         assert space.states[0] == init  # breadth-first: initial state first
 
     def test_no_reactions(self):
-        doc = cl.parse_model("species A\n")
-        space = enumerate_states(doc.network, Multiset([(0, 2)]), 5)
-        assert space.n_states == 1 and not space.truncated
+        # zero reactions, a no-op, and a species in no reaction: nothing
+        # ever moves, and SSA's no-op events leave the state as it is
+        for text in ("species A\n", "species A B\nA -> A , 1.0\n",
+                     "species A B\n0 -> 0 , 2.0\n"):
+            net = cl.parse_model(text).network
+            space = enumerate_states(net, Multiset([(0, 2)]), 5)
+            assert space.n_states == 1 and not space.truncated
+            for extremal in ("lower", "upper"):
+                assert build_generator(space, net, extremal).matrix.nnz == 1
+            alpha = [r.rate.lo for r in net.reactions]
+            path = ssa_simulate(net, Multiset([(0, 2)]), alpha, 1.0, seed=3)
+            assert np.all(path.states == space.counts[0])
 
     def test_species_creation_truncates(self):
         doc = cl.parse_model("species A\nA -> A + A , 1.0\n")
@@ -451,6 +460,15 @@ class TestTransient:
         with pytest.warns(ApproximateResultWarning):
             transient_solve(gen, np.array([1.0, 0.0, 0.0]), 0.5)
 
+    def test_fast_chain_is_rejected(self):
+        doc = cl.parse_model("species A B\nA -> B , 1e300\n")
+        space = enumerate_states(doc.network, Multiset([(0, 1)]), 1)
+        gen = build_generator(space, doc.network, "lower")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"rate 1e\+300 x t 1\.0 exceeds"):
+            transient_solve(gen, np.array([1.0, 0.0]), 1.0)
+        assert time.perf_counter() - start < 1.0
+
     def test_long_horizon_chunking(self):
         doc = cl.parse_model("species a b\na -> b , 30.0\nb -> a , 30.0\n")
         net = doc.network
@@ -512,24 +530,59 @@ class TestSsa:
             ssa_simulate(doc.network, Multiset([(0, 3_000_000_000)]), [1.0],
                          1.0, seed=0)
 
-    def test_csv_exports(self, two_site):
+    def test_golden_paths(self, two_site):
+        # paths recorded at fixed seeds: the sampling order and arithmetic
+        # must not change, with or without population scaling
         alpha = [r.rate.midpoint for r in two_site.reactions]
-        path = ssa_simulate(two_site, two_site.multiset({"A00": 2, "B": 2}),
-                            alpha, 0.5, seed=9)
-        text = jump_path_to_csv(path, two_site.names)
-        lines = text.strip().splitlines()
-        assert lines[0] == "t,B,A00,A01,A10,A11"
-        assert len(lines) == len(path.times) + 1
+        path = ssa_simulate(two_site, two_site.multiset(
+            {"A00": 3, "B": 3, "A11": 1}), alpha, 1.5, seed=11)
+        assert [t.hex() for t in path.times.tolist()] == [
+            '0x0.0p+0', '0x1.64d13e5a677a0p-6', '0x1.678f732abb8b3p-3',
+            '0x1.0a347dc2b0acfp-2', '0x1.76cd70d47a339p-2',
+            '0x1.eff7cbea08349p-2', '0x1.1246af00ad48ap-1',
+            '0x1.18f1460190cb4p-1', '0x1.29b4e90e7cd33p+0']
+        assert path.states.tolist() == [
+            [3, 3, 0, 0, 1], [2, 2, 1, 0, 1], [1, 1, 2, 0, 1], [0, 1, 1, 0, 2],
+            [1, 1, 1, 1, 1], [0, 1, 0, 1, 2], [1, 2, 0, 0, 2], [0, 1, 1, 0, 2],
+            [1, 2, 0, 0, 2]]
+        path = ssa_simulate(two_site, two_site.multiset(
+            {"A00": 6, "B": 6, "A11": 2}), alpha, 0.3, seed=4, N=4, c=3.0)
+        assert [t.hex() for t in path.times.tolist()] == [
+            '0x0.0p+0', '0x1.761c911569d86p-7', '0x1.22a52126e2a96p-5',
+            '0x1.41e23f8ed4567p-5', '0x1.44d33377fb335p-3',
+            '0x1.e9377676100c2p-3', '0x1.2d70211be7826p-2']
+        assert path.states.tolist() == [
+            [6, 6, 0, 0, 2], [5, 5, 0, 1, 2], [4, 4, 0, 2, 2], [5, 5, 0, 1, 2],
+            [4, 4, 1, 1, 2], [3, 3, 1, 2, 2], [4, 4, 1, 1, 2]]
 
-        init = two_site.multiset({"A00": 1, "B": 1})
-        space = enumerate_states(two_site, init, 2)
-        gen = build_generator(space, two_site, "lower")
-        p0 = np.zeros(space.n_states)
-        p0[space.index[init]] = 1.0
-        pt = transient_solve(gen, p0, 0.5)
-        dist = distribution_to_csv(space, pt, two_site.names)
-        assert dist.startswith("state,probability")
-        assert len(dist.strip().splitlines()) == space.n_states + 1
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+    def test_bad_horizon_is_rejected(self, two_site, t_end):
+        alpha = [r.rate.midpoint for r in two_site.reactions]
+        with pytest.raises(ValueError, match="^t_end must be a nonnegative"):
+            ssa_simulate(two_site, two_site.multiset({"A00": 1, "B": 1}),
+                         alpha, t_end, seed=0)
+
+    def test_initial_state_outside_network(self, two_site):
+        alpha = [r.rate.midpoint for r in two_site.reactions]
+        with pytest.raises(StructuralError, match="species index 9; the "
+                                                  "network has 5"):
+            ssa_simulate(two_site, Multiset([(9, 1)]), alpha, 1.0, seed=0)
+
+    @pytest.mark.parametrize("N, c, message", [
+        (0, 1.0, "N must be a positive integer"),
+        (-2, 1.0, "N must be a positive integer"),
+        (2.5, 1.0, "N must be a positive integer"),
+        (10, None, "requires a finite cutoff scale c > 0"),
+        (10, 0.0, "requires a finite cutoff scale c > 0"),
+        (10, -1.0, "requires a finite cutoff scale c > 0"),
+        (10, math.inf, "requires a finite cutoff scale c > 0"),
+        (10, math.nan, "requires a finite cutoff scale c > 0"),
+    ])
+    def test_bad_scaling_is_rejected(self, two_site, N, c, message):
+        alpha = [r.rate.midpoint for r in two_site.reactions]
+        with pytest.raises(ValueError, match=message):
+            ssa_simulate(two_site, two_site.multiset({"A00": 1, "B": 1}),
+                         alpha, 1.0, seed=0, N=N, c=c)
 
     def test_scaled_cutoff_freezes_path(self, two_site):
         alpha = [r.rate.midpoint for r in two_site.reactions]

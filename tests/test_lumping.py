@@ -8,11 +8,11 @@ from crnlump import lumping
 from crnlump.lumping import (InvalidPartitionError, check_equivalence,
                              coarsest_equivalence, quotient)
 from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
-                           ReactionNetwork, Species, refines)
+                           ReactionNetwork, Species)
 
 from conftest import (block_projection, perturb_rate, random_network,
-                      random_partition, refine_partition, set_partitions,
-                      species_signature)
+                      random_partition, refine_partition, refines,
+                      set_partitions, species_signature)
 
 # two-site fixture rate endpoints, by reaction id (0-based)
 A1 = (1.0, 2.0)     # site-1 binding == site-2 binding (ids 0, 2)

@@ -1,9 +1,16 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crnlump as cl
+from crnlump import model
 from crnlump.model import (Multiset, Partition, RateInterval, StructuralError,
-                           falling_binomial, project_key, refines)
+                           falling_binomial, project_key)
+
+from conftest import refines
 
 
 def ms(*pairs):
@@ -179,3 +186,52 @@ def test_projection_separates_exactly_the_lifted_classes(data):
         sum(a.count(i) for i in blk) == sum(b.count(i) for i in blk)
         for blk in part.blocks)
     assert same_proj == per_block_equal
+
+
+class TestCompiledNetwork:
+    def test_layout_of_a_small_network(self):
+        net = cl.parse_model("species A B C D\n"
+                             "2 A + B -> C , [1 : 2]\n"
+                             "C -> C , 3\n"
+                             "0 -> A , 0.5\n"
+                             "A + C -> 2 C + B , [0.25 : 4]\n").network
+        c = net.compiled
+        # padding slots point at species 4 (one past D) with count 0
+        assert c.idx.tolist() == [[0, 2, 4, 0], [1, 4, 4, 2]]
+        assert c.exp.tolist() == [[2, 1, 0, 1], [1, 0, 0, 1]]
+        assert c.fact.tolist() == [2, 1, 1, 1]
+        # the no-op `C -> C` owns no triple; D is in no reaction
+        assert list(zip(c.rx.tolist(), c.sp.tolist(), c.dn.tolist())) == [
+            (0, 0, -2), (0, 1, -1), (0, 2, 1), (2, 0, 1),
+            (3, 0, -1), (3, 1, 1), (3, 2, 1)]
+        assert c.offsets.tolist() == [0, 3, 3, 4, 7]
+        assert c.lo.tolist() == [1, 3, 0.5, 0.25]
+        assert c.hi.tolist() == [2, 3, 0.5, 4]
+
+    def test_arrays_are_read_only(self, two_site):
+        for name, array in two_site.compiled._asdict().items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_built_once_per_network(self, monkeypatch, two_site_doc):
+        built = Counter()
+        compile_network = model.compile_network
+
+        def counting(net):
+            built[id(net)] += 1
+            return compile_network(net)
+
+        monkeypatch.setattr(model, "compile_network", counting)
+        net, part = two_site_doc.network, two_site_doc.initial_partition
+        lumped, _ = cl.quotient(net, part)
+        sched = cl.ControlSchedule.midpoint(net)
+        init = net.multiset({"A00": 2, "B": 2})
+        for _ in range(2):
+            cl.VectorField(net)
+            traj = cl.simulate(net, np.full(5, 0.5), sched, 0.01, 0.005)
+            cl.project_control(net, part, lumped, traj, sched)
+            space = cl.enumerate_states(net, init, 4)
+            cl.build_generator(space, net, "lower")
+            cl.build_generator(space, net, "upper")
+            cl.ssa_simulate(net, init, sched.values[0], 0.5, seed=1)
+        assert built == {id(net): 1, id(lumped): 1}
