@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import (Multiset, Partition, ReactionNetwork, StructuralError,
-                    project_key)
+                    group_sums, project_key, row_keys)
 
 
 class CapacityError(RuntimeError):
@@ -47,15 +47,6 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 # Largest uniformization rate x time `transient_solve` accepts: its work is
 # about 1.7 sparse products per unit of rate x time.
 MAX_UNIFORMIZATION = 10 ** 6
-
-
-def _row_keys(counts: np.ndarray) -> np.ndarray:
-    """One opaque fixed-width key per row (the row's bytes), so rows sort,
-    deduplicate and search as scalars, with no bound on the counts."""
-    c = np.ascontiguousarray(counts, dtype=np.int64)
-    if c.shape[1] == 0:
-        c = np.zeros((len(c), 1), dtype=np.int64)
-    return c.view(np.dtype((np.void, 8 * c.shape[1]))).ravel()
 
 
 def _canonical_order(counts: np.ndarray) -> np.ndarray:
@@ -103,7 +94,7 @@ class StateSpace:
     counts: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        self._keys = _row_keys(self.counts)  # a view of `counts`
+        self._keys = row_keys(self.counts)  # a view of `counts`
         self._order = np.argsort(self._keys)
 
     @property
@@ -112,7 +103,7 @@ class StateSpace:
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
         """State index of each count row, -1 for a row not in the space."""
-        keys = _row_keys(rows)
+        keys = row_keys(rows)
         pos = np.searchsorted(self._keys, keys, sorter=self._order)
         at = self._order[np.minimum(pos, len(self._order) - 1)]
         return np.where(self._keys[at] == keys, at, -1)
@@ -151,7 +142,7 @@ def enumerate_states(net: ReactionNetwork, init: Multiset, pop_bound: int,
                           shape=(net.n_reactions, net.n_species))[live]
     grow = np.asarray(delta.sum(axis=1)).ravel()
     levels = [level]
-    seen = _row_keys(level)
+    seen = row_keys(level)
     n_seen = 1
     truncated = False
     while True:
@@ -162,7 +153,7 @@ def enumerate_states(net: ReactionNetwork, init: Multiset, pop_bound: int,
         src, move = np.nonzero(ok & ~over)
         cand = delta[move].toarray()
         cand += level[src]
-        keys, at = np.unique(_row_keys(cand), return_index=True)
+        keys, at = np.unique(row_keys(cand), return_index=True)
         pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
         fresh = seen[pos] != keys
         new = cand[at[fresh]]
@@ -270,38 +261,6 @@ def _two_product(rate: float, fb: np.ndarray):
         return np.ldexp(p, e), np.ldexp(err, e)
 
 
-def _fsum(values) -> float:
-    """`math.fsum` of non-negative sums, giving inf where it would raise
-    OverflowError."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return math.inf
-
-
-_FSUM_CHUNK = 4096  # terms turned into Python floats at a time
-
-
-def _group_sums(key: np.ndarray, hi: np.ndarray, lo: np.ndarray):
-    """For terms sorted by `key`: the position of each key's first term and
-    the correctly rounded sum of the key's terms hi + lo. A single term's
-    sum is its `hi`, the rounded product; a longer group's is one
-    `math.fsum` over all its hi and lo parts."""
-    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]][:len(key)])
-    sums = hi[start]
-    size = np.diff(np.r_[start, len(key)])
-    multi = np.flatnonzero(size > 1)
-    base, flat = 0, []
-    for g, s, k in zip(multi.tolist(), start[multi].tolist(),
-                       size[multi].tolist()):
-        if 2 * (s + k - base) > len(flat):
-            base = s
-            end = s + max(k, _FSUM_CHUNK)
-            flat = np.column_stack([hi[s:end], lo[s:end]]).ravel().tolist()
-        sums[g] = _fsum(flat[2 * (s - base):2 * (s + k - base)])
-    return start, sums
-
-
 def build_generator(space: StateSpace, net: ReactionNetwork,
                     extremal: str) -> Generator:
     """Extremal generator over an enumerated space, built one reaction at a
@@ -373,11 +332,11 @@ def build_generator(space: StateSpace, net: ReactionNetwork,
     terms = ExactTerms(row[order], col[order], hi[order], lo[order])
     del row, col, hi, lo
     key = key[order]
-    start, entries = _group_sums(key, terms.hi, terms.lo)
+    start, entries = group_sums(key, terms.hi, terms.lo)
     e_row, e_col = terms.row[start], terms.col[start]
     # the diagonal is minus the exact row sum, so rows sum to zero exactly;
     # an infinite entry makes its row sum infinite too
-    first, row_sums = _group_sums(e_row, entries, np.zeros_like(entries))
+    first, row_sums = group_sums(e_row, entries, np.zeros_like(entries))
     diag = np.zeros(n)
     diag[e_row[first]] = -row_sums
     bad = np.flatnonzero(~np.isfinite(diag))
@@ -439,7 +398,7 @@ def check_ordinary_lumpability(gen: Generator, space: StateSpace,
     block_of = part.block_of
     indicator = np.zeros((len(block_of), part.n_blocks), dtype=np.int64)
     indicator[np.arange(len(block_of)), block_of] = 1
-    _, first, cls = np.unique(_row_keys(space.counts @ indicator),
+    _, first, cls = np.unique(row_keys(space.counts @ indicator),
                               return_index=True, return_inverse=True)
     cls = cls.ravel()
     ref = first[cls]  # the lowest-index state of each state's lifted class
@@ -449,7 +408,7 @@ def check_ordinary_lumpability(gen: Generator, space: StateSpace,
     key = row[sel].astype(np.int64) * len(first) + tgt[sel]
     order = np.argsort(key, kind="stable")
     key, sel = key[order], sel[order]
-    at, agg = _group_sums(key, hi[sel], lo[sel])
+    at, agg = group_sums(key, hi[sel], lo[sel])
     a_row, a_tgt = row[sel[at]], tgt[sel[at]]
     # state s's aggregates are items start[s]:start[s + 1], sorted by class;
     # compare them item by item with those of ref[s]
@@ -485,9 +444,16 @@ def transient_solve(gen: Generator, p0: Sequence[float], t: float,
     """Transient distribution p(t) = p0 exp(t Q) by uniformization with
     Poisson-series truncation error at most `eps`. Long horizons are split so
     the Poisson weights never underflow. Warns when the space is truncated."""
+    if not (math.isfinite(eps) and 0.0 < eps < 1.0):
+        raise ValueError(f"eps must be a finite number in (0, 1), got {eps!r}")
     p = np.asarray(p0, dtype=float).copy()
+    if p.shape != (gen.space.n_states,):
+        raise ValueError(f"p0 has shape {p.shape}; the space has "
+                         f"{gen.space.n_states} states")
+    if not (np.all(np.isfinite(p)) and np.all(p >= 0.0)):
+        raise ValueError("p0 must hold finite non-negative probabilities")
     if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("initial distribution must sum to 1")
+        raise ValueError("p0 must sum to 1")
     if not math.isfinite(t):
         raise ValueError(f"t must be a finite number, got {t}")
     if t < 0:

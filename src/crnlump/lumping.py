@@ -11,10 +11,19 @@ diagonal one, so off-diagonal comparison suffices. Contexts are enumerated
 only from reactants that actually occur (reactant minus one occurrence of
 A); for any other context both sides of the comparison are zero.
 
+The refinement keys a signature entry by (context, projected net change)
+instead, the projected net change being the per-block sums of a reaction's
+net change. For two species in one block with one context, the projected
+reactants A + context are equal, and projected product = projected
+reactant + projected change, so the two keys are in bijection and give the
+same signature equality. A target equal to the source's projection is
+exactly a zero projected change.
+
 The coarsest equivalence refining a given partition is computed by iterated
 block splitting on signature equality, run to a fixpoint alternately on the
 lower- and upper-extremal rate vectors until one full round leaves the
-partition unchanged.
+partition unchanged. Each splitting pass works on the network's compiled
+arrays (`ReactionNetwork.compiled`).
 
 Aggregate rates are compared with exact floating-point equality. Per key,
 contributions are aggregated with exact (correctly rounded) summation, which
@@ -28,10 +37,13 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .model import (Multiset, Partition, RateInterval, Reaction,
-                    ReactionNetwork, Species, StructuralError, project_key)
+import numpy as np
+
+from .model import (CompiledNetwork, Multiset, Partition, RateInterval,
+                    Reaction, ReactionNetwork, Species, StructuralError,
+                    group_sums, project_key, row_keys)
 
 
 class InvalidPartitionError(ValueError):
@@ -55,125 +67,97 @@ class _ProvedPartition(Partition):
 
 
 # ---------------------------------------------------------------------------
-# Compiled reaction tables for the refinement hot path.
+# Refinement passes over the compiled arrays. A partition is a vector of
+# block labels 0..n_blocks-1, one per species.
 
-class _Compiled:
-    """Partition-independent per-reaction data: reactant/product supports,
-    extremal rates, and one (species, context) pair per distinct reactant
-    species. No-op reactions are dropped up front."""
-
-    __slots__ = ("rx", "pr", "rates", "ctxs", "n_species")
-
-    def __init__(self, net: ReactionNetwork):
-        rx: List[Tuple[Tuple[int, int], ...]] = []
-        pr: List[Tuple[Tuple[int, int], ...]] = []
-        lower: List[float] = []
-        upper: List[float] = []
-        ctxs: List[Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]] = []
-        for r in net.reactions:
-            if r.is_noop:
-                continue
-            rent = r.reactant.entries
-            rx.append(rent)
-            pr.append(r.product.entries)
-            lower.append(r.rate.lo)
-            upper.append(r.rate.hi)
-            per_species = []
-            for idx, cnt in rent:
-                ctx = tuple((i, c - 1 if i == idx else c) for i, c in rent
-                            if c - 1 > 0 or i != idx)
-                per_species.append((idx, ctx))
-            ctxs.append(tuple(per_species))
-        self.rx = rx
-        self.pr = pr
-        self.rates = {"lower": tuple(lower), "upper": tuple(upper)}
-        self.ctxs = ctxs
-        self.n_species = net.n_species
+def _reactant_pairs(c: CompiledNetwork, n_species: int):
+    """(reaction, species, context id) of every distinct reactant species of
+    every reaction with a net change. A context, the reactant minus one copy
+    of the species, is numbered by its padded (species, count) row with the
+    species sorted, so equal multisets get one id."""
+    slot, r = np.nonzero((c.exp > 0) & (np.diff(c.offsets) > 0))
+    idx, exp = c.idx[:, r].T, c.exp[:, r].T.astype(np.int64)
+    exp[np.arange(len(r)), slot] -= 1
+    idx[exp == 0] = n_species
+    order = np.argsort(idx, axis=1, kind="stable")
+    rows = np.hstack((np.take_along_axis(idx, order, axis=1),
+                      np.take_along_axis(exp, order, axis=1)))
+    return r, c.idx[slot, r], _row_ids(rows)
 
 
-def _sweep(comp: _Compiled, rates: Sequence[float], block_of: Sequence[int],
-           block_size_of: Sequence[int]) -> Dict[int, Dict[tuple, float]]:
-    """One signature pass over all reactions. Contributions sharing a key are
-    collected and summed exactly at the end.
+def _run_ids(*cols: np.ndarray) -> np.ndarray:
+    """Number of the run of equal rows each row of sorted columns is in."""
+    new = np.zeros(len(cols[0]), dtype=bool)
+    new[:1] = True
+    for col in cols:
+        new[1:] |= col[1:] != col[:-1]
+    return np.cumsum(new) - 1
 
-    Species sitting in singleton blocks are skipped: they can never split
-    further and need no signature.
-    """
-    sigs: Dict[int, Dict] = {}
-    project = project_key
-    rx, pr, ctxs = comp.rx, comp.pr, comp.ctxs
-    for r in range(len(rx)):
-        rate = rates[r]
-        if rate == 0.0:
-            continue
-        per_species = ctxs[r]
-        if all(block_size_of[block_of[a]] == 1 for a, _ in per_species):
-            continue
-        tgt = project(pr[r], block_of)
-        if tgt == project(rx[r], block_of):
-            continue
-        for a, ctx in per_species:
-            if block_size_of[block_of[a]] == 1:
-                continue
-            d = sigs.get(a)
-            if d is None:
-                d = sigs[a] = {}
-            key = (ctx, tgt)
-            cur = d.get(key)
-            if cur is None:
-                d[key] = rate
-            elif type(cur) is list:
-                cur.append(rate)
-            else:
-                d[key] = [cur, rate]
+
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """One id per row of a 2-D array, equal rows sharing it, from 0 up."""
+    keys = row_keys(rows)
+    order = np.argsort(keys)
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[order] = _run_ids(keys[order])
+    return ids
+
+
+def _change_ids(c: CompiledNetwork, need: np.ndarray,
+                label: np.ndarray) -> np.ndarray:
+    """Per reaction, an id of its projected net change, the sorted nonzero
+    (block, change) sums over its triples; -1 for a zero change or a
+    reaction not in `need`."""
+    t = np.flatnonzero(need[c.rx])
+    rx, b, dn = c.rx[t], label[c.sp[t]], c.dn[t]
+    order = np.lexsort((b, rx))
+    rx, b = rx[order], b[order]
+    run = _run_ids(rx, b)
+    change = np.bincount(run, dn[order])
+    first = np.flatnonzero(np.diff(run, prepend=-1))[change != 0]
+    rx, b, change = rx[first], b[first], change[change != 0]
+    # one row of (block, change) pairs per reaction, padded with -1
+    reaction = _run_ids(rx)
+    pos = np.arange(len(rx)) - np.searchsorted(reaction, reaction)
+    table = np.full((reaction.max(initial=-1) + 1,
+                     2 * (pos.max(initial=-1) + 1)), -1, dtype=np.int64)
+    table[reaction, 2 * pos], table[reaction, 2 * pos + 1] = b, change
+    ids = np.full(len(need), -1)
+    ids[np.unique(rx)] = _row_ids(table)
+    return ids
+
+
+def _sweep(c: CompiledNetwork, pairs, rates: np.ndarray,
+           label: np.ndarray) -> Tuple[np.ndarray, int]:
+    """One signature pass: new labels splitting each block of `label` by its
+    members' signatures, and their number. Species in singleton blocks are
+    skipped: they can never split further and need no signature."""
+    r, a, ctx = pairs
+    keep = (rates[r] != 0.0) & (np.bincount(label)[label[a]] > 1)
+    need = np.zeros(len(rates), dtype=bool)
+    need[r[keep]] = True
+    change = _change_ids(c, need, label)[r]
+    keep &= change >= 0
+    sel = np.flatnonzero(keep)[np.lexsort((change[keep], ctx[keep], a[keep]))]
+    a, ctx, change, val = a[sel], ctx[sel], change[sel], rates[r[sel]]
     # a single contribution stays as it is; several are summed exactly
     # (correctly rounded, independent of their order)
-    return {a: {k: math.fsum(v) if type(v) is list else v for k, v in d.items()}
-            for a, d in sigs.items()}
-
-
-def _split_blocks(blocks: Sequence[Tuple[int, ...]],
-                  sigs: Dict[int, Dict[tuple, float]]
-                  ) -> Tuple[List[Tuple[int, ...]], bool]:
-    new_blocks: List[Tuple[int, ...]] = []
-    changed = False
-    for block in blocks:
-        if len(block) == 1:
-            new_blocks.append(block)
-            continue
-        groups: Dict[tuple, List[int]] = {}
-        for a in block:
-            d = sigs.get(a)
-            key = tuple(sorted(d.items())) if d else ()
-            groups.setdefault(key, []).append(a)
-        if len(groups) == 1:
-            new_blocks.append(block)
-        else:
-            changed = True
-            new_blocks.extend(tuple(p) for p in groups.values())
-    if changed:
-        new_blocks.sort(key=lambda b: b[0])
-    return new_blocks, changed
-
-
-def _refine_fixpoint(comp: _Compiled, blocks: List[Tuple[int, ...]],
-                     extremal: str, counter: dict) -> List[Tuple[int, ...]]:
-    rates = comp.rates[extremal]
-    n = comp.n_species
-    block_of = [0] * n
-    for bid, b in enumerate(blocks):
-        for i in b:
-            block_of[i] = bid
-    while True:
-        sizes = [len(b) for b in blocks]
-        sigs = _sweep(comp, rates, block_of, sizes)
-        counter["sweeps"] = counter.get("sweeps", 0) + 1
-        blocks, changed = _split_blocks(blocks, sigs)
-        if not changed:
-            return blocks
-        for bid, b in enumerate(blocks):
-            for i in b:
-                block_of[i] = bid
+    start, val = group_sums(_run_ids(a, ctx, change), val, np.zeros_like(val))
+    if not np.all(np.isfinite(val)):
+        raise OverflowError("an aggregate rate overflows")
+    a = a[start]
+    items = np.column_stack((ctx[start], change[start], val.view(np.int64)))
+    # a species' signature is its run of sorted (context, change, rate)
+    # items; runs of one length are compared as rows, an empty one is 0
+    size = np.bincount(a, minlength=len(label))
+    first = np.cumsum(size) - size
+    sig = np.zeros(len(label), dtype=np.int64)
+    for n in np.unique(size[size > 0]).tolist():
+        who = np.flatnonzero(size == n)
+        rows = items[first[who, None] + np.arange(n)].reshape(len(who), -1)
+        sig[who] = sig.max() + 1 + _row_ids(rows)
+    label = _row_ids(np.column_stack((label, sig)))
+    return label, int(label.max(initial=-1)) + 1
 
 
 def coarsest_equivalence(net: ReactionNetwork, initial: Partition,
@@ -188,20 +172,29 @@ def coarsest_equivalence(net: ReactionNetwork, initial: Partition,
     same network does not check the result again."""
     if initial.n != net.n_species:
         raise StructuralError("initial partition over wrong species universe")
-    comp = _Compiled(net)
-    blocks = list(initial.blocks)
-    rounds = 0
-    counter: dict = {}
+    c = net.compiled
+    pairs = _reactant_pairs(c, net.n_species)
+    label = np.asarray(initial.block_of, dtype=np.int64)
+    n_blocks = initial.n_blocks
+    rounds = sweeps = 0
     while True:
         rounds += 1
-        before = len(blocks)
-        blocks = _refine_fixpoint(comp, blocks, "lower", counter)
-        blocks = _refine_fixpoint(comp, blocks, "upper", counter)
-        if len(blocks) == before:
+        before = n_blocks
+        for rates in (c.lo, c.hi):
+            while True:  # sweep this extremal until nothing splits
+                sweeps += 1
+                label, n = _sweep(c, pairs, rates, label)
+                if n == n_blocks:
+                    break
+                n_blocks = n
+        if n_blocks == before:
             break
     if stats is not None:
         stats["rounds"] = rounds
-        stats["sweeps"] = counter.get("sweeps", 0)
+        stats["sweeps"] = sweeps
+    members = np.argsort(label, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(label)).tolist()
+    blocks = (members[s:e] for s, e in zip([0] + ends, ends))
     return _ProvedPartition(blocks, net)
 
 
@@ -213,13 +206,11 @@ def check_equivalence(net: ReactionNetwork, part: Partition) -> bool:
         raise StructuralError("partition over wrong species universe")
     if all(len(b) == 1 for b in part.blocks):
         return True
-    comp = _Compiled(net)
-    sizes = [len(b) for b in part.blocks]
-    for extremal in ("lower", "upper"):
-        sigs = _sweep(comp, comp.rates[extremal], part.block_of, sizes)
-        if _split_blocks(part.blocks, sigs)[1]:
-            return False
-    return True
+    c = net.compiled
+    pairs = _reactant_pairs(c, net.n_species)
+    label = np.asarray(part.block_of, dtype=np.int64)
+    return all(_sweep(c, pairs, rates, label)[1] == part.n_blocks
+               for rates in (c.lo, c.hi))
 
 
 def quotient(net: ReactionNetwork,

@@ -8,6 +8,7 @@ hot paths work on small integers instead of strings.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, NamedTuple, Optional, Sequence,
@@ -119,9 +120,6 @@ class Multiset:
     def __repr__(self) -> str:
         inner = ", ".join(f"{i}:{c}" for i, c in self.entries)
         return f"Multiset({{{inner}}})"
-
-
-EMPTY_MULTISET = Multiset()
 
 
 @dataclass(frozen=True)
@@ -387,28 +385,71 @@ class CompiledNetwork(NamedTuple):
 def compile_network(net: ReactionNetwork) -> CompiledNetwork:
     """Build `net`'s CompiledNetwork; `ReactionNetwork.compiled` caches it."""
     R, S = net.n_reactions, net.n_species
-    rin, slot, sin, cin = np.array(
-        [(r.id, k, i, c) for r in net.reactions
-         for k, (i, c) in enumerate(r.reactant.entries)],
-        dtype=np.int64).reshape(-1, 4).T
-    rout, sout, cout = np.array(
-        [(r.id, i, c) for r in net.reactions for i, c in r.product.entries],
-        dtype=np.int64).reshape(-1, 3).T
+    chain = itertools.chain.from_iterable
+
+    def flat(sides):
+        """(reaction, slot, species, count) of every entry of the R sides."""
+        size = np.fromiter(map(len, sides), np.int64, R)
+        n = int(size.sum())
+        i, c = np.fromiter(chain(chain(sides)), np.int64, 2 * n).reshape(n, 2).T
+        slot = np.arange(n) - np.repeat(np.cumsum(size) - size, size)
+        return np.repeat(np.arange(R), size), slot, i, c
+
+    rin, slot, sin, cin = flat([r.reactant.entries for r in net.reactions])
+    rout, _, sout, cout = flat([r.product.entries for r in net.reactions])
     K = int(slot.max(initial=-1)) + 1
     idx = np.full((K, R), S, dtype=np.intp)
     exp, fact = np.zeros((K, R)), np.ones((K, R))
     idx[slot, rin], exp[slot, rin] = sin, cin
-    fact[slot, rin] = [float(math.factorial(c)) for c in cin.tolist()]
+    counts, at = np.unique(cin, return_inverse=True)
+    fact[slot, rin] = np.array([float(math.factorial(c))
+                                for c in counts.tolist()])[at]
     # net change per (reaction, species) key, summed over both sides
     keys, at = np.unique(np.r_[rin, rout] * max(S, 1) + np.r_[sin, sout],
                          return_inverse=True)
     change = np.bincount(at, np.r_[-cin, cout], len(keys))
     rx, sp = np.divmod(keys[change != 0], max(S, 1))
-    bounds = np.array([(r.rate.lo, r.rate.hi) for r in net.reactions],
-                      dtype=float).reshape(R, 2).T.copy()
+    bounds = np.fromiter(chain((r.rate.lo, r.rate.hi) for r in net.reactions),
+                         float, 2 * R).reshape(R, 2).T.copy()
     arrays = CompiledNetwork(idx, exp, fact.prod(axis=0), rx, sp,
                              change[change != 0],
                              np.searchsorted(rx, np.arange(R + 1)), *bounds)
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque fixed-width key per row (the row's bytes), so rows sort,
+    deduplicate and search as scalars, with no bound on the values."""
+    c = np.ascontiguousarray(rows, dtype=np.int64)
+    if c.shape[1] == 0:
+        c = np.zeros((len(c), 1), dtype=np.int64)
+    return c.view(np.dtype((np.void, 8 * c.shape[1]))).ravel()
+
+
+_FSUM_CHUNK = 4096  # terms turned into Python floats at a time
+
+
+def group_sums(key: np.ndarray, hi: np.ndarray, lo: np.ndarray):
+    """For terms sorted by `key`: the position of each key's first term and
+    the correctly rounded sum of the key's terms hi + lo. A single term's
+    sum is its `hi` (for an exact product split, the rounded product); a
+    longer group's is one `math.fsum` over all its hi and lo parts, inf if
+    that overflows."""
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]][:len(key)])
+    sums = hi[start]
+    size = np.diff(np.r_[start, len(key)])
+    multi = np.flatnonzero(size > 1)
+    base, flat = 0, []
+    for g, s, k in zip(multi.tolist(), start[multi].tolist(),
+                       size[multi].tolist()):
+        if 2 * (s + k - base) > len(flat):
+            base = s
+            end = s + max(k, _FSUM_CHUNK)
+            flat = np.column_stack([hi[s:end], lo[s:end]]).ravel().tolist()
+        try:
+            sums[g] = math.fsum(flat[2 * (s - base):2 * (s + k - base)])
+        except OverflowError:  # the terms are non-negative
+            sums[g] = math.inf
+    return start, sums

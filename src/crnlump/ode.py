@@ -93,13 +93,15 @@ class ControlSchedule:
         if not np.all((self.values >= c.lo) & (self.values <= c.hi)):
             raise StructuralError("schedule value outside its rate interval")
 
-    def segment_at(self, t: float) -> int:
-        if t < 0:
-            raise ValueError("negative time")
-        return max(0, int(np.searchsorted(self.breakpoints, t, side="right")) - 1)
+    def segments(self, times) -> np.ndarray:
+        """Index of the value row in force at each of `times`."""
+        return np.maximum(
+            np.searchsorted(self.breakpoints, times, side="right") - 1, 0)
 
     def value_at(self, t: float) -> np.ndarray:
-        return self.values[self.segment_at(t)]
+        if t < 0:
+            raise ValueError("negative time")
+        return self.values[int(self.segments(t))]
 
 
 @dataclass
@@ -197,6 +199,24 @@ def _time_grid(t_end: float, step: float, breakpoints: np.ndarray,
     return grid
 
 
+def rk4_step(f, v: np.ndarray, dt: float):
+    """One classical RK4 step of dv/dt = f(v): the new state and the four
+    stage derivatives, f evaluated once per stage in order."""
+    k1 = f(v)
+    k2 = f(v + 0.5 * dt * k1)
+    k3 = f(v + 0.5 * dt * k2)
+    k4 = f(v + dt * k3)
+    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k1, k2, k3, k4)
+
+
+def require_steps(traj: Trajectory):
+    """A StructuralError unless `traj` has the two time points or more that
+    control transfer, which works step by step, needs."""
+    if len(traj.times) < 2:
+        raise StructuralError(f"the trajectory has {len(traj.times)} time "
+                              "point(s); control transfer needs at least two")
+
+
 def simulate(net: ReactionNetwork, v0: Sequence[float], schedule: ControlSchedule,
              t_end: float, step: float = 1e-3) -> Trajectory:
     """Integrate the deterministic model with classical RK4 at fixed step,
@@ -210,17 +230,11 @@ def simulate(net: ReactionNetwork, v0: Sequence[float], schedule: ControlSchedul
     vf = VectorField(net)
     states = np.empty((len(times), net.n_species))
     states[0] = v
-    seg = np.searchsorted(schedule.breakpoints, times[:-1], side="right") - 1
-    seg = np.maximum(seg, 0)
+    seg = schedule.segments(times[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(times) - 1):
-            dt = times[k + 1] - times[k]
             alpha = schedule.values[seg[k]]
-            k1 = vf(v, alpha)
-            k2 = vf(v + 0.5 * dt * k1, alpha)
-            k3 = vf(v + 0.5 * dt * k2, alpha)
-            k4 = vf(v + dt * k3, alpha)
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            v, _ = rk4_step(lambda x: vf(x, alpha), v, times[k + 1] - times[k])
             if not np.all(np.isfinite(v)):
                 raise DivergenceError(times[k + 1])
             states[k + 1] = v
@@ -251,14 +265,16 @@ class CostSpec:
     def __post_init__(self):
         self.running_weights = np.asarray(self.running_weights, dtype=float)
         self.final_weights = np.asarray(self.final_weights, dtype=float)
+        if not (math.isfinite(self.horizon) and self.horizon >= 0):
+            raise ValueError(f"horizon must be a nonnegative finite number, "
+                             f"got {self.horizon!r}")
+        if not np.all(np.isfinite(np.r_[self.running_weights,
+                                        self.final_weights])):
+            raise ValueError("cost weights must be finite numbers")
 
     def respects(self, part: Partition) -> bool:
-        for block in part.blocks:
-            if len({self.running_weights[i] for i in block}) > 1:
-                return False
-            if len({self.final_weights[i] for i in block}) > 1:
-                return False
-        return True
+        return all(len({w[i] for i in block}) == 1 for block in part.blocks
+                   for w in (self.running_weights, self.final_weights))
 
     def project(self, part: Partition) -> "CostSpec":
         """Equivalent cost on the quotient network (one weight per block)."""
@@ -274,6 +290,10 @@ def evaluate_cost(traj: Trajectory, cost: CostSpec) -> float:
     plus the final cost at the horizon."""
     T = cost.horizon
     times = traj.times
+    widths = (len(cost.running_weights), len(cost.final_weights))
+    if widths != (traj.states.shape[1],) * 2:
+        raise StructuralError(f"cost weights of lengths {widths} for a "
+                              f"trajectory of {traj.states.shape[1]} species")
     if T > times[-1] + 1e-9 * max(1.0, T):
         raise StructuralError("cost horizon exceeds trajectory range")
     running = traj.states @ cost.running_weights
@@ -369,6 +389,7 @@ def project_control(net: ReactionNetwork, part: Partition,
     schedule.validate_for(net)
     if traj.states.shape[1] != net.n_species:
         raise StructuralError("trajectory does not match network")
+    require_steps(traj)
     B = block_indicator(part)
     if B.shape[0] != lumped.n_species:
         raise StructuralError("partition size does not match lumped network")
@@ -378,36 +399,32 @@ def project_control(net: ReactionNetwork, part: Partition,
     lo, hi = lumped.compiled.lo, lumped.compiled.hi
     vhat = traj.states @ B.T
     times = traj.times
-    seg = np.maximum(np.searchsorted(schedule.breakpoints, times[:-1], side="right") - 1, 0)
+    seg = schedule.segments(times[:-1])
 
-    def solve_at(k: int, alpha: np.ndarray, warm: np.ndarray):
+    solves = [(0.0, 0.0)]  # (residual, time) of every solve
+
+    def solve_at(k: int, alpha: np.ndarray, warm: np.ndarray) -> np.ndarray:
         target = B @ vf(traj.states[k], alpha)
         coeff = (lstoich * lvf.monomials(vhat[k])[:, None]).T
         res = box_least_squares(coeff, target, lo, hi, warm)
         if not res.converged:
             raise ProjectionFailureError(float(times[k]), res.residual, False)
-        return res.x, res.residual
+        solves.append((res.residual, float(times[k])))
+        return res.x
 
     n_steps = len(times) - 1
     out = np.empty((n_steps, lumped.n_reactions))
-    worst = 0.0
-    worst_time = 0.0
+    # the left control of a step is the previous step's right one while the
+    # original control stays in one segment
     warm = 0.5 * (lo + hi)
-    carried: Optional[np.ndarray] = None
     for k in range(n_steps):
         alpha = schedule.values[seg[k]]
-        if carried is not None and k > 0 and seg[k] == seg[k - 1]:
-            a_left = carried
-        else:
-            a_left, r_left = solve_at(k, alpha, warm)
-            if r_left > worst:
-                worst, worst_time = r_left, float(times[k])
-        a_right, r_right = solve_at(k + 1, alpha, a_left)
-        if r_right > worst:
-            worst, worst_time = r_right, float(times[k + 1])
-        out[k] = np.clip(0.5 * (a_left + a_right), lo, hi)
+        if k == 0 or seg[k] != seg[k - 1]:
+            warm = solve_at(k, alpha, warm)
+        a_right = solve_at(k + 1, alpha, warm)
+        out[k] = np.clip(0.5 * (warm + a_right), lo, hi)
         warm = a_right
-        carried = a_right
+    worst, worst_time = max(solves, key=lambda s: s[0])
     if worst > RESIDUAL_MAX:
         raise ProjectionFailureError(worst_time, worst)
     return ControlSchedule(times[:-1].copy(), out), worst

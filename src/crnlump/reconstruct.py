@@ -24,7 +24,8 @@ import numpy as np
 from .lumping import quotient
 from .model import Partition, ReactionNetwork, StructuralError
 from .ode import (RESIDUAL_MAX, BoxLsResult, ControlSchedule, Trajectory,
-                  VectorField, block_indicator, box_least_squares)
+                  VectorField, block_indicator, box_least_squares,
+                  require_steps, rk4_step)
 
 # Largest gap allowed between the block sums of `v0` and the lumped start.
 CONSISTENCY_TOL = 1e-9
@@ -110,6 +111,7 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     per-step residuals. A stage residual above RESIDUAL_MAX, or a stage solve
     that does not converge, raises ReconstructionFailureError.
     """
+    require_steps(lumped_traj)
     lumped, _ = quotient(net, part)
     lumped_schedule.validate_for(lumped)
     B = block_indicator(part)
@@ -127,8 +129,7 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     lo, hi = net.compiled.lo, net.compiled.hi
     times = np.asarray(lumped_traj.times, dtype=float)
     vhat = np.asarray(lumped_traj.states, dtype=float)
-    seg = np.maximum(
-        np.searchsorted(lumped_schedule.breakpoints, times[:-1], side="right") - 1, 0)
+    seg = lumped_schedule.segments(times[:-1])
 
     n_steps = len(times) - 1
     states = np.empty((n_steps + 1, net.n_species))
@@ -137,50 +138,32 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     residuals = np.empty(n_steps)
     v = v0.copy()
     warm = 0.5 * (lo + hi)
-
-    def stage_control(v_stage, target, warm):
-        coeff = (coeff_blocks * vf.monomials(v_stage)[:, None]).T
-        res = box_least_squares(coeff, target, lo, hi, warm)
-        if not res.converged:
-            raise ReconstructionFailureError(float(times[k]), res.residual,
-                                             False)
-        return res.x, res.residual
-
     for k in range(n_steps):
         dt = times[k + 1] - times[k]
         alpha_hat = lumped_schedule.values[seg[k]]
-        vh0 = vhat[k]
         # replay the lumped integrator's stages from the grid value so the
         # stage targets are exactly those that produced the trajectory
-        kh1 = lvf(vh0, alpha_hat)
-        kh2 = lvf(vh0 + 0.5 * dt * kh1, alpha_hat)
-        kh3 = lvf(vh0 + 0.5 * dt * kh2, alpha_hat)
-        kh4 = lvf(vh0 + dt * kh3, alpha_hat)
-        worst = 0.0
+        _, targets = rk4_step(lambda x: lvf(x, alpha_hat), vhat[k], dt)
+        # (control, residual) of the warm start, then of each stage in turn
+        stages = [(warm, 0.0)]
 
-        a1, r1 = stage_control(v, kh1, warm)
-        worst = max(worst, r1)
-        k1 = vf(v, a1)
-        v2 = v + 0.5 * dt * k1
-        a2, r2 = stage_control(v2, kh2, a1)
-        worst = max(worst, r2)
-        k2 = vf(v2, a2)
-        v3 = v + 0.5 * dt * k2
-        a3, r3 = stage_control(v3, kh3, a2)
-        worst = max(worst, r3)
-        k3 = vf(v3, a3)
-        v4 = v + dt * k3
-        a4, r4 = stage_control(v4, kh4, a3)
-        worst = max(worst, r4)
-        k4 = vf(v4, a4)
+        def field(x):
+            coeff = (coeff_blocks * vf.monomials(x)[:, None]).T
+            res = box_least_squares(coeff, targets[len(stages) - 1], lo, hi,
+                                    stages[-1][0])
+            if not res.converged:
+                raise ReconstructionFailureError(float(times[k]),
+                                                 res.residual, False)
+            stages.append((res.x, res.residual))
+            return vf(x, res.x)
 
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v, _ = rk4_step(field, v, dt)
         if not np.all(np.isfinite(v)):
             raise ReconstructionFailureError(float(times[k + 1]), float("inf"))
         states[k + 1] = v
-        controls[k] = a1
-        residuals[k] = worst
-        warm = a4
+        controls[k] = stages[1][0]
+        residuals[k] = worst = max(r for _, r in stages)
+        warm = stages[-1][0]
         if worst > RESIDUAL_MAX:
             raise ReconstructionFailureError(float(times[k]), worst)
 

@@ -444,6 +444,15 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert f"line 1, col {col}: lumped trajectory header: {why}" in err
 
+    def test_one_row_trajectory(self, tmp_path, two_site_file, capsys):
+        argv = self.lumped_inputs(tmp_path, two_site_file)
+        tfile = tmp_path / "lt.csv"
+        tfile.write_text("\n".join(tfile.read_text().splitlines()[:2]) + "\n")
+        assert run(["reconstruct", str(two_site_file), *argv,
+                    "--v0", "B=0.6,A00=0.5,A01=0.2,A10=0.3,A11=0.1"]) == 2
+        assert ("error: StructuralError: the trajectory has 1 time point(s); "
+                "control transfer needs at least two") in capsys.readouterr().err
+
     def test_bad_v0_item(self, tmp_path, two_site_file, capsys):
         argv = self.lumped_inputs(tmp_path, two_site_file)
         assert run(["reconstruct", str(two_site_file), *argv,

@@ -469,6 +469,29 @@ class TestTransient:
             transient_solve(gen, np.array([1.0, 0.0]), 1.0)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("p0, eps, message", [
+        ([1.0, 0.0, 0.0], -1.0, "^eps must be a finite number in"),
+        ([1.0, 0.0, 0.0], 0.0, "^eps must be a finite number in"),
+        ([1.0, 0.0, 0.0], 1.0, "^eps must be a finite number in"),
+        ([1.0, 0.0, 0.0], math.nan, "^eps must be a finite number in"),
+        ([1.0, 0.0, 0.0], math.inf, "^eps must be a finite number in"),
+        ([1.0, 0.0], 1e-12, r"^p0 has shape \(2,\); the space has 3 states"),
+        ([[1.0, 0.0, 0.0]], 1e-12, r"^p0 has shape \(1, 3\)"),
+        ([math.nan, 0.5, 0.5], 1e-12, "^p0 must hold finite non-negative"),
+        ([math.inf, 0.0, 0.0], 1e-12, "^p0 must hold finite non-negative"),
+        ([1.5, -0.5, 0.0], 1e-12, "^p0 must hold finite non-negative"),
+        ([0.5, 0.0, 0.0], 1e-12, "^p0 must sum to 1"),
+    ])
+    def test_bad_eps_and_p0_are_rejected(self, p0, eps, message):
+        # eps = -1 used to loop forever, eps = nan and a nan p0 to return a
+        # wrong distribution, a short p0 to fail inside numpy
+        doc = cl.parse_model("species A B\nA -> B , 1.0\n")
+        space = enumerate_states(doc.network, Multiset([(0, 2)]), 2)
+        gen = build_generator(space, doc.network, "lower")
+        assert space.n_states == 3
+        with pytest.raises(ValueError, match=message):
+            transient_solve(gen, p0, 1.0, eps=eps)
+
     def test_long_horizon_chunking(self):
         doc = cl.parse_model("species a b\na -> b , 30.0\nb -> a , 30.0\n")
         net = doc.network

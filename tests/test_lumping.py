@@ -1,6 +1,7 @@
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 import crnlump as cl
@@ -260,27 +261,60 @@ class TestProvedPartition:
 
 
 class TestSignatureOracle:
-    def test_oracle_signatures_match_the_sweep(self):
-        # for every species in a non-singleton block, the compiled sweep's
-        # signature equals the oracle's, keys translated to sparse form
+    """One pass of the array sweep splits every block exactly as grouping its
+    members by their oracle signatures does."""
+
+    @staticmethod
+    def split_by_sweep(net, part, rates):
+        c = net.compiled
+        label, n_blocks = lumping._sweep(
+            c, lumping._reactant_pairs(c, net.n_species), rates,
+            np.asarray(part.block_of))
+        return Partition([np.flatnonzero(label == b).tolist()
+                          for b in range(n_blocks)], net.n_species)
+
+    @staticmethod
+    def split_by_oracle(net, part, extremal):
+        groups = {}
+        for a in range(net.n_species):
+            sig = species_signature(net, part, extremal, a).entries
+            groups.setdefault((part.block_of[a], frozenset(sig.items())),
+                              []).append(a)
+        return Partition(groups.values(), net.n_species)
+
+    def test_sweep_matches_oracle_on_random_networks(self):
         rng = random.Random(5)
         nonempty = 0
         for _ in range(80):
             net = random_network(rng)
             part = random_partition(rng, net.n_species)
-            comp = lumping._Compiled(net)
-            sizes = [len(b) for b in part.blocks]
-            for extremal in ("lower", "upper"):
-                sigs = lumping._sweep(comp, comp.rates[extremal],
-                                      part.block_of, sizes)
-                for a in (a for b in part.blocks if len(b) > 1 for a in b):
-                    oracle = species_signature(net, part, extremal, a).entries
-                    want = {(ctx.entries,
-                             tuple((b, c) for b, c in enumerate(tgt) if c)): v
-                            for (ctx, tgt), v in oracle.items()}
-                    assert sigs.get(a, {}) == want
-                    nonempty += bool(want)
+            c = net.compiled
+            for extremal, rates in (("lower", c.lo), ("upper", c.hi)):
+                assert self.split_by_sweep(net, part, rates) \
+                    == self.split_by_oracle(net, part, extremal)
+                nonempty += sum(
+                    bool(species_signature(net, part, extremal, a).entries)
+                    for b in part.blocks if len(b) > 1 for a in b)
         assert nonempty >= 100  # the networks must exercise real signatures
+
+    @pytest.mark.parametrize("text, n_blocks", [
+        # one context and total rate, spread differently over two targets
+        ("A -> C , 1.0\nA -> D , 0.5\nB -> C , 0.5\nB -> D , 1.0\n", 4),
+        # one change: the rates of each context sum to equal signatures
+        ("A + C -> C + D , 1.0\nA + D -> 2 D , 1.0\nA + C -> C + D , 0.5\n"
+         "B + C -> C + D , 1.5\nB + D -> 2 D , 1.0\n", 3),
+        # one change and total rate, under different contexts
+        ("A + C -> C + D , 1.0\nA + D -> 2 D , 1.0\nB + C -> C + D , 2.0\n",
+         4),
+    ])
+    def test_hand_built_keys(self, text, n_blocks):
+        net = cl.parse_model("species A B C D\n" + text).network
+        part = Partition([[0, 1], [2], [3]], 4)
+        for extremal, rates in (("lower", net.compiled.lo),
+                                ("upper", net.compiled.hi)):
+            got = self.split_by_sweep(net, part, rates)
+            assert got == self.split_by_oracle(net, part, extremal)
+            assert got.n_blocks == n_blocks
 
 
 class TestNoopReactions:
@@ -340,12 +374,25 @@ class TestProperties:
 
     def test_degenerate_intervals_collapse_to_single_refinement(self):
         rng = random.Random(3)
+        cases = []
         for _ in range(40):
             net = random_network(rng)
+            cases.append((net, random_partition(rng, net.n_species)))
+        # edge inputs, each from one block: no species, no reactions, only
+        # no-ops, only 0 -> A, zero rates, a reactant of one species thrice
+        texts = ("species A B\n",
+                 "species A B\nA -> A , 2.0\nB -> B , 3.0\n",
+                 "species A B\n0 -> A , 1.0\n",
+                 "species A B C\nA -> C , 0.0\nB -> C , 1.0\nC -> 0 , 0.0\n",
+                 "species A B C\n3 A -> C , 1.0\n3 B -> C , 1.0\n"
+                 "C -> A + B , 2.0\n")
+        edges = [ReactionNetwork([], [])]
+        edges += [cl.parse_model(text).network for text in texts]
+        cases += [(net, Partition.one_block(net.n_species)) for net in edges]
+        for net, initial in cases:
             reactions = [Reaction(r.reactant, r.product,
                                   RateInterval(r.rate.lo, r.rate.lo), r.id)
                          for r in net.reactions]
             degen = ReactionNetwork(net.species, reactions)
-            initial = random_partition(rng, net.n_species)
             assert coarsest_equivalence(degen, initial) \
                 == refine_partition(degen, initial, "lower")

@@ -227,6 +227,8 @@ class TestCompiledNetwork:
         sched = cl.ControlSchedule.midpoint(net)
         init = net.multiset({"A00": 2, "B": 2})
         for _ in range(2):
+            cl.coarsest_equivalence(net, part)
+            cl.check_equivalence(net, part)
             cl.VectorField(net)
             traj = cl.simulate(net, np.full(5, 0.5), sched, 0.01, 0.005)
             cl.project_control(net, part, lumped, traj, sched)

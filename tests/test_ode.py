@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -336,6 +337,27 @@ class TestEvaluateCost:
         with pytest.raises(StructuralError):
             evaluate_cost(traj, CostSpec(np.ones(5), np.zeros(5), 2.0))
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+    def test_bad_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="^horizon must be a nonnegative"):
+            CostSpec(np.ones(2), np.ones(2), horizon)
+
+    @pytest.mark.parametrize("running, final", [
+        ([1.0, math.nan], [0.0, 0.0]), ([0.0, 0.0], [-math.inf, 0.0])])
+    def test_non_finite_weights_rejected(self, running, final):
+        with pytest.raises(ValueError, match="^cost weights must be finite"):
+            CostSpec(np.array(running), np.array(final), 1.0)
+
+    @pytest.mark.parametrize("running, final", [(4, 5), (5, 6), (6, 6)])
+    def test_weights_must_match_trajectory_width(self, two_site, running,
+                                                 final):
+        traj = simulate(two_site, np.ones(5), ControlSchedule.midpoint(two_site),
+                        1.0, 1e-2)
+        cost = CostSpec(np.ones(running), np.ones(final), 1.0)
+        with pytest.raises(StructuralError, match=r"cost weights of lengths "
+                           rf"\({running}, {final}\) for a trajectory of 5"):
+            evaluate_cost(traj, cost)
+
     def test_block_respecting_projection(self, two_site_partition):
         w = np.array([1.0, 2.0, 3.0, 3.0, 4.0])
         cost = CostSpec(w, w, 1.0)
@@ -425,6 +447,15 @@ class TestProjectControl:
         gap = np.max(np.abs(block_sums(traj, two_site_partition).states
                             - ltraj.states))
         assert gap <= 1e-7
+
+    def test_one_point_trajectory_rejected(self, two_site, two_site_partition):
+        lumped, _ = cl.quotient(two_site, two_site_partition)
+        sched = ControlSchedule.midpoint(two_site)
+        traj = simulate(two_site, np.full(5, 0.5), sched, 0.0, 1e-3)
+        assert len(traj.times) == 1
+        with pytest.raises(StructuralError, match="the trajectory has 1 time "
+                           r"point\(s\); control transfer needs at least two"):
+            project_control(two_site, two_site_partition, lumped, traj, sched)
 
     def test_zero_state_any_feasible(self, two_site, two_site_partition):
         lumped, _ = cl.quotient(two_site, two_site_partition)

@@ -192,6 +192,14 @@ class TestReconstructTrajectory:
         with pytest.raises(StructuralError):
             reconstruct_trajectory(two_site, two_site_partition, ltraj, sched, v0)
 
+    def test_one_point_trajectory_rejected(self, two_site, two_site_partition):
+        lumped, sched, ltraj, v0 = self._lumped_setup(two_site, two_site_partition)
+        ltraj = simulate(lumped, ltraj.states[0], sched, 0.0)
+        assert len(ltraj.times) == 1
+        with pytest.raises(StructuralError, match="the trajectory has 1 time "
+                           r"point\(s\); control transfer needs at least two"):
+            reconstruct_trajectory(two_site, two_site_partition, ltraj, sched, v0)
+
     def test_degenerate_intervals_give_unique_control(self):
         text = ("species B A00 A01 A10 A11\n"
                 "A00 + B -> A10 , 1.0\nA10 -> A00 + B , 0.5\n"
