@@ -126,58 +126,54 @@ def _write_block_map(path, net: ReactionNetwork, part: Partition):
                           encoding="utf-8")
 
 
+def _reduce_model(path, partition_file, output, map_path) -> dict:
+    """Parse a model, refine, quotient and write the reduced model and block
+    map (each when a path is given). Returns the report fields shared by
+    `reduce` and each `reduce --batch` entry."""
+    phases = _Phases()
+    doc = _load_document(path)
+    net = doc.network
+    initial = _initial_partition(doc, partition_file)
+    phases.mark("parse")
+    stats: dict = {}
+    part = coarsest_equivalence(net, initial, stats=stats)
+    phases.mark("lump")
+    lumped, part = quotient(net, part)
+    phases.mark("quotient")
+    if output:
+        Path(output).write_text(serialize_model(ModelDocument(lumped)),
+                                encoding="utf-8")
+    if map_path:
+        _write_block_map(map_path, net, part)
+    phases.mark("write")
+    return {
+        "input": {"species": net.n_species, "reactions": net.n_reactions},
+        "output": {"species": lumped.n_species, "reactions": lumped.n_reactions},
+        "blocks": part.n_blocks,
+        "rounds": stats["rounds"],
+        "sweeps": stats["sweeps"],
+        "phases_ms": phases.entries,
+    }
+
+
 def cmd_reduce(args) -> int:
     if args.batch:
         return _reduce_batch(args)
-    phases = _Phases()
-    doc = _load_document(args.input)
-    initial = _initial_partition(doc, args.partition_file)
-    phases.mark("parse")
-    stats: dict = {}
-    part = coarsest_equivalence(doc.network, initial, stats=stats)
-    phases.mark("lump")
-    lumped, part = quotient(doc.network, part)
-    phases.mark("quotient")
-    if args.output:
-        Path(args.output).write_text(serialize_model(ModelDocument(lumped)),
-                                     encoding="utf-8")
-    if args.map:
-        _write_block_map(args.map, doc.network, part)
-    phases.mark("write")
-    _emit_report({
-        "command": "reduce",
-        "input": {"species": doc.network.n_species,
-                  "reactions": doc.network.n_reactions},
-        "output": {"species": lumped.n_species, "reactions": lumped.n_reactions},
-        "blocks": part.n_blocks,
-        "rounds": stats.get("rounds", 0),
-        "sweeps": stats.get("sweeps", 0),
-        "phases_ms": phases.entries,
-        "flags": {},
-    }, args.report)
+    report = _reduce_model(args.input, args.partition_file, args.output,
+                           args.map)
+    _emit_report({"command": "reduce", **report, "flags": {}}, args.report)
     return EXIT_OK
 
 
 def _reduce_one_file(task):
     path, out_dir = task
+    stem = Path(path).stem
     try:
-        doc = _load_document(path)
-        initial = _initial_partition(doc, None)
-        stats: dict = {}
-        part = coarsest_equivalence(doc.network, initial, stats=stats)
-        lumped, part = quotient(doc.network, part)
-        stem = Path(path).stem
-        Path(out_dir, f"{stem}.red.crn").write_text(
-            serialize_model(ModelDocument(lumped)), encoding="utf-8")
-        _write_block_map(Path(out_dir, f"{stem}.map.json"), doc.network, part)
-        return {"file": path, "ok": True,
-                "input": {"species": doc.network.n_species,
-                          "reactions": doc.network.n_reactions},
-                "output": {"species": lumped.n_species,
-                           "reactions": lumped.n_reactions},
-                "rounds": stats.get("rounds", 0)}
+        report = _reduce_model(path, None, Path(out_dir, f"{stem}.red.crn"),
+                               Path(out_dir, f"{stem}.map.json"))
     except Exception as exc:  # per-file isolation
         return {"file": path, "ok": False, "error": str(exc)}
+    return {"file": path, "ok": True, **report}
 
 
 def _batch_workers(n_files: int) -> int:

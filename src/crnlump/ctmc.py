@@ -189,8 +189,8 @@ def enumerate_ball(net: ReactionNetwork, pop_bound: int,
     order = _canonical_order(counts)
     order = order[np.argsort(counts.sum(axis=1)[order], kind="stable")]
     counts = counts[order]
-    truncated = any(r.product.total > r.reactant.total for r in net.reactions)
-    return _space(counts, truncated)
+    grow = np.bincount(net.compiled.rx, net.compiled.dn, net.n_reactions)
+    return _space(counts, bool(np.any(grow > 0)))
 
 
 class ExactTerms(NamedTuple):

@@ -19,24 +19,31 @@ reactant + projected change, so the two keys are in bijection and give the
 same signature equality. A target equal to the source's projection is
 exactly a zero projected change.
 
-The coarsest equivalence refining a given partition is computed by iterated
-block splitting on signature equality, run to a fixpoint alternately on the
-lower- and upper-extremal rate vectors until one full round leaves the
-partition unchanged. Each splitting pass works on the network's compiled
-arrays (`ReactionNetwork.compiled`).
+A partition is an equivalence of the interval-rate network when it is one
+for both extremal rate vectors, `lo` and `hi`. One sweep covers both: it
+keeps the pairs whose `hi` rate is nonzero (0 <= lo <= hi, so the rate is
+nonzero under some extremal), sums the `lo` and the `hi` terms of each key
+separately, and splits each block by its members' sorted (context, change,
+lo sum, hi sum) items. A key is kept exactly when its `hi` sum is nonzero,
+and a zero `lo` sum is an absent lower entry, so two species have equal
+items exactly when their lower and their upper signatures are equal: a
+sweep splits each block into the meet of the two single-extremal splits.
+Sweeping until a sweep splits nothing thus gives the coarsest partition
+stable under both extremals (which is unique), and that last sweep proves
+it. Each sweep works on the network's compiled arrays
+(`ReactionNetwork.compiled`).
 
 Aggregate rates are compared with exact floating-point equality. Per key,
 contributions are aggregated with exact (correctly rounded) summation, which
 is independent of enumeration order: two aggregates compare equal exactly
 when the real sums of their contributions are equal, so symmetric sums built
 from permuted or differently factored reaction lists cannot drift apart by
-rounding.
+rounding. A sum of -0.0 (a `[-0 : hi]` rate) is compared as 0.0.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,22 +55,6 @@ from .model import (CompiledNetwork, Multiset, Partition, RateInterval,
 
 class InvalidPartitionError(ValueError):
     """The supplied partition is not a species equivalence of the network."""
-
-
-class _ProvedPartition(Partition):
-    """A partition that `coarsest_equivalence` proved to be a species
-    equivalence of one network object, held by weak reference. `quotient`
-    trusts it for that network only."""
-
-    __slots__ = ("_proved_for",)
-
-    def __init__(self, blocks, net: ReactionNetwork):
-        super().__init__(blocks, net.n_species)
-        self._proved_for = weakref.ref(net)
-
-    def __reduce__(self):
-        # a weak reference cannot be pickled; a copy is a plain partition
-        return (Partition, (self.blocks, self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -127,27 +118,32 @@ def _change_ids(c: CompiledNetwork, need: np.ndarray,
     return ids
 
 
-def _sweep(c: CompiledNetwork, pairs, rates: np.ndarray,
+def _sweep(c: CompiledNetwork, pairs,
            label: np.ndarray) -> Tuple[np.ndarray, int]:
-    """One signature pass: new labels splitting each block of `label` by its
-    members' signatures, and their number. Species in singleton blocks are
-    skipped: they can never split further and need no signature."""
+    """One signature pass under both extremals: new labels splitting each
+    block of `label` by its members' signatures, and their number. Species
+    in singleton blocks are skipped: they can never split further and need
+    no signature."""
     r, a, ctx = pairs
-    keep = (rates[r] != 0.0) & (np.bincount(label)[label[a]] > 1)
-    need = np.zeros(len(rates), dtype=bool)
+    keep = (c.hi[r] != 0.0) & (np.bincount(label)[label[a]] > 1)
+    need = np.zeros(len(c.hi), dtype=bool)
     need[r[keep]] = True
     change = _change_ids(c, need, label)[r]
     keep &= change >= 0
     sel = np.flatnonzero(keep)[np.lexsort((change[keep], ctx[keep], a[keep]))]
-    a, ctx, change, val = a[sel], ctx[sel], change[sel], rates[r[sel]]
+    a, ctx, change, r = a[sel], ctx[sel], change[sel], r[sel]
     # a single contribution stays as it is; several are summed exactly
-    # (correctly rounded, independent of their order)
-    start, val = group_sums(_run_ids(a, ctx, change), val, np.zeros_like(val))
+    # (correctly rounded, independent of their order); + 0.0 turns -0.0
+    # into 0.0 before the bits are compared
+    run, zero = _run_ids(a, ctx, change), np.zeros(len(r))
+    start, lo = group_sums(run, c.lo[r], zero)
+    hi = group_sums(run, c.hi[r], zero)[1]
+    val = np.column_stack((lo, hi)) + 0.0
     if not np.all(np.isfinite(val)):
         raise OverflowError("an aggregate rate overflows")
     a = a[start]
     items = np.column_stack((ctx[start], change[start], val.view(np.int64)))
-    # a species' signature is its run of sorted (context, change, rate)
+    # a species' signature is its run of sorted (context, change, lo, hi)
     # items; runs of one length are compared as rows, an empty one is 0
     size = np.bincount(a, minlength=len(label))
     first = np.cumsum(size) - size
@@ -163,54 +159,49 @@ def _sweep(c: CompiledNetwork, pairs, rates: np.ndarray,
 def coarsest_equivalence(net: ReactionNetwork, initial: Partition,
                          stats: Optional[dict] = None) -> Partition:
     """Coarsest species equivalence of both extremal networks refining
-    `initial`: alternate single-extremal refinement until a full round leaves
-    the partition unchanged. The result refines the input, passes
-    check_equivalence, and successive rounds only ever split blocks.
+    `initial`: sweep under both extremals until a sweep splits nothing. The
+    result refines the input, passes check_equivalence, and successive
+    sweeps only ever split blocks. `stats` receives the number of sweeps as
+    both `rounds` and `sweeps`.
 
-    The last round is the proof: its sweeps under both extremals split
-    nothing, which is check_equivalence's criterion, so `quotient` on this
-    same network does not check the result again."""
+    The last sweep is the proof: it split nothing, which is
+    check_equivalence's criterion, so the result is recorded on `net` and
+    `quotient` on this same network does not check it again."""
     if initial.n != net.n_species:
         raise StructuralError("initial partition over wrong species universe")
     c = net.compiled
     pairs = _reactant_pairs(c, net.n_species)
     label = np.asarray(initial.block_of, dtype=np.int64)
-    n_blocks = initial.n_blocks
-    rounds = sweeps = 0
-    while True:
-        rounds += 1
+    n_blocks, before, sweeps = initial.n_blocks, -1, 0
+    while n_blocks != before:  # until a sweep splits nothing
         before = n_blocks
-        for rates in (c.lo, c.hi):
-            while True:  # sweep this extremal until nothing splits
-                sweeps += 1
-                label, n = _sweep(c, pairs, rates, label)
-                if n == n_blocks:
-                    break
-                n_blocks = n
-        if n_blocks == before:
-            break
+        label, n_blocks = _sweep(c, pairs, label)
+        sweeps += 1
     if stats is not None:
-        stats["rounds"] = rounds
-        stats["sweeps"] = sweeps
+        stats["rounds"] = stats["sweeps"] = sweeps
     members = np.argsort(label, kind="stable").tolist()
     ends = np.cumsum(np.bincount(label)).tolist()
-    blocks = (members[s:e] for s, e in zip([0] + ends, ends))
-    return _ProvedPartition(blocks, net)
+    part = Partition((members[s:e] for s, e in zip([0] + ends, ends)),
+                     net.n_species)
+    net._proved = part
+    return part
 
 
 def check_equivalence(net: ReactionNetwork, part: Partition) -> bool:
     """Direct criterion check: every pair of species sharing a block must have
-    equal signatures under both extremal rate vectors, so that no block
-    splits."""
+    equal signatures under both extremal rate vectors, so that one sweep
+    splits no block. A partition that passes is recorded on `net`, so
+    `quotient` on this same network does not check it again."""
     if part.n != net.n_species:
         raise StructuralError("partition over wrong species universe")
-    if all(len(b) == 1 for b in part.blocks):
-        return True
-    c = net.compiled
-    pairs = _reactant_pairs(c, net.n_species)
-    label = np.asarray(part.block_of, dtype=np.int64)
-    return all(_sweep(c, pairs, rates, label)[1] == part.n_blocks
-               for rates in (c.lo, c.hi))
+    if any(len(b) > 1 for b in part.blocks):
+        c = net.compiled
+        pairs = _reactant_pairs(c, net.n_species)
+        label = np.asarray(part.block_of, dtype=np.int64)
+        if _sweep(c, pairs, label)[1] != part.n_blocks:
+            return False
+    net._proved = part
+    return True
 
 
 def quotient(net: ReactionNetwork,
@@ -223,11 +214,11 @@ def quotient(net: ReactionNetwork,
     product species are rewritten to their block representatives, and
     reactions sharing (reactant, product) are fused by summing lower and
     upper bounds independently. Raises InvalidPartitionError when the
-    partition is not a species equivalence. The check is skipped only for
-    a result of `coarsest_equivalence` on this same network.
+    partition is not a species equivalence. The check is skipped exactly
+    when `part` equals, by value, the partition that `coarsest_equivalence`
+    or `check_equivalence` last proved on this same network object.
     """
-    proved = isinstance(part, _ProvedPartition) and part._proved_for() is net
-    if not proved and not check_equivalence(net, part):
+    if part != net._proved and not check_equivalence(net, part):
         raise InvalidPartitionError("partition is not a species equivalence")
     reps = part.representatives
     block_of = part.block_of

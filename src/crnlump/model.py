@@ -175,7 +175,7 @@ class ReactionNetwork:
 
     __slots__ = ("species", "reactions", "initial_state",
                  "initial_concentration", "_index_of", "_compiled",
-                 "__weakref__")
+                 "_proved")
 
     def __init__(self, species: Sequence[Species], reactions: Sequence[Reaction],
                  initial_state: Optional[Multiset] = None,
@@ -208,6 +208,8 @@ class ReactionNetwork:
         self.initial_concentration = conc
         self._index_of: Dict[str, int] = {s.name: s.index for s in self.species}
         self._compiled: Optional[CompiledNetwork] = None
+        # the partition lumping last proved an equivalence of this network
+        self._proved: Optional[Partition] = None
 
     @property
     def n_species(self) -> int:

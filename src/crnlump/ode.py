@@ -80,7 +80,7 @@ class ControlSchedule:
 
     @classmethod
     def midpoint(cls, net: ReactionNetwork) -> "ControlSchedule":
-        return cls.constant([r.rate.midpoint for r in net.reactions])
+        return cls.constant(0.5 * (net.compiled.lo + net.compiled.hi))
 
     @property
     def n_reactions(self) -> int:

@@ -521,14 +521,21 @@ def serialize_model(doc: ModelDocument) -> str:
 
 
 def parse_partition_file(text: str, network: ReactionNetwork) -> Partition:
-    """Parse a standalone partition file: a single `partition { ... } ...` line."""
-    doc_text = "species " + " ".join(network.names) + "\n" + text
-    doc = parse_model(doc_text)
-    if doc.network.names != network.names:
-        raise ParseError("partition file names unknown species", 1, 1)
-    if doc.initial_partition is None:
+    """Parse a standalone partition file over `network`'s species: one
+    `partition { ... } ...` line, every other line blank. Errors carry the
+    file's own line numbers."""
+    b = _Builder()
+    for name in network.names:
+        b.intern(name)
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        head = _tokenize(raw.rstrip("\r"), line_no)[:1]
+        if head and head[0].text != "partition":
+            raise ParseError(f"expected a partition line, got {head[0].text!r}",
+                             line_no, head[0].col)
+        _parse_line(b, raw, line_no)
+    if b.partition_groups is None:
         raise ParseError("no partition line found", 1, 1)
-    return doc.initial_partition
+    return b.document(None).initial_partition
 
 
 @dataclass

@@ -85,6 +85,36 @@ def random_network(rng: random.Random, max_species: int = 5,
     return ReactionNetwork(species, reactions)
 
 
+def swapped_twin_network(rng: random.Random, max_species: int = 5,
+                         max_reactions: int = 6) -> ReactionNetwork:
+    """A random network together with its image under swapping two of its
+    species, a and b, where the image of one reaction that consumes a or b
+    has one rate endpoint moved: the lower and upper extremals then often
+    lump a and b differently."""
+    net = random_network(rng, max_species, max_reactions)
+    a, b = rng.sample(range(net.n_species), 2)
+
+    def swap(ms):
+        return Multiset([(b if i == a else a if i == b else i, c)
+                         for i, c in ms])
+
+    touching = [r.id for r in net.reactions
+                if r.reactant.count(a) or r.reactant.count(b)]
+    moved = rng.choice(touching) if touching else -1
+    reactions = []
+    for r in net.reactions:
+        rate = r.rate
+        if r.id == moved:
+            step = rng.choice((0.25, 0.5))
+            rate = (RateInterval(rate.lo, rate.hi + step)
+                    if rate.lo < step or rng.random() < 0.5
+                    else RateInterval(rate.lo - step, rate.hi))
+        reactions += [Reaction(r.reactant, r.product, r.rate, len(reactions)),
+                      Reaction(swap(r.reactant), swap(r.product), rate,
+                               len(reactions) + 1)]
+    return ReactionNetwork(net.species, reactions)
+
+
 def random_partition(rng: random.Random, n: int) -> Partition:
     labels = [rng.randrange(1 + rng.randrange(n)) for _ in range(n)]
     blocks = {}
@@ -182,6 +212,20 @@ def refine_partition(net: ReactionNetwork, part: Partition,
         if len(blocks) == part.n_blocks:
             return part
         part = Partition(blocks, part.n)
+
+
+def alternating_refinement(net: ReactionNetwork,
+                           part: Partition) -> Partition:
+    """Coarsest partition refining `part` that is a species equivalence of
+    both extremal networks, by alternating rounds: refine under the lower
+    rates until stable, then under the upper rates, until a whole round
+    leaves the partition unchanged."""
+    while True:
+        before = part.n_blocks
+        for extremal in ("lower", "upper"):
+            part = refine_partition(net, part, extremal)
+        if part.n_blocks == before:
+            return part
 
 
 class DenseVectorField:

@@ -123,6 +123,21 @@ class TestReduce:
         assert all(f["ok"] for f in report["files"])
         assert (outdir / "a.red.crn").exists()
         assert (outdir / "a.map.json").exists()
+        # each entry reports what a single-file run reports, and writes the
+        # same files
+        assert run(["reduce", "-i", str(indir / "a.crn"),
+                    "-o", str(tmp_path / "a.crn"), "--map", str(tmp_path / "a.json"),
+                    "--report", str(tmp_path / "one.json")]) == 0
+        one = read_report(tmp_path / "one.json")
+        entry = report["files"][0]
+        assert entry["file"] == str(indir / "a.crn")
+        for key in ("input", "output", "blocks", "rounds", "sweeps"):
+            assert entry[key] == one[key]
+        assert entry["phases_ms"].keys() == one["phases_ms"].keys()
+        assert (outdir / "a.red.crn").read_bytes() \
+            == (tmp_path / "a.crn").read_bytes()
+        assert (outdir / "a.map.json").read_bytes() \
+            == (tmp_path / "a.json").read_bytes()
 
 
 class _InlinePool:

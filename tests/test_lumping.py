@@ -11,9 +11,10 @@ from crnlump.lumping import (InvalidPartitionError, check_equivalence,
 from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
                            ReactionNetwork, Species)
 
-from conftest import (block_projection, perturb_rate, random_network,
-                      random_partition, refine_partition, refines,
-                      set_partitions, species_signature)
+from conftest import (alternating_refinement, block_projection,
+                      perturb_rate, random_network, random_partition,
+                      refine_partition, refines, set_partitions,
+                      species_signature, swapped_twin_network)
 
 # two-site fixture rate endpoints, by reaction id (0-based)
 A1 = (1.0, 2.0)     # site-1 binding == site-2 binding (ids 0, 2)
@@ -105,9 +106,37 @@ class TestCoarsestEquivalence:
             assert tuple(sorted(members)) in groups
 
     def test_rounds_reported(self, two_site, two_site_partition):
-        stats = {}
-        coarsest_equivalence(two_site, two_site_partition, stats=stats)
-        assert stats["rounds"] >= 1 and stats["sweeps"] >= 2
+        # a round is one sweep under both extremals; the last splits nothing
+        for start, sweeps in ((two_site_partition, 1),
+                              (Partition.one_block(5), 2)):
+            stats = {}
+            coarsest_equivalence(two_site, start, stats=stats)
+            assert stats == {"rounds": sweeps, "sweeps": sweeps}
+
+    @pytest.mark.parametrize("text", [
+        "A -> C , [-0 : 1]\nB -> C , [0 : 1]\n",
+        "A -> C , [-0 : 1]\nA -> C , [0 : 1]\nB -> C , [0 : 2]\n",
+        "A -> C , [-0 : -0]\nB -> C , [0 : 0]\n",
+    ])
+    def test_negative_zero_rate_is_zero(self, text):
+        net = cl.parse_model("species A B C\n" + text).network
+        part = Partition([[0, 1], [2]], 3)
+        assert check_equivalence(net, part)
+        assert coarsest_equivalence(net, part) == part
+
+    def test_matches_alternating_rounds_oracle(self):
+        rng = random.Random(23)
+        differing = 0
+        for k in range(400):
+            net = swapped_twin_network(rng)
+            initial = (Partition.one_block(net.n_species) if k % 2
+                       else random_partition(rng, net.n_species))
+            if (refine_partition(net, initial, "lower")
+                    != refine_partition(net, initial, "upper")):
+                differing += 1
+            assert coarsest_equivalence(net, initial) \
+                == alternating_refinement(net, initial)
+        assert differing >= 40  # lo and hi must often split differently
 
 
 class TestCheckEquivalence:
@@ -219,8 +248,8 @@ class TestQuotient:
 
 
 class TestProvedPartition:
-    """quotient skips its equivalence check only for a result of
-    coarsest_equivalence, and only on the network it was computed for."""
+    """quotient skips its equivalence check exactly for a partition equal,
+    by value, to the one lumping last proved on the same network object."""
 
     @pytest.fixture
     def check_calls(self, monkeypatch):
@@ -252,34 +281,48 @@ class TestProvedPartition:
         quotient(twin, part)
         assert [args[0] for args in check_calls] == [broken, twin]
 
-    def test_hand_built_and_copied_partitions_are_checked(
+    def test_copies_are_trusted_and_other_partitions_checked(
             self, two_site, two_site_partition, check_calls):
         part = coarsest_equivalence(two_site, two_site_partition)
         quotient(two_site, Partition(part.blocks, part.n))
         quotient(two_site, pickle.loads(pickle.dumps(part)))
-        assert len(check_calls) == 2
+        assert check_calls == []
+        finest = Partition.singletons(5)
+        quotient(two_site, finest)
+        with pytest.raises(InvalidPartitionError):
+            quotient(two_site, Partition.one_block(5))
+        assert [args[1] for args in check_calls] \
+            == [finest, Partition.one_block(5)]
+
+    def test_partition_accepted_by_check_is_trusted(
+            self, two_site, two_site_partition, check_calls):
+        twin = ReactionNetwork(two_site.species, two_site.reactions)
+        assert check_equivalence(twin, two_site_partition)
+        assert not check_equivalence(twin, Partition.one_block(5))
+        quotient(twin, Partition(two_site_partition.blocks, 5))
+        assert check_calls == []
 
 
 class TestSignatureOracle:
     """One pass of the array sweep splits every block exactly as grouping its
-    members by their oracle signatures does."""
+    members by both of their oracle signatures, lower and upper, does."""
 
     @staticmethod
-    def split_by_sweep(net, part, rates):
+    def split_by_sweep(net, part):
         c = net.compiled
         label, n_blocks = lumping._sweep(
-            c, lumping._reactant_pairs(c, net.n_species), rates,
+            c, lumping._reactant_pairs(c, net.n_species),
             np.asarray(part.block_of))
         return Partition([np.flatnonzero(label == b).tolist()
                           for b in range(n_blocks)], net.n_species)
 
     @staticmethod
-    def split_by_oracle(net, part, extremal):
+    def split_by_oracle(net, part, extremals=("lower", "upper")):
         groups = {}
         for a in range(net.n_species):
-            sig = species_signature(net, part, extremal, a).entries
-            groups.setdefault((part.block_of[a], frozenset(sig.items())),
-                              []).append(a)
+            sigs = tuple(frozenset(species_signature(net, part, e, a)
+                                   .entries.items()) for e in extremals)
+            groups.setdefault((part.block_of[a], sigs), []).append(a)
         return Partition(groups.values(), net.n_species)
 
     def test_sweep_matches_oracle_on_random_networks(self):
@@ -288,13 +331,12 @@ class TestSignatureOracle:
         for _ in range(80):
             net = random_network(rng)
             part = random_partition(rng, net.n_species)
-            c = net.compiled
-            for extremal, rates in (("lower", c.lo), ("upper", c.hi)):
-                assert self.split_by_sweep(net, part, rates) \
-                    == self.split_by_oracle(net, part, extremal)
-                nonempty += sum(
-                    bool(species_signature(net, part, extremal, a).entries)
-                    for b in part.blocks if len(b) > 1 for a in b)
+            assert self.split_by_sweep(net, part) \
+                == self.split_by_oracle(net, part)
+            nonempty += sum(
+                bool(species_signature(net, part, extremal, a).entries)
+                for extremal in ("lower", "upper")
+                for b in part.blocks if len(b) > 1 for a in b)
         assert nonempty >= 100  # the networks must exercise real signatures
 
     @pytest.mark.parametrize("text, n_blocks", [
@@ -310,11 +352,22 @@ class TestSignatureOracle:
     def test_hand_built_keys(self, text, n_blocks):
         net = cl.parse_model("species A B C D\n" + text).network
         part = Partition([[0, 1], [2], [3]], 4)
-        for extremal, rates in (("lower", net.compiled.lo),
-                                ("upper", net.compiled.hi)):
-            got = self.split_by_sweep(net, part, rates)
-            assert got == self.split_by_oracle(net, part, extremal)
-            assert got.n_blocks == n_blocks
+        got = self.split_by_sweep(net, part)
+        assert got == self.split_by_oracle(net, part)
+        assert got.n_blocks == n_blocks
+
+    def test_lower_and_upper_splits_differ(self):
+        # lower rates part {A B} from C, upper rates part {A C} from B: one
+        # sweep splits the block into their meet
+        net = cl.parse_model("species A B C D\nA -> D , [1.0 : 2.0]\n"
+                             "B -> D , [1.0 : 3.0]\n"
+                             "C -> D , [0.5 : 2.0]\n").network
+        part = Partition([[0, 1, 2], [3]], 4)
+        assert self.split_by_oracle(net, part, ("lower",)) \
+            == Partition([[0, 1], [2], [3]], 4)
+        assert self.split_by_oracle(net, part, ("upper",)) \
+            == Partition([[0, 2], [1], [3]], 4)
+        assert self.split_by_sweep(net, part) == Partition.singletons(4)
 
 
 class TestNoopReactions:

@@ -132,6 +132,30 @@ class TestPartitionFile:
         with pytest.raises(ParseError):
             parse_partition_file("partition { Q }", net)
 
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("partition { A } { Z }", "unknown species 'Z'", 1, 19),
+        ("\npartition { A B }\n\npartition { C }\n",
+         "duplicate partition declaration", 4, 1),
+        ("partition { A B }\nA -> C , 5\n",
+         "expected a partition line, got 'A'", 2, 1),
+        ("init A = 1\npartition { A }", "expected a partition line, got 'init'",
+         1, 1),
+        ("partition { A } x", "expected {, got 'x'", 1, 17),
+        ("partition { A } { A }", "species 'A' in two partition blocks", 1, 19),
+        ("\n  \n", "no partition line found", 1, 1),
+    ])
+    def test_errors_are_located_in_the_file(self, text, message, line, col):
+        net = parse_model("species A B C\n").network
+        with pytest.raises(ParseError) as info:
+            parse_partition_file(text, net)
+        assert (info.value.message, info.value.line, info.value.col) \
+            == (message, line, col)
+
+    def test_blank_lines_around_the_partition(self):
+        net = parse_model("species A B C\n").network
+        part = parse_partition_file("\n  partition { C A }\r\n\t\n", net)
+        assert part.blocks == ((0, 2), (1,))
+
 
 class TestEdgeList:
     def test_single_directed_edge(self):
