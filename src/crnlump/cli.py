@@ -117,13 +117,18 @@ def _initial_vector(text: Optional[str], net: ReactionNetwork,
     return None
 
 
-def _write_block_map(path, net: ReactionNetwork, part: Partition):
-    """Block map JSON: each block's representative and members, by name."""
-    names = net.names
-    blocks = [{"representative": names[rep], "members": [names[i] for i in block]}
-              for rep, block in zip(part.representatives, part.blocks)]
-    Path(path).write_text(json.dumps({"blocks": blocks}, indent=2) + "\n",
-                          encoding="utf-8")
+def _block_map_text(names: Tuple[str, ...], part: Partition) -> str:
+    """Block map JSON, each block's representative and members by name: the
+    text of `json.dumps(..., indent=2)`, built from one C-encoded string per
+    name (an indented dump runs the pure-Python encoder)."""
+    quoted = [json.dumps(name) for name in names]
+    blocks = ",\n".join(
+        '    {\n      "representative": ' + quoted[rep]
+        + ',\n      "members": [\n        '
+        + ",\n        ".join([quoted[i] for i in block]) + "\n      ]\n    }"
+        for rep, block in zip(part.representatives, part.blocks))
+    body = "[\n" + blocks + "\n  ]" if blocks else "[]"
+    return '{\n  "blocks": ' + body + "\n}\n"
 
 
 def _reduce_model(path, partition_file, output, map_path) -> dict:
@@ -144,7 +149,8 @@ def _reduce_model(path, partition_file, output, map_path) -> dict:
         Path(output).write_text(serialize_model(ModelDocument(lumped)),
                                 encoding="utf-8")
     if map_path:
-        _write_block_map(map_path, net, part)
+        Path(map_path).write_text(_block_map_text(net.names, part),
+                                  encoding="utf-8")
     phases.mark("write")
     return {
         "input": {"species": net.n_species, "reactions": net.n_reactions},
@@ -193,10 +199,22 @@ def _batch_workers(n_files: int) -> int:
     return min(requested, n_files, cpus)
 
 
+def _batch_inputs(in_dir: Path, out_dir: Path) -> List[str]:
+    """The `*.crn` files of `in_dir`, in name order, without those this run
+    writes as another input's `<stem>.red.crn`. Shorter names are decided
+    first, since an output's name is longer than its input's."""
+    files, outputs = [], set()
+    for p in sorted(in_dir.glob("*.crn"), key=lambda p: (len(p.name), p.name)):
+        if p.resolve() not in outputs:
+            files.append(str(p))
+            outputs.add(Path(out_dir, f"{p.stem}.red.crn").resolve())
+    return sorted(files)
+
+
 def _reduce_batch(args) -> int:
     in_dir = Path(args.batch)
     out_dir = Path(args.out_dir or in_dir)
-    files = sorted(str(p) for p in in_dir.glob("*.crn"))
+    files = _batch_inputs(in_dir, out_dir)
     try:
         workers = _batch_workers(len(files))
     except ValueError as exc:

@@ -280,9 +280,10 @@ def build_generator(space: StateSpace, net: ReactionNetwork,
         raise StructuralError("state space and network have different species")
     names = net.names
 
-    def overflow(si: int, what: str, r=None) -> PropensityOverflowError:
-        if r is not None:
-            what = (f"reaction {r.id} ({r.reactant.format(names)} -> "
+    def overflow(si: int, what: str, j=None) -> PropensityOverflowError:
+        if j is not None:
+            r = net.reactions[j]
+            what = (f"reaction {j} ({r.reactant.format(names)} -> "
                     f"{r.product.format(names)}): {what}")
         return PropensityOverflowError(
             counts[si].copy(),
@@ -295,7 +296,6 @@ def build_generator(space: StateSpace, net: ReactionNetwork,
         rate = rates[j]
         if rate == 0.0:
             continue
-        r = net.reactions[j]
         used = need[:, j] > 0
         fb = _falling_binomials(counts, c.idx[used, j], need[used, j])
         src = np.flatnonzero(fb)
@@ -303,7 +303,7 @@ def build_generator(space: StateSpace, net: ReactionNetwork,
             continue
         big = np.flatnonzero(fb[src] > _EXACT_INT_MAX)
         if len(big):
-            raise overflow(src[big[0]], "falling binomial exceeds 2**53", r)
+            raise overflow(src[big[0]], "falling binomial exceeds 2**53", j)
         succ = counts[src]
         a, b = c.offsets[j], c.offsets[j + 1]
         succ[:, c.sp[a:b]] += dn[a:b]
@@ -318,7 +318,7 @@ def build_generator(space: StateSpace, net: ReactionNetwork,
         if len(bad):
             si = src[bad[0]]
             raise overflow(si, f"rate {rate!r} x falling binomial "
-                               f"{int(fb[si])} overflows", r)
+                               f"{int(fb[si])} overflows", j)
         parts.append((src.astype(np.int32), dst.astype(np.int32), hi, lo))
     n = space.n_states
     if parts:

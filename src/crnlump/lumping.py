@@ -43,14 +43,13 @@ rounding. A sum of -0.0 (a `[-0 : hi]` rate) is compared as 0.0.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .model import (CompiledNetwork, Multiset, Partition, RateInterval,
-                    Reaction, ReactionNetwork, Species, StructuralError,
-                    group_sums, project_key, row_keys)
+from .model import (CompiledNetwork, Multiset, Partition, ReactionNetwork,
+                    ReactionTable, Species, StructuralError, group_sums,
+                    project_key, row_keys)
 
 
 class InvalidPartitionError(ValueError):
@@ -94,28 +93,42 @@ def _row_ids(rows: np.ndarray) -> np.ndarray:
     return ids
 
 
+def _block_sums(owner: np.ndarray, block: np.ndarray, value: np.ndarray):
+    """Owner, block and summed value of each (owner, block) run of the
+    terms, sorted by owner, then block."""
+    order = np.lexsort((block, owner))
+    owner, block = owner[order], block[order]
+    run = _run_ids(owner, block)
+    total = np.bincount(run, value[order])
+    first = np.flatnonzero(np.diff(run, prepend=-1))
+    return owner[first], block[first], total
+
+
+def _owner_ids(owner: np.ndarray, block: np.ndarray, value: np.ndarray,
+               n: int) -> np.ndarray:
+    """For (owner, block, value) triples sorted by owner, then block: per
+    owner 0..n-1, an id of its sorted (block, value) pairs, equal pair
+    lists sharing it; -1 for an owner with no pair."""
+    # one row of (block, value) pairs per owner, padded with -1
+    row = _run_ids(owner)
+    pos = np.arange(len(owner)) - np.searchsorted(row, row)
+    table = np.full((row.max(initial=-1) + 1,
+                     2 * (pos.max(initial=-1) + 1)), -1, dtype=np.int64)
+    table[row, 2 * pos], table[row, 2 * pos + 1] = block, value
+    ids = np.full(n, -1)
+    ids[np.unique(owner)] = _row_ids(table)
+    return ids
+
+
 def _change_ids(c: CompiledNetwork, need: np.ndarray,
                 label: np.ndarray) -> np.ndarray:
     """Per reaction, an id of its projected net change, the sorted nonzero
     (block, change) sums over its triples; -1 for a zero change or a
     reaction not in `need`."""
     t = np.flatnonzero(need[c.rx])
-    rx, b, dn = c.rx[t], label[c.sp[t]], c.dn[t]
-    order = np.lexsort((b, rx))
-    rx, b = rx[order], b[order]
-    run = _run_ids(rx, b)
-    change = np.bincount(run, dn[order])
-    first = np.flatnonzero(np.diff(run, prepend=-1))[change != 0]
-    rx, b, change = rx[first], b[first], change[change != 0]
-    # one row of (block, change) pairs per reaction, padded with -1
-    reaction = _run_ids(rx)
-    pos = np.arange(len(rx)) - np.searchsorted(reaction, reaction)
-    table = np.full((reaction.max(initial=-1) + 1,
-                     2 * (pos.max(initial=-1) + 1)), -1, dtype=np.int64)
-    table[reaction, 2 * pos], table[reaction, 2 * pos + 1] = b, change
-    ids = np.full(len(need), -1)
-    ids[np.unique(rx)] = _row_ids(table)
-    return ids
+    rx, b, change = _block_sums(c.rx[t], label[c.sp[t]], c.dn[t])
+    nonzero = change != 0
+    return _owner_ids(rx[nonzero], b[nonzero], change[nonzero], len(need))
 
 
 def _sweep(c: CompiledNetwork, pairs,
@@ -213,39 +226,61 @@ def quotient(net: ReactionNetwork,
     Reactions whose reactant mentions a non-representative are discarded,
     product species are rewritten to their block representatives, and
     reactions sharing (reactant, product) are fused by summing lower and
-    upper bounds independently. Raises InvalidPartitionError when the
-    partition is not a species equivalence. The check is skipped exactly
-    when `part` equals, by value, the partition that `coarsest_equivalence`
-    or `check_equivalence` last proved on this same network object.
+    upper bounds independently, each exactly; the fused reactions are in
+    the order of their first member. Raises InvalidPartitionError when the
+    partition is not a species equivalence, and OverflowError when a fused
+    rate overflows. The check is skipped exactly when `part` equals, by
+    value, the partition that `coarsest_equivalence` or `check_equivalence`
+    last proved on this same network object.
     """
     if part != net._proved and not check_equivalence(net, part):
         raise InvalidPartitionError("partition is not a species equivalence")
     reps = part.representatives
     block_of = part.block_of
-    is_rep = [False] * net.n_species
-    for orig in reps:
-        is_rep[orig] = True
+    t = net.table
 
     # a representative's new index is its block id, so a side's new entries
-    # are its canonical per-block projection
+    # are its canonical per-block projection; every distinct side is
+    # projected and the projections are numbered
+    size, sp, cnt = net.flat
+    owner = np.repeat(np.arange(len(t.sides)), size)
+    label = np.asarray(block_of, dtype=np.int64)
+    side, block, count = _block_sums(owner, label[sp], cnt)
+    proj = _owner_ids(side, block, count, len(t.sides)) + 1
+    is_rep = np.zeros(net.n_species, dtype=bool)
+    is_rep[list(reps)] = True
+    rep_only = np.bincount(owner, ~is_rep[sp], len(t.sides)) == 0
+    keep = np.flatnonzero(rep_only[t.lhs])
+    key = proj[t.lhs[keep]] * (proj.max(initial=0) + 1) + proj[t.rhs[keep]]
+    order = np.argsort(key, kind="stable")
+    key, keep = key[order], keep[order]
+    # a lone rate stays as it is and several are summed exactly; + 0.0
+    # turns -0.0 into 0.0, as math.fsum does
+    zero = np.zeros(len(keep))
+    start, lo = group_sums(key, t.lo[keep], zero)
+    hi = group_sums(key, t.hi[keep], zero)[1]
+    first = np.argsort(keep[start])
+    members, lo, hi = keep[start][first], lo[first] + 0.0, hi[first] + 0.0
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise OverflowError("a fused rate overflows")
+    # the new sides: the distinct projections of the fused reactions'
+    # sides, each from the runs of one side that has it; their entries are
+    # made in table order, which later walks over them read fastest
+    src = np.r_[t.lhs[members], t.rhs[members]]
+    _, at, new = np.unique(proj[src], return_index=True, return_inverse=True)
+    first_run = np.searchsorted(side, src[at])
+    n_runs = np.searchsorted(side, src[at], "right") - first_run
+    end = np.cumsum(n_runs)
+    run = (np.repeat(first_run - (end - n_runs), n_runs)
+           + np.arange(int(n_runs.sum())))
+    pairs = list(zip(block[run].tolist(), count[run].astype(np.int64).tolist()))
+    end = end.tolist()
+    sides = tuple(tuple(pairs[a:e]) for a, e in zip([0] + end, end))
+    table = ReactionTable(sides, new[:len(members)], new[len(members):],
+                          lo, hi)
+
     species = tuple(Species(net.species[orig].name, new_i)
                     for new_i, orig in enumerate(reps))
-    fused: Dict[Tuple[tuple, tuple], Tuple[List[float], List[float]]] = {}
-    for r in net.reactions:
-        rent = r.reactant.entries
-        if not all(is_rep[i] for i, _ in rent):
-            continue
-        key = (project_key(rent, block_of),
-               project_key(r.product.entries, block_of))
-        rates = fused.get(key)
-        if rates is None:
-            rates = fused[key] = ([], [])
-        rates[0].append(r.rate.lo)
-        rates[1].append(r.rate.hi)
-    reactions = [Reaction(Multiset.from_canonical(rx), Multiset.from_canonical(px),
-                          RateInterval(math.fsum(los), math.fsum(his)), rid)
-                 for rid, ((rx, px), (los, his)) in enumerate(fused.items())]
-
     init_state = None
     if net.initial_state is not None:
         init_state = Multiset.from_canonical(
@@ -257,5 +292,6 @@ def quotient(net: ReactionNetwork,
             acc[block_of[i]] += v
         init_conc = tuple(acc)
 
-    lumped = ReactionNetwork(species, reactions, init_state, init_conc)
+    lumped = ReactionNetwork.from_table(species, table, init_state, init_conc)
+    lumped._flat = (n_runs, block[run], count[run].astype(np.int64))
     return lumped, part

@@ -1,5 +1,6 @@
-"""Core domain types: species, multisets, rate intervals, reactions,
-partitions, and the compiled array form every layer reads a network through.
+"""Core domain types: species, multisets, rate intervals, reactions, the
+reaction table a network stores its reactions in, partitions, and the
+compiled array form every layer reads a network through.
 
 Everything in this module is immutable after construction and safe to share
 across threads. Species are interned to dense integer indices so that all
@@ -164,24 +165,79 @@ class Reaction:
         return self.reactant == self.product
 
 
+class ReactionTable(NamedTuple):
+    """A network's reactions as one table. `sides` are the distinct
+    canonical entry tuples of the reaction sides; reaction j is
+    `sides[lhs[j]] -> sides[rhs[j]]` with rate bounds `[lo[j], hi[j]]`. The
+    arrays are read-only."""
+
+    sides: Tuple[Tuple[Tuple[int, int], ...], ...]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _read_only(a, dtype) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 class ReactionNetwork:
     """A finite species set plus reactions with interval-valued rates.
 
-    The `lower` and `upper` rate vectors pin every rate at its interval
-    endpoint; these two extremal networks drive both the equivalence check
-    and the stochastic semantics. Optional initial data carries a molecule
-    multiset (stochastic) and/or a concentration vector (deterministic).
+    The reactions are stored as one `ReactionTable`, into which the
+    constructor interns the sides of the reactions it is given; it keeps
+    those reactions as `reactions`, which a network built by `from_table`
+    builds on first use. The `lower` and `upper` rate vectors pin every
+    rate at its interval endpoint; these two extremal networks drive both
+    the equivalence check and the stochastic semantics. Optional initial
+    data carries a molecule multiset (stochastic) and/or a concentration
+    vector (deterministic).
     """
 
-    __slots__ = ("species", "reactions", "initial_state",
-                 "initial_concentration", "_index_of", "_compiled",
-                 "_proved")
+    __slots__ = ("species", "table", "initial_state",
+                 "initial_concentration", "_reactions", "_index_of",
+                 "_flat", "_compiled", "_proved")
 
     def __init__(self, species: Sequence[Species], reactions: Sequence[Reaction],
                  initial_state: Optional[Multiset] = None,
                  initial_concentration: Optional[Sequence[float]] = None):
+        reactions = tuple(reactions)
+        for j, r in enumerate(reactions):
+            if r.id != j:
+                raise StructuralError("reaction ids must be contiguous and in order")
+        ids: Dict[tuple, int] = {}
+        R = len(reactions)
+        lhs = np.fromiter((ids.setdefault(r.reactant.entries, len(ids))
+                           for r in reactions), np.int64, R)
+        rhs = np.fromiter((ids.setdefault(r.product.entries, len(ids))
+                           for r in reactions), np.int64, R)
+        table = ReactionTable(
+            tuple(ids), lhs, rhs,
+            np.fromiter((r.rate.lo for r in reactions), float, R),
+            np.fromiter((r.rate.hi for r in reactions), float, R))
+        self._setup(species, table, initial_state, initial_concentration)
+        self._reactions: Optional[Tuple[Reaction, ...]] = reactions
+
+    @classmethod
+    def from_table(cls, species: Sequence[Species], table: ReactionTable,
+                   initial_state: Optional[Multiset] = None,
+                   initial_concentration: Optional[Sequence[float]] = None
+                   ) -> "ReactionNetwork":
+        """Trusted constructor: `table.sides` must be distinct and
+        canonical, and `lhs`, `rhs`, `lo` and `hi` of one length with side
+        ids in range. Only the species indices and the rates are checked;
+        `reactions` is built on first use."""
+        net = object.__new__(cls)
+        net._setup(species, table, initial_state, initial_concentration)
+        net._reactions = None
+        return net
+
+    def _setup(self, species, table: ReactionTable, initial_state,
+               initial_concentration):
         self.species: Tuple[Species, ...] = tuple(species)
-        self.reactions: Tuple[Reaction, ...] = tuple(reactions)
         names = [s.name for s in self.species]
         if len(set(names)) != len(names):
             raise StructuralError("duplicate species names")
@@ -189,12 +245,22 @@ class ReactionNetwork:
             if s.index != i:
                 raise StructuralError("species indices must be contiguous and in order")
         n = len(self.species)
-        for j, r in enumerate(self.reactions):
-            if r.id != j:
-                raise StructuralError("reaction ids must be contiguous and in order")
-            for idx, _ in r.reactant.entries + r.product.entries:
-                if idx >= n:
-                    raise StructuralError(f"reaction {j} references species index {idx} >= {n}")
+        sides = tuple(table.sides)
+        lhs, rhs = _read_only(table.lhs, np.int64), _read_only(table.rhs, np.int64)
+        lo, hi = _read_only(table.lo, float), _read_only(table.hi, float)
+        # a canonical side's last entry holds its largest species index
+        top = np.fromiter((s[-1][0] if s else -1 for s in sides), np.int64,
+                          len(sides))
+        bad = np.flatnonzero((top[lhs] >= n) | (top[rhs] >= n))
+        if len(bad):
+            j = int(bad[0])
+            raise StructuralError(f"reaction {j} references species index "
+                                  f"{max(top[lhs[j]], top[rhs[j]])} >= {n}")
+        bad = np.flatnonzero(~((0.0 <= lo) & (lo <= hi) & np.isfinite(hi)))
+        if len(bad):
+            j = int(bad[0])
+            raise StructuralError(f"reaction {j} has invalid rate interval "
+                                  f"[{lo[j]}; {hi[j]}]")
         if initial_state is not None:
             for idx, _ in initial_state:
                 if idx >= n:
@@ -204,12 +270,27 @@ class ReactionNetwork:
             conc = tuple(float(x) for x in initial_concentration)
             if len(conc) != n:
                 raise StructuralError("initial concentration length mismatch")
+        self.table = ReactionTable(sides, lhs, rhs, lo, hi)
         self.initial_state = initial_state
         self.initial_concentration = conc
         self._index_of: Dict[str, int] = {s.name: s.index for s in self.species}
+        self._flat: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._compiled: Optional[CompiledNetwork] = None
         # the partition lumping last proved an equivalence of this network
         self._proved: Optional[Partition] = None
+
+    @property
+    def reactions(self) -> Tuple[Reaction, ...]:
+        """The reactions as objects, built from the table on first use."""
+        if self._reactions is None:
+            t = self.table
+            sides = [Multiset.from_canonical(s) for s in t.sides]
+            self._reactions = tuple(
+                Reaction(sides[a], sides[b], RateInterval(lo, hi), j)
+                for j, (a, b, lo, hi) in enumerate(zip(
+                    t.lhs.tolist(), t.rhs.tolist(), t.lo.tolist(),
+                    t.hi.tolist())))
+        return self._reactions
 
     @property
     def n_species(self) -> int:
@@ -217,11 +298,18 @@ class ReactionNetwork:
 
     @property
     def n_reactions(self) -> int:
-        return len(self.reactions)
+        return len(self.table.lhs)
 
     @property
     def names(self) -> Tuple[str, ...]:
         return tuple(s.name for s in self.species)
+
+    @property
+    def flat(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`flat_sides` of the table's sides, built on first use and kept."""
+        if self._flat is None:
+            self._flat = flat_sides(self.table.sides)
+        return self._flat
 
     @property
     def compiled(self) -> "CompiledNetwork":
@@ -371,7 +459,8 @@ class CompiledNetwork(NamedTuple):
     counts' factorials. `rx`/`sp`/`dn` are the nonzero (reaction, species,
     net change) triples sorted by reaction, then species; reaction r owns
     `offsets[r]:offsets[r + 1]`, none for a no-op. `lo`/`hi` are the rate
-    bounds. Counts are floats, exact below 2**53."""
+    bounds, the reaction table's own arrays. Counts are floats, exact below
+    2**53."""
 
     idx: np.ndarray
     exp: np.ndarray
@@ -384,21 +473,36 @@ class CompiledNetwork(NamedTuple):
     hi: np.ndarray
 
 
-def compile_network(net: ReactionNetwork) -> CompiledNetwork:
-    """Build `net`'s CompiledNetwork; `ReactionNetwork.compiled` caches it."""
-    R, S = net.n_reactions, net.n_species
+def flat_sides(sides) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each side's entry count, and the species and count of every entry of
+    the sides in order."""
+    size = np.fromiter(map(len, sides), np.int64, len(sides))
+    n = int(size.sum())
     chain = itertools.chain.from_iterable
+    sp, cnt = np.fromiter(chain(chain(sides)), np.int64,
+                          2 * n).reshape(n, 2).T
+    return size, sp, cnt
 
-    def flat(sides):
-        """(reaction, slot, species, count) of every entry of the R sides."""
-        size = np.fromiter(map(len, sides), np.int64, R)
-        n = int(size.sum())
-        i, c = np.fromiter(chain(chain(sides)), np.int64, 2 * n).reshape(n, 2).T
-        slot = np.arange(n) - np.repeat(np.cumsum(size) - size, size)
-        return np.repeat(np.arange(R), size), slot, i, c
 
-    rin, slot, sin, cin = flat([r.reactant.entries for r in net.reactions])
-    rout, _, sout, cout = flat([r.product.entries for r in net.reactions])
+def compile_network(net: ReactionNetwork) -> CompiledNetwork:
+    """Build `net`'s CompiledNetwork from its reaction table;
+    `ReactionNetwork.compiled` caches it."""
+    t = net.table
+    R, S = net.n_reactions, net.n_species
+    size, species, count = net.flat
+    start = np.cumsum(size) - size
+
+    def gather(side):
+        """(reaction, slot, species, count) of every entry of the sides
+        `side[r]` of the reactions r."""
+        k = size[side]
+        reaction = np.repeat(np.arange(R), k)
+        slot = np.arange(len(reaction)) - np.repeat(np.cumsum(k) - k, k)
+        at = start[side][reaction] + slot
+        return reaction, slot, species[at], count[at]
+
+    rin, slot, sin, cin = gather(t.lhs)
+    rout, _, sout, cout = gather(t.rhs)
     K = int(slot.max(initial=-1)) + 1
     idx = np.full((K, R), S, dtype=np.intp)
     exp, fact = np.zeros((K, R)), np.ones((K, R))
@@ -411,11 +515,9 @@ def compile_network(net: ReactionNetwork) -> CompiledNetwork:
                          return_inverse=True)
     change = np.bincount(at, np.r_[-cin, cout], len(keys))
     rx, sp = np.divmod(keys[change != 0], max(S, 1))
-    bounds = np.fromiter(chain((r.rate.lo, r.rate.hi) for r in net.reactions),
-                         float, 2 * R).reshape(R, 2).T.copy()
     arrays = CompiledNetwork(idx, exp, fact.prod(axis=0), rx, sp,
                              change[change != 0],
-                             np.searchsorted(rx, np.arange(R + 1)), *bounds)
+                             np.searchsorted(rx, np.arange(R + 1)), t.lo, t.hi)
     for a in arrays:
         a.setflags(write=False)
     return arrays

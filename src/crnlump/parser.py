@@ -29,8 +29,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .model import (Multiset, Partition, RateInterval, Reaction,
-                    ReactionNetwork, Species)
+import numpy as np
+
+from .model import (Multiset, Partition, ReactionNetwork, ReactionTable,
+                    Species, flat_sides, row_keys)
 
 _KEYWORDS = {"species", "init", "partition"}
 
@@ -80,7 +82,6 @@ class ModelDocument:
     initial_partition: Optional[Partition] = None
     labels: Dict[int, str] = field(default_factory=dict)
     source: Optional[str] = field(default=None, compare=False)
-    reaction_lines: Dict[int, int] = field(default_factory=dict, compare=False)
 
     def structurally_equal(self, other: "ModelDocument") -> bool:
         return (self.network.structurally_equal(other.network)
@@ -146,20 +147,23 @@ class _Cursor:
 class _Builder:
     """Accumulates declarations while parsing a model document.
 
-    `sides` and `rates` map the source text of a reaction side or rate to
-    the immutable object already built from it, so repeated text is parsed
-    once per document."""
+    Reactions are kept in table form: `side_ids` numbers the distinct
+    canonical sides, `bounds` holds lo, hi of each rate id and `rows` holds
+    lhs id, rhs id, rate id of each reaction, all flattened. `sides` and
+    `rates` map the source text of a reaction side or rate to its id, so
+    repeated text is parsed once per document."""
 
     def __init__(self):
         self.names: List[str] = []
         self.index: Dict[str, int] = {}
-        self.reactions: List[Reaction] = []
         self.labels: Dict[int, str] = {}
-        self.reaction_lines: Dict[int, int] = {}
         self.init_values: Dict[int, float] = {}
         self.partition_groups: Optional[List[List[int]]] = None
-        self.sides: Dict[str, Multiset] = {}
-        self.rates: Dict[tuple, RateInterval] = {}
+        self.side_ids: Dict[tuple, int] = {}
+        self.bounds: List[float] = []
+        self.rows: List[int] = []
+        self.sides: Dict[str, int] = {}
+        self.rates: Dict[tuple, int] = {}
 
     def declare(self, tok: Token):
         if tok.text in self.index:
@@ -181,13 +185,18 @@ class _Builder:
             raise ParseError(f"unknown species {tok.text!r}", tok.line, tok.col)
         return idx
 
-    def add_reaction(self, reactant: Multiset, product: Multiset,
-                     rate: RateInterval, label: Optional[str], line: int):
-        rid = len(self.reactions)
-        self.reactions.append(Reaction(reactant, product, rate, rid))
-        self.reaction_lines[rid] = line
+    def side(self, entries: Tuple[Tuple[int, int], ...]) -> int:
+        return self.side_ids.setdefault(entries, len(self.side_ids))
+
+    def rate(self, lo: float, hi: float) -> int:
+        self.bounds += (lo, hi)
+        return len(self.bounds) // 2 - 1
+
+    def add_reaction(self, lhs: int, rhs: int, rate: int,
+                     label: Optional[str]):
         if label is not None:
-            self.labels[rid] = label
+            self.labels[len(self.rows) // 3] = label
+        self.rows += (lhs, rhs, rate)
 
     def document(self, source: Optional[str]) -> ModelDocument:
         species = tuple(Species(name, i) for i, name in enumerate(self.names))
@@ -201,7 +210,12 @@ class _Builder:
             concentration = tuple(vec)
             if all(v.is_integer() for v in vec):
                 state = Multiset((i, int(v)) for i, v in enumerate(vec))
-        network = ReactionNetwork(species, self.reactions, state, concentration)
+        rows = np.array(self.rows, dtype=np.int64).reshape(-1, 3)
+        lo, hi = np.array(self.bounds).reshape(-1, 2)[rows[:, 2]].T
+        table = ReactionTable(tuple(self.side_ids), rows[:, 0], rows[:, 1],
+                              lo, hi)
+        network = ReactionNetwork.from_table(species, table, state,
+                                             concentration)
 
         partition = None
         if self.partition_groups is not None:
@@ -212,8 +226,7 @@ class _Builder:
                 groups.append(rest)
             partition = Partition(groups, n)
 
-        return ModelDocument(network, partition, self.labels, source,
-                             self.reaction_lines)
+        return ModelDocument(network, partition, self.labels, source)
 
 
 def _parse_number(tok: Token) -> float:
@@ -255,7 +268,7 @@ def _parse_multiset(cur: _Cursor, b: _Builder) -> Multiset:
     return Multiset(pairs)
 
 
-def _parse_rate(cur: _Cursor) -> RateInterval:
+def _parse_rate(cur: _Cursor) -> Tuple[float, float]:
     tok = cur.peek()
     if tok is not None and tok.kind == "sym" and tok.text == "[":
         cur.next()
@@ -269,12 +282,12 @@ def _parse_rate(cur: _Cursor) -> RateInterval:
         if lo > hi:
             raise ParseError(f"interval lower bound {lo} exceeds upper bound {hi}",
                              lo_tok.line, lo_tok.col)
-        return RateInterval(lo, hi)
+        return lo, hi
     num = cur.expect("number")
     value = _parse_number(num)
     if value < 0:
         raise ParseError("negative rate", num.line, num.col)
-    return RateInterval(value, value)
+    return value, value
 
 
 def _parse_species_line(cur: _Cursor, b: _Builder):
@@ -330,7 +343,7 @@ def _parse_partition_line(cur: _Cursor, b: _Builder, line: int):
     b.partition_groups = groups
 
 
-def _parse_reaction_line(cur: _Cursor, b: _Builder, line: int):
+def _parse_reaction_line(cur: _Cursor, b: _Builder):
     label = None
     tok0, tok1 = cur.peek(), cur.peek(1)
     if (tok0 is not None and tok0.kind == "ident" and tok1 is not None
@@ -344,7 +357,8 @@ def _parse_reaction_line(cur: _Cursor, b: _Builder, line: int):
     cur.expect("sym", ",")
     rate = _parse_rate(cur)
     cur.require_done()
-    b.add_reaction(reactant, product, rate, label, line)
+    b.add_reaction(b.side(reactant.entries), b.side(product.entries),
+                   b.rate(*rate), label)
 
 
 def _parse_line(b: _Builder, raw: str, line_no: int):
@@ -365,7 +379,7 @@ def _parse_line(b: _Builder, raw: str, line_no: int):
         cur.next()
         _parse_partition_line(cur, b, line_no)
     else:
-        _parse_reaction_line(cur, b, line_no)
+        _parse_reaction_line(cur, b)
 
 
 def _side_terms(side: str) -> List[Tuple[str, int]]:
@@ -383,27 +397,29 @@ def _side_terms(side: str) -> List[Tuple[str, int]]:
     return terms
 
 
-def _side_multiset(b: _Builder, side: str,
-                   terms: List[Tuple[str, int]]) -> Multiset:
-    if len(terms) == 1:
-        name, count = terms[0]
-        ms = Multiset.from_canonical(((b.intern(name), count),))
-    else:
-        acc: Dict[int, int] = {}
-        for name, count in terms:
+def _side_id(b: _Builder, side: str, terms: List[Tuple[str, int]]) -> int:
+    """Intern a side's species and its canonical entries; the side's id."""
+    index = b.index
+    acc: Dict[int, int] = {}
+    for name, count in terms:
+        idx = index.get(name)
+        if idx is None:
             idx = b.intern(name)
-            acc[idx] = acc.get(idx, 0) + count
-        ms = Multiset.from_canonical(tuple(sorted(acc.items())))
-    b.sides[side] = ms
-    return ms
+        acc[idx] = acc.get(idx, 0) + count
+    b.sides[side] = sid = b.side(tuple(sorted(acc.items())))
+    return sid
 
 
-def _fast_reaction(b: _Builder, m: re.Match, line_no: int) -> bool:
+def _fast_reaction(b: _Builder, m: re.Match) -> bool:
     label, lhs, rhs = m.group(1, 2, 3)
+    key = m.group(4, 5, 6)
+    rate, reactant, product = b.rates.get(key), b.sides.get(lhs), b.sides.get(rhs)
+    if label is None and None not in (rate, reactant, product):
+        # an unlabelled line whose rate and sides were all seen before
+        b.rows += (reactant, product, rate)
+        return True
     if label in _KEYWORDS:
         return False
-    key = m.group(4, 5, 6)
-    rate = b.rates.get(key)
     if rate is None:
         point, lo_text, hi_text = key
         if point is not None:
@@ -412,20 +428,18 @@ def _fast_reaction(b: _Builder, m: re.Match, line_no: int) -> bool:
             lo, hi = float(lo_text), float(hi_text)
         if not (lo <= hi and math.isfinite(hi)):
             return False
-        rate = b.rates[key] = RateInterval(lo, hi)
-    reactant, product = b.sides.get(lhs), b.sides.get(rhs)
-    if reactant is None or product is None:
-        # check both sides before interning anything: a rejected line must
-        # add nothing to the document
-        lterms = _side_terms(lhs) if reactant is None else []
-        rterms = _side_terms(rhs) if product is None else []
-        if any(name in _KEYWORDS for name, _ in lterms + rterms):
-            return False
-        if reactant is None:
-            reactant = _side_multiset(b, lhs, lterms)
-        if product is None:
-            product = _side_multiset(b, rhs, rterms)
-    b.add_reaction(reactant, product, rate, label, line_no)
+        rate = b.rates[key] = b.rate(lo, hi)
+    # check both sides before interning anything: a rejected line must add
+    # nothing to the document
+    lterms = _side_terms(lhs) if reactant is None else []
+    rterms = _side_terms(rhs) if product is None else []
+    if any(name in _KEYWORDS for name, _ in lterms + rterms):
+        return False
+    if reactant is None:
+        reactant = _side_id(b, lhs, lterms)
+    if product is None:
+        product = _side_id(b, rhs, rterms)
+    b.add_reaction(reactant, product, rate, label)
     return True
 
 
@@ -457,13 +471,13 @@ def _fast_partition(b: _Builder, m: re.Match) -> bool:
     return True
 
 
-def _parse_line_fast(b: _Builder, raw: str, line_no: int) -> bool:
+def _parse_line_fast(b: _Builder, raw: str) -> bool:
     """Regex path for reaction, `species` and `partition` lines. Returns
     False, having added nothing to the document, when the line must go to
     the tokenizer path instead."""
     m = _REACTION_RE.fullmatch(raw)
     if m is not None:
-        return _fast_reaction(b, m, line_no)
+        return _fast_reaction(b, m)
     m = _SPECIES_RE.fullmatch(raw)
     if m is not None:
         return _fast_species(b, m)
@@ -477,7 +491,7 @@ def parse_model(text: str, source: Optional[str] = None) -> ModelDocument:
     """Parse a model document; raises ParseError with source location on error."""
     b = _Builder()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not _parse_line_fast(b, raw, line_no):
+        if not _parse_line_fast(b, raw):
             _parse_line(b, raw, line_no)
     return b.document(source)
 
@@ -486,23 +500,46 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_rate(rate: RateInterval) -> str:
-    if rate.is_point:
-        return _fmt(rate.lo)
-    return f"[{_fmt(rate.lo)} : {_fmt(rate.hi)}]"
+def _side_texts(net: ReactionNetwork, names) -> np.ndarray:
+    """`Multiset.format` of each side of `net`'s table, as an object array,
+    built one term position at a time. The flat sides are used if the
+    network has them and not kept otherwise, so writing a network leaves
+    it as it was."""
+    size, sp, cnt = net._flat or flat_sides(net.table.sides)
+    term = np.array(names, dtype=object)[sp]
+    many = np.flatnonzero(cnt != 1)
+    term[many] = [f"{c} {name}" for c, name in
+                  zip(cnt[many].tolist(), term[many].tolist())]
+    start = np.cumsum(size) - size
+    text = np.full(len(size), "0", dtype=object)
+    for k in range(int(size.max(initial=0))):
+        more = np.flatnonzero(size > k)
+        text[more] = (term[start[more]] if k == 0 else
+                      text[more] + " + " + term[start[more] + k])
+    return text
 
 
 def serialize_model(doc: ModelDocument) -> str:
     """Deterministic serialization: species in index order, reactions in id
-    order; parsing the output reproduces the document structurally."""
+    order; parsing the output reproduces the document structurally. Each
+    distinct side and rate of the reaction table is formatted once."""
     net = doc.network
     names = net.names
+    t = net.table
+    sides = _side_texts(net, names)
+    # one text per distinct (lo, hi) bit pattern
+    _, first, rate = np.unique(row_keys(np.column_stack((t.lo, t.hi)).view(
+        np.int64)), return_index=True, return_inverse=True)
+    rates = np.array([repr(lo) if lo == hi else f"[{lo!r} : {hi!r}]"
+                      for lo, hi in zip(t.lo[first].tolist(),
+                                        t.hi[first].tolist())],
+                     dtype=object)
     lines = ["species" + ("" if not names else " " + " ".join(names))]
-    for r in net.reactions:
-        label = doc.labels.get(r.id)
-        prefix = f"{label}: " if label else ""
-        lines.append(f"{prefix}{r.reactant.format(names)} -> "
-                     f"{r.product.format(names)} , {_fmt_rate(r.rate)}")
+    lines += [f"{a} -> {b} , {r}" for a, b, r in zip(
+        sides[t.lhs].tolist(), sides[t.rhs].tolist(), rates[rate].tolist())]
+    for j, label in doc.labels.items():
+        if label and j in range(len(t.lhs)):
+            lines[j + 1] = f"{label}: {lines[j + 1]}"
     if net.initial_concentration is not None:
         items = [(i, v) for i, v in enumerate(net.initial_concentration) if v != 0.0]
         if not items and names:

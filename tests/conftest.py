@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 import crnlump as cl
-from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
-                           ReactionNetwork, Species, StructuralError,
-                           falling_binomial, project_key)
+from crnlump.model import (CompiledNetwork, Multiset, Partition,
+                           RateInterval, Reaction, ReactionNetwork, Species,
+                           StructuralError, falling_binomial, project_key)
 
 # Two-site reversible binding with sitewise-symmetric rate intervals: the
 # binding/unbinding pair of site 1 mirrors the pair of site 2, which makes
@@ -113,6 +114,47 @@ def swapped_twin_network(rng: random.Random, max_species: int = 5,
                       Reaction(swap(r.reactant), swap(r.product), rate,
                                len(reactions) + 1)]
     return ReactionNetwork(net.species, reactions)
+
+
+def varied_network(rng: random.Random, max_species: int = 5,
+                   max_reactions: int = 10) -> ReactionNetwork:
+    """Random network with the cases a reaction table must tell apart or
+    merge: no species or no reactions, a species in no reaction, duplicate
+    reactions, no-ops, reactants of up to three distinct species, and
+    `[-0 : hi]` and point `-0` rates. Half of the reactions come with a
+    twin under swapping two species, so that lumping merges species."""
+    k = rng.randint(0, max_species)
+    if k == 0:
+        return ReactionNetwork([], [])
+    # species k is in no reaction
+    species = [Species(f"S{i}", i) for i in range(k + 1)]
+    reactions: List[Reaction] = []
+
+    def add(reactant, product, rate):
+        reactions.append(Reaction(reactant, product, rate, len(reactions)))
+
+    def side():
+        return Multiset([(rng.randrange(k), rng.randint(1, 2))
+                         for _ in range(rng.randint(0, 3))])
+
+    m = rng.randint(0, max_reactions)
+    while len(reactions) < m:
+        reactant = side()
+        product = reactant if rng.random() < 0.15 else side()
+        lo = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0])
+        hi = lo if rng.random() < 0.4 else lo + rng.choice([0.25, 1.0])
+        add(reactant, product, RateInterval(lo, hi))
+        if rng.random() < 0.2:
+            add(reactant, product, RateInterval(lo, hi))
+        if rng.random() < 0.5 and k >= 2:
+            a, b = rng.sample(range(k), 2)
+
+            def swap(ms):
+                return Multiset([(b if i == a else a if i == b else i, c)
+                                 for i, c in ms])
+
+            add(swap(reactant), swap(product), RateInterval(lo, hi))
+    return ReactionNetwork(species, reactions)
 
 
 def random_partition(rng: random.Random, n: int) -> Partition:
@@ -384,3 +426,86 @@ def loop_lumpability(space, net: ReactionNetwork, extremal: str,
                 return (space.states[members[0]], space.states[i], k,
                         ref.get(k, 0.0), agg.get(k, 0.0))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference network construction: the walks over `Reaction` objects that
+# crnlump replaces by work on each network's reaction table.
+
+def loop_compile_network(net: ReactionNetwork) -> CompiledNetwork:
+    """`crnlump.model.compile_network` from the reaction objects, one side
+    at a time."""
+    R, S = net.n_reactions, net.n_species
+    chain = itertools.chain.from_iterable
+
+    def flat(sides):
+        """(reaction, slot, species, count) of every entry of the R sides."""
+        size = np.fromiter(map(len, sides), np.int64, R)
+        n = int(size.sum())
+        i, c = np.fromiter(chain(chain(sides)), np.int64, 2 * n).reshape(n, 2).T
+        slot = np.arange(n) - np.repeat(np.cumsum(size) - size, size)
+        return np.repeat(np.arange(R), size), slot, i, c
+
+    rin, slot, sin, cin = flat([r.reactant.entries for r in net.reactions])
+    rout, _, sout, cout = flat([r.product.entries for r in net.reactions])
+    K = int(slot.max(initial=-1)) + 1
+    idx = np.full((K, R), S, dtype=np.intp)
+    exp, fact = np.zeros((K, R)), np.ones((K, R))
+    idx[slot, rin], exp[slot, rin] = sin, cin
+    counts, at = np.unique(cin, return_inverse=True)
+    fact[slot, rin] = np.array([float(math.factorial(c))
+                                for c in counts.tolist()])[at]
+    keys, at = np.unique(np.r_[rin, rout] * max(S, 1) + np.r_[sin, sout],
+                         return_inverse=True)
+    change = np.bincount(at, np.r_[-cin, cout], len(keys))
+    rx, sp = np.divmod(keys[change != 0], max(S, 1))
+    bounds = np.fromiter(chain((r.rate.lo, r.rate.hi) for r in net.reactions),
+                         float, 2 * R).reshape(R, 2).T.copy()
+    return CompiledNetwork(idx, exp, fact.prod(axis=0), rx, sp,
+                           change[change != 0],
+                           np.searchsorted(rx, np.arange(R + 1)), *bounds)
+
+
+def dict_quotient(net: ReactionNetwork, part: Partition) -> ReactionNetwork:
+    """`crnlump.quotient` without its check, from the reaction objects:
+    the kept reactions, projected, are grouped in a dict in the order of
+    their first member and each group's bounds are summed by `math.fsum`."""
+    reps = part.representatives
+    block_of = part.block_of
+    is_rep = [False] * net.n_species
+    for orig in reps:
+        is_rep[orig] = True
+    species = tuple(Species(net.species[orig].name, new_i)
+                    for new_i, orig in enumerate(reps))
+    fused: Dict[Tuple[tuple, tuple], Tuple[List[float], List[float]]] = {}
+    for r in net.reactions:
+        rent = r.reactant.entries
+        if not all(is_rep[i] for i, _ in rent):
+            continue
+        key = (project_key(rent, block_of),
+               project_key(r.product.entries, block_of))
+        rates = fused.setdefault(key, ([], []))
+        rates[0].append(r.rate.lo)
+        rates[1].append(r.rate.hi)
+    reactions = [Reaction(Multiset.from_canonical(rx), Multiset.from_canonical(px),
+                          RateInterval(math.fsum(los), math.fsum(his)), rid)
+                 for rid, ((rx, px), (los, his)) in enumerate(fused.items())]
+    init_state = None
+    if net.initial_state is not None:
+        init_state = Multiset.from_canonical(
+            project_key(net.initial_state.entries, block_of))
+    init_conc = None
+    if net.initial_concentration is not None:
+        acc = [0.0] * len(reps)
+        for i, v in enumerate(net.initial_concentration):
+            acc[block_of[i]] += v
+        init_conc = tuple(acc)
+    return ReactionNetwork(species, reactions, init_state, init_conc)
+
+
+def reaction_rows(net: ReactionNetwork) -> list:
+    """The reactions in order as (reactant, product, lo bits, hi bits), so
+    that -0.0 and 0.0 differ."""
+    return [(r.id, r.reactant.entries, r.product.entries,
+             float(r.rate.lo).hex(), float(r.rate.hi).hex())
+            for r in net.reactions]

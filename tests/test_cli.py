@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -138,6 +140,98 @@ class TestReduce:
             == (tmp_path / "a.crn").read_bytes()
         assert (outdir / "a.map.json").read_bytes() \
             == (tmp_path / "a.json").read_bytes()
+
+
+    def test_batch_without_out_dir_skips_its_own_outputs(self, tmp_path):
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / "ms3.crn").write_text(
+            cl.serialize_model(cl.multisite_binding_model(3)))
+        for _ in range(2):
+            assert run(["reduce", "--batch", str(models),
+                        "--report", str(tmp_path / "rep.json")]) == 0
+            files = read_report(tmp_path / "rep.json")["files"]
+            assert [f["file"] for f in files] == [str(models / "ms3.crn")]
+        assert sorted(p.name for p in models.iterdir()) \
+            == ["ms3.crn", "ms3.map.json", "ms3.red.crn"]
+
+    def test_batch_input_named_like_an_output(self, tmp_path):
+        # no `solo.crn` is reduced, so nothing writes `solo.red.crn`
+        (tmp_path / "solo.red.crn").write_text(TWO_SITE_TEXT)
+        assert run(["reduce", "--batch", str(tmp_path),
+                    "--report", str(tmp_path / "rep.json")]) == 0
+        files = read_report(tmp_path / "rep.json")["files"]
+        assert [f["file"] for f in files] == [str(tmp_path / "solo.red.crn")]
+
+
+def _jittered_graph(seed: int, nodes: int, edges: int) -> cl.EdgeListGraph:
+    rng = random.Random(seed)
+    lines, seen = [], set()
+    while len(lines) < edges:
+        a, b = rng.randrange(nodes), rng.randrange(nodes)
+        if a != b and (a, b) not in seen:
+            seen.add((a, b))
+            lines.append(f"{a} {b} {1.0 + rng.uniform(-0.05, 0.05)!r}")
+    return cl.parse_edge_list("\n".join(lines) + "\n")
+
+
+_SIR = cl.SirParams(beta=0.4, gamma=0.25, eta=0.1,
+                    vaccination=cl.RateInterval(0.0, 1.0))
+
+
+class TestGoldenOutputs:
+    """sha256 of the reduced model and the block map `reduce` writes for
+    three seeded inputs: any change in those bytes shows here."""
+
+    @pytest.mark.parametrize("family,model_sha,map_sha", [
+        ("ms5", "0556909927de3d8478932b32788b5ebacf0f79351a932473ebb7514c8c9476ae",
+         "27c9f37c9d7a008d2caacb219a0a73657e92b82208a1ae59646a54a9a2cded86"),
+        ("star40", "d782da5e2de7829c09ec411a29e564e28990ba40a5f69ed940a7e67e09558d56",
+         "055ae74f5c6a388356c77943929f0850cffd44ac065e0aeab40ce00f32f0eec0"),
+        ("sirnet60", "7e83fba1e07f04b85d4a1c947828d6354f9dacedf1c7b68d213dc6d1de3d0a9d",
+         "70edb60ca678090bc9c9a0bcf1d04ecd17b93b54055a20591d1b151e29ce9cff"),
+    ])
+    def test_reduced_files(self, tmp_path, family, model_sha, map_sha):
+        doc = {"ms5": lambda: cl.multisite_binding_model(5),
+               "star40": lambda: cl.sir_star_model(40, _SIR),
+               "sirnet60": lambda: cl.sir_network_model(
+                   _jittered_graph(7, 60, 360), _SIR)}[family]()
+        model = tmp_path / "in.crn"
+        model.write_text(cl.serialize_model(doc))
+        out, mp = tmp_path / "red.crn", tmp_path / "map.json"
+        assert run(["reduce", "-i", str(model), "-o", str(out),
+                    "--map", str(mp)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == model_sha
+        assert hashlib.sha256(mp.read_bytes()).hexdigest() == map_sha
+
+
+class TestBlockMap:
+    @staticmethod
+    def indented_dump(names, part):
+        return json.dumps({"blocks": [
+            {"representative": names[rep], "members": [names[i] for i in b]}
+            for rep, b in zip(part.representatives, part.blocks)]},
+            indent=2) + "\n"
+
+    @pytest.mark.parametrize("part", [
+        cl.Partition([[0, 3], [1], [2, 4, 5]], 6), cl.Partition.one_block(6),
+        cl.Partition.singletons(6)])
+    def test_awkward_names(self, part):
+        names = ('q"uote', "back\\slash", "caf\u00e9", "\u222b\U0001f600",
+                 "tab\tnew\nline", "plain")
+        assert cli._block_map_text(names, part) == self.indented_dump(names, part)
+
+    def test_bundled_families(self, two_site_doc):
+        docs = [two_site_doc, cl.multisite_binding_model(3),
+                cl.sir_star_model(5, _SIR),
+                cl.sir_network_model(_jittered_graph(3, 12, 30), _SIR),
+                cl.ModelDocument(cl.ReactionNetwork([], []),
+                                 cl.Partition.one_block(0))]
+        for doc in docs:
+            net = doc.network
+            part = cl.coarsest_equivalence(net, doc.initial_partition)
+            assert cli._block_map_text(net.names, part) \
+                == self.indented_dump(net.names, part)
 
 
 class _InlinePool:

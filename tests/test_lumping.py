@@ -12,9 +12,10 @@ from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
                            ReactionNetwork, Species)
 
 from conftest import (alternating_refinement, block_projection,
-                      perturb_rate, random_network, random_partition,
-                      refine_partition, refines, set_partitions,
-                      species_signature, swapped_twin_network)
+                      dict_quotient, perturb_rate, random_network,
+                      random_partition, reaction_rows, refine_partition,
+                      refines, set_partitions, species_signature,
+                      swapped_twin_network, varied_network)
 
 # two-site fixture rate endpoints, by reaction id (0-based)
 A1 = (1.0, 2.0)     # site-1 binding == site-2 binding (ids 0, 2)
@@ -245,6 +246,55 @@ class TestQuotient:
                 canon.add((reactant, product, r.rate.lo, r.rate.hi))
             out.append(canon)
         assert out[0] == out[1]
+
+
+class TestQuotientOracle:
+    def test_matches_dict_quotient_on_random_networks(self):
+        rng = random.Random(31)
+        lumped = fused = 0
+        for _ in range(300):
+            net = varied_network(rng)
+            n = net.n_species
+            start = (random_partition(rng, n) if n and rng.random() < 0.5
+                     else Partition.one_block(n))
+            part = coarsest_equivalence(net, start)
+            # the same network parsed back, so that its table comes from text
+            text = cl.serialize_model(cl.ModelDocument(net))
+            for source in (net, cl.parse_model(text).network):
+                got, _ = quotient(source, part)
+                want = dict_quotient(source, part)
+                assert got.names == want.names
+                assert reaction_rows(got) == reaction_rows(want)
+                assert got.structurally_equal(want)
+                for a, b in zip(got.compiled, want.compiled):
+                    assert (a.dtype, a.shape, a.tobytes()) \
+                        == (b.dtype, b.shape, b.tobytes())
+            reps = set(part.representatives)
+            lumped += part.n_blocks < n
+            fused += got.n_reactions < sum(
+                all(i in reps for i, _ in r.reactant) for r in net.reactions)
+        assert lumped >= 100 and fused >= 50
+
+    def test_negative_zero_sums_are_zero(self):
+        net = cl.parse_model("species A B C\n"
+                             "A -> B , [-0 : 1]\nA -> C , [-0 : 1]\n"
+                             "B -> A , -0\nB -> 0 , -0\nC -> A , 0\n").network
+        part = Partition([[0], [1, 2]], 3)
+        got, _ = quotient(net, part)
+        assert reaction_rows(got) == reaction_rows(dict_quotient(net, part))
+        assert [r.rate.lo.hex() for r in got.reactions] \
+            == [(0.0).hex()] * got.n_reactions
+
+    def test_fused_rates_that_overflow_raise(self):
+        # A is alone in its block, so no sweep sums the two rates
+        doc = cl.parse_model("species A B C\nA -> B , 1e308\nA -> C , 1e308\n"
+                             "partition { A } { B C }\n")
+        net, part = doc.network, doc.initial_partition
+        assert check_equivalence(net, part)
+        with pytest.raises(OverflowError):
+            dict_quotient(net, part)
+        with pytest.raises(OverflowError):
+            quotient(net, part)
 
 
 class TestProvedPartition:

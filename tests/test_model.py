@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 import crnlump as cl
 from crnlump import model
-from crnlump.model import (Multiset, Partition, RateInterval, StructuralError,
-                           falling_binomial, project_key)
+from crnlump.model import (CompiledNetwork, Multiset, Partition, RateInterval,
+                           Reaction, ReactionNetwork, ReactionTable, Species,
+                           StructuralError, falling_binomial, project_key)
 
-from conftest import refines
+from conftest import (TWO_SITE_TEXT, loop_compile_network, refines,
+                      varied_network)
 
 
 def ms(*pairs):
@@ -237,3 +240,75 @@ class TestCompiledNetwork:
             cl.build_generator(space, net, "upper")
             cl.ssa_simulate(net, init, sched.values[0], 0.5, seed=1)
         assert built == {id(net): 1, id(lumped): 1}
+
+    def test_arrays_match_the_object_walking_oracle(self):
+        rng = random.Random(23)
+        sir = cl.SirParams(0.4, 0.25, 0.1)
+        graph = cl.parse_edge_list("0 1 0.5\n1 2 1.5\n2 0 0.25\n0 2 1.0\n")
+        nets = [varied_network(rng) for _ in range(250)] + [
+            cl.parse_model(TWO_SITE_TEXT).network,
+            cl.multisite_binding_model(4).network,
+            cl.sir_star_model(6, sir).network,
+            cl.sir_network_model(graph, sir, 0.25).network]
+        # the same networks with the tables the parser builds from text
+        nets += [cl.parse_model(cl.serialize_model(cl.ModelDocument(net))).network
+                 for net in nets]
+        assert sum(net.n_species == 0 for net in nets) >= 10
+        assert sum(net.n_reactions == 0 and net.n_species > 0
+                   for net in nets) >= 10
+        for net in nets:
+            got, want = net.compiled, loop_compile_network(net)
+            for name, a, b in zip(CompiledNetwork._fields, got, want):
+                assert (a.dtype, a.shape, a.tobytes()) \
+                    == (b.dtype, b.shape, b.tobytes()), name
+
+
+class TestReactionTable:
+    def test_given_reactions_are_kept_and_interned(self):
+        rng = random.Random(4)
+        for _ in range(100):
+            net = varied_network(rng)
+            given = net.reactions
+            again = ReactionNetwork(net.species, given)
+            assert again.reactions is given
+            t = again.table
+            assert len(set(t.sides)) == len(t.sides)
+            assert [(t.sides[a], t.sides[b]) for a, b in
+                    zip(t.lhs.tolist(), t.rhs.tolist())] \
+                == [(r.reactant.entries, r.product.entries) for r in given]
+            assert t.lo.tolist() == [r.rate.lo for r in given]
+            assert t.hi.tolist() == [r.rate.hi for r in given]
+            for a in (t.lhs, t.rhs, t.lo, t.hi):
+                assert not a.flags.writeable
+
+    def test_parsed_reactions_are_built_once_on_first_use(self, two_site):
+        assert two_site._reactions is None
+        built = two_site.reactions
+        assert two_site.reactions is built
+        assert [r.id for r in built] == list(range(8))
+        assert built[0] == Reaction(Multiset([(0, 1), (1, 1)]),
+                                    Multiset([(3, 1)]), RateInterval(1.0, 2.0), 0)
+
+    def test_reduce_pipeline_builds_no_reaction_objects(self):
+        doc = cl.parse_model(cl.serialize_model(cl.multisite_binding_model(4)))
+        net = doc.network
+        part = cl.coarsest_equivalence(net, doc.initial_partition)
+        lumped, _ = cl.quotient(net, part)
+        cl.serialize_model(cl.ModelDocument(lumped))
+        assert net._reactions is None and lumped._reactions is None
+
+    @pytest.mark.parametrize("sides,lhs,rhs,lo,hi,message", [
+        ([((0, 1),), ((2, 1),)], [0], [1], [1.0], [1.0],
+         "reaction 0 references species index 2 >= 2"),
+        ([((0, 1),)], [0], [0], [2.0], [1.0], "invalid rate interval"),
+        ([((0, 1),)], [0], [0], [-1.0], [1.0], "invalid rate interval"),
+        ([((0, 1),)], [0], [0], [0.0], [np.inf], "invalid rate interval"),
+        ([((0, 1),)], [0], [0], [np.nan], [1.0], "invalid rate interval"),
+    ])
+    def test_trusted_constructor_checks_the_table(self, sides, lhs, rhs, lo,
+                                                  hi, message):
+        species = [Species("A", 0), Species("B", 1)]
+        table = ReactionTable(tuple(sides), np.array(lhs), np.array(rhs),
+                              np.array(lo), np.array(hi))
+        with pytest.raises(StructuralError, match=message):
+            ReactionNetwork.from_table(species, table)

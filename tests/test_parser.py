@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -9,7 +10,7 @@ from crnlump.model import Multiset, Partition, RateInterval
 from crnlump.parser import (ParseError, _Builder, _parse_line, parse_edge_list,
                             parse_model, parse_partition_file, serialize_model)
 
-from conftest import TWO_SITE_TEXT
+from conftest import TWO_SITE_TEXT, varied_network
 
 
 class TestParseModel:
@@ -119,6 +120,23 @@ class TestSerialize:
         out = parse_model(text)
         assert out.network.structurally_equal(lumped)
 
+    def test_reaction_lines_match_per_reaction_formatting(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            net = varied_network(rng)
+            names = net.names
+            labels = {r.id: f"r{r.id}" for r in net.reactions
+                      if rng.random() < 0.3}
+            lines = serialize_model(cl.ModelDocument(net, labels=labels))
+            want = []
+            for r in net.reactions:
+                lo, hi = r.rate.lo, r.rate.hi
+                rate = repr(lo) if lo == hi else f"[{lo!r} : {hi!r}]"
+                prefix = f"{labels[r.id]}: " if r.id in labels else ""
+                want.append(f"{prefix}{r.reactant.format(names)} -> "
+                            f"{r.product.format(names)} , {rate}")
+            assert lines.splitlines()[1:] == want
+
 
 class TestPartitionFile:
     def test_round_trip(self):
@@ -199,8 +217,7 @@ def outcome(parse, text):
         return ("error", err.message, err.line, err.col)
     net = doc.network
     return (net.names, net.reactions, net.initial_state,
-            net.initial_concentration, doc.initial_partition, doc.labels,
-            doc.reaction_lines)
+            net.initial_concentration, doc.initial_partition, doc.labels)
 
 
 class TestFastPathMatchesTokenizer:
