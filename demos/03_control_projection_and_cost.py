@@ -18,8 +18,7 @@ print(f"{net.n_species} variables -> {lumped.n_species}")
 
 # random piecewise-constant controls within each reaction's interval
 rng = np.random.default_rng(2)
-lo = np.array([r.rate.lo for r in net.reactions])
-hi = np.array([r.rate.hi for r in net.reactions])
+lo, hi = net.table.lo, net.table.hi
 sched = cl.ControlSchedule(np.arange(10.0),
                            lo + (hi - lo) * rng.random((10, net.n_reactions)))
 

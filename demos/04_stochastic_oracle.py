@@ -59,7 +59,7 @@ gap = max(abs(qt[j] - lifted.get(tuple(s.entries), 0.0))
 print(f"\nlifted transient gap at t = 1: {gap:.2e}")
 
 # 3. fluid convergence: scaled sample means approach the deterministic path
-alpha = [r.rate.midpoint for r in net.reactions]
+alpha = 0.5 * (net.table.lo + net.table.hi)
 traj = cl.simulate(net, np.array([1.0, 1.0, 0, 0, 0]),
                    cl.ControlSchedule.constant(alpha), 1.0, 1e-3)
 grid = np.linspace(0.0, 1.0, 21)

@@ -24,8 +24,7 @@ lumped, _ = cl.quotient(net, part)
 
 # pretend an optimizer handed us this lumped control
 rng = np.random.default_rng(5)
-lo = np.array([r.rate.lo for r in lumped.reactions])
-hi = np.array([r.rate.hi for r in lumped.reactions])
+lo, hi = lumped.table.lo, lumped.table.hi
 lumped_sched = cl.ControlSchedule(
     np.arange(10.0), lo + (hi - lo) * rng.random((10, lumped.n_reactions)))
 

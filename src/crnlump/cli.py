@@ -372,23 +372,20 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_generate(args) -> int:
     phases = _Phases()
-    if args.family == "sir-star":
-        params = SirParams(args.beta, args.gamma, args.eta,
-                           RateInterval(args.vac_lo, args.vac_hi))
-        doc = sir_star_model(args.n, params)
-    elif args.family == "sir-net":
-        params = SirParams(args.beta, args.gamma, args.eta,
-                           RateInterval(args.vac_lo, args.vac_hi))
-        graph = parse_edge_list(Path(args.edge_list).read_text(encoding="utf-8"),
-                                undirected=args.undirected)
-        doc = sir_network_model(graph, params, args.uncertainty_halfwidth)
-    elif args.family == "multisite":
+    if args.family == "multisite":
         doc = multisite_binding_model(
             args.n,
             RateInterval(args.assoc_lo, args.assoc_hi),
             RateInterval(args.dissoc_lo, args.dissoc_hi))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.family)
+    else:
+        params = SirParams(args.beta, args.gamma, args.eta,
+                           RateInterval(args.vac_lo, args.vac_hi))
+        if args.family == "sir-star":
+            doc = sir_star_model(args.n, params)
+        else:
+            graph = parse_edge_list(Path(args.edge_list).read_text(
+                encoding="utf-8"), undirected=args.undirected)
+            doc = sir_network_model(graph, params, args.uncertainty_halfwidth)
     phases.mark("generate")
     Path(args.output).write_text(serialize_model(doc), encoding="utf-8")
     phases.mark("write")

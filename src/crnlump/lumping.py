@@ -196,7 +196,7 @@ def coarsest_equivalence(net: ReactionNetwork, initial: Partition,
     ends = np.cumsum(np.bincount(label)).tolist()
     part = Partition((members[s:e] for s, e in zip([0] + ends, ends)),
                      net.n_species)
-    net._proved = part
+    net.proved = part
     return part
 
 
@@ -213,7 +213,7 @@ def check_equivalence(net: ReactionNetwork, part: Partition) -> bool:
         label = np.asarray(part.block_of, dtype=np.int64)
         if _sweep(c, pairs, label)[1] != part.n_blocks:
             return False
-    net._proved = part
+    net.proved = part
     return True
 
 
@@ -233,7 +233,7 @@ def quotient(net: ReactionNetwork,
     value, the partition that `coarsest_equivalence` or `check_equivalence`
     last proved on this same network object.
     """
-    if part != net._proved and not check_equivalence(net, part):
+    if part != net.proved and not check_equivalence(net, part):
         raise InvalidPartitionError("partition is not a species equivalence")
     reps = part.representatives
     block_of = part.block_of
@@ -242,14 +242,14 @@ def quotient(net: ReactionNetwork,
     # a representative's new index is its block id, so a side's new entries
     # are its canonical per-block projection; every distinct side is
     # projected and the projections are numbered
-    size, sp, cnt = net.flat
-    owner = np.repeat(np.arange(len(t.sides)), size)
+    n_sides = len(t.size)
+    owner = np.repeat(np.arange(n_sides), t.size)
     label = np.asarray(block_of, dtype=np.int64)
-    side, block, count = _block_sums(owner, label[sp], cnt)
-    proj = _owner_ids(side, block, count, len(t.sides)) + 1
+    side, block, count = _block_sums(owner, label[t.species], t.count)
+    proj = _owner_ids(side, block, count, n_sides) + 1
     is_rep = np.zeros(net.n_species, dtype=bool)
     is_rep[list(reps)] = True
-    rep_only = np.bincount(owner, ~is_rep[sp], len(t.sides)) == 0
+    rep_only = np.bincount(owner, ~is_rep[t.species], n_sides) == 0
     keep = np.flatnonzero(rep_only[t.lhs])
     key = proj[t.lhs[keep]] * (proj.max(initial=0) + 1) + proj[t.rhs[keep]]
     order = np.argsort(key, kind="stable")
@@ -273,11 +273,8 @@ def quotient(net: ReactionNetwork,
     end = np.cumsum(n_runs)
     run = (np.repeat(first_run - (end - n_runs), n_runs)
            + np.arange(int(n_runs.sum())))
-    pairs = list(zip(block[run].tolist(), count[run].astype(np.int64).tolist()))
-    end = end.tolist()
-    sides = tuple(tuple(pairs[a:e]) for a, e in zip([0] + end, end))
-    table = ReactionTable(sides, new[:len(members)], new[len(members):],
-                          lo, hi)
+    table = ReactionTable(n_runs, block[run], count[run], new[:len(members)],
+                          new[len(members):], lo, hi)
 
     species = tuple(Species(net.species[orig].name, new_i)
                     for new_i, orig in enumerate(reps))
@@ -293,5 +290,4 @@ def quotient(net: ReactionNetwork,
         init_conc = tuple(acc)
 
     lumped = ReactionNetwork.from_table(species, table, init_state, init_conc)
-    lumped._flat = (n_runs, block[run], count[run].astype(np.int64))
     return lumped, part

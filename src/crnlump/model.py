@@ -91,9 +91,6 @@ class Multiset:
                 acc[idx] = left
         return Multiset(acc.items())
 
-    def contains(self, other: "Multiset") -> bool:
-        return all(self.count(idx) >= cnt for idx, cnt in other.entries)
-
     def format(self, names: Sequence[str]) -> str:
         """Render as '2 A + B', or '0' for the empty multiset."""
         if not self.entries:
@@ -134,14 +131,6 @@ class RateInterval:
         if not (0.0 <= self.lo <= self.hi and math.isfinite(self.hi)):
             raise ValueError(f"invalid rate interval [{self.lo}; {self.hi}]")
 
-    @classmethod
-    def exact(cls, value: float) -> "RateInterval":
-        return cls(value, value)
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -166,12 +155,15 @@ class Reaction:
 
 
 class ReactionTable(NamedTuple):
-    """A network's reactions as one table. `sides` are the distinct
-    canonical entry tuples of the reaction sides; reaction j is
-    `sides[lhs[j]] -> sides[rhs[j]]` with rate bounds `[lo[j], hi[j]]`. The
-    arrays are read-only."""
+    """A network's reactions as one table of read-only arrays. Side k, one
+    of the distinct canonical reaction sides, has `size[k]` entries, which
+    are the next `size[k]` (`species`, `count`) pairs after those of sides
+    0..k-1, in increasing species order. Reaction j is side `lhs[j]` ->
+    side `rhs[j]` with rate bounds `[lo[j], hi[j]]`."""
 
-    sides: Tuple[Tuple[Tuple[int, int], ...], ...]
+    size: np.ndarray
+    species: np.ndarray
+    count: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     lo: np.ndarray
@@ -190,34 +182,30 @@ class ReactionNetwork:
     The reactions are stored as one `ReactionTable`, into which the
     constructor interns the sides of the reactions it is given; it keeps
     those reactions as `reactions`, which a network built by `from_table`
-    builds on first use. The `lower` and `upper` rate vectors pin every
-    rate at its interval endpoint; these two extremal networks drive both
-    the equivalence check and the stochastic semantics. Optional initial
-    data carries a molecule multiset (stochastic) and/or a concentration
-    vector (deterministic).
+    builds from the table on first use. The `lower` and `upper` rate
+    vectors pin every rate at its interval endpoint; these two extremal
+    networks drive both the equivalence check and the stochastic semantics.
+    Optional initial data carries a molecule multiset (stochastic) and/or a
+    concentration vector (deterministic). `proved` is the partition that
+    lumping last proved an equivalence of this network, or None.
     """
 
     __slots__ = ("species", "table", "initial_state",
-                 "initial_concentration", "_reactions", "_index_of",
-                 "_flat", "_compiled", "_proved")
+                 "initial_concentration", "proved", "_reactions",
+                 "_index_of", "_compiled")
 
     def __init__(self, species: Sequence[Species], reactions: Sequence[Reaction],
                  initial_state: Optional[Multiset] = None,
                  initial_concentration: Optional[Sequence[float]] = None):
         reactions = tuple(reactions)
-        for j, r in enumerate(reactions):
-            if r.id != j:
-                raise StructuralError("reaction ids must be contiguous and in order")
+        if any(r.id != j for j, r in enumerate(reactions)):
+            raise StructuralError("reaction ids must be contiguous and in order")
         ids: Dict[tuple, int] = {}
-        R = len(reactions)
-        lhs = np.fromiter((ids.setdefault(r.reactant.entries, len(ids))
-                           for r in reactions), np.int64, R)
-        rhs = np.fromiter((ids.setdefault(r.product.entries, len(ids))
-                           for r in reactions), np.int64, R)
-        table = ReactionTable(
-            tuple(ids), lhs, rhs,
-            np.fromiter((r.rate.lo for r in reactions), float, R),
-            np.fromiter((r.rate.hi for r in reactions), float, R))
+        lhs = [ids.setdefault(r.reactant.entries, len(ids)) for r in reactions]
+        rhs = [ids.setdefault(r.product.entries, len(ids)) for r in reactions]
+        table = ReactionTable(*flat_sides(tuple(ids)), lhs, rhs,
+                              [r.rate.lo for r in reactions],
+                              [r.rate.hi for r in reactions])
         self._setup(species, table, initial_state, initial_concentration)
         self._reactions: Optional[Tuple[Reaction, ...]] = reactions
 
@@ -226,10 +214,11 @@ class ReactionNetwork:
                    initial_state: Optional[Multiset] = None,
                    initial_concentration: Optional[Sequence[float]] = None
                    ) -> "ReactionNetwork":
-        """Trusted constructor: `table.sides` must be distinct and
-        canonical, and `lhs`, `rhs`, `lo` and `hi` of one length with side
-        ids in range. Only the species indices and the rates are checked;
-        `reactions` is built on first use."""
+        """Trusted constructor: the table's sides must be distinct and
+        canonical, `size` must sum to the length of `species` and `count`,
+        and `lhs`, `rhs`, `lo` and `hi` must be of one length with side ids
+        in range. Only the species indices and the rates are checked. The
+        arrays are kept read-only, and `reactions` is built on first use."""
         net = object.__new__(cls)
         net._setup(species, table, initial_state, initial_concentration)
         net._reactions = None
@@ -245,12 +234,11 @@ class ReactionNetwork:
             if s.index != i:
                 raise StructuralError("species indices must be contiguous and in order")
         n = len(self.species)
-        sides = tuple(table.sides)
-        lhs, rhs = _read_only(table.lhs, np.int64), _read_only(table.rhs, np.int64)
-        lo, hi = _read_only(table.lo, float), _read_only(table.hi, float)
+        size, sp, cnt, lhs, rhs = (_read_only(a, np.int64) for a in table[:5])
+        lo, hi = (_read_only(a, float) for a in table[5:])
         # a canonical side's last entry holds its largest species index
-        top = np.fromiter((s[-1][0] if s else -1 for s in sides), np.int64,
-                          len(sides))
+        top = np.full(len(size), -1, dtype=np.int64)
+        top[size > 0] = sp[np.cumsum(size)[size > 0] - 1]
         bad = np.flatnonzero((top[lhs] >= n) | (top[rhs] >= n))
         if len(bad):
             j = int(bad[0])
@@ -270,21 +258,22 @@ class ReactionNetwork:
             conc = tuple(float(x) for x in initial_concentration)
             if len(conc) != n:
                 raise StructuralError("initial concentration length mismatch")
-        self.table = ReactionTable(sides, lhs, rhs, lo, hi)
+        self.table = ReactionTable(size, sp, cnt, lhs, rhs, lo, hi)
         self.initial_state = initial_state
         self.initial_concentration = conc
         self._index_of: Dict[str, int] = {s.name: s.index for s in self.species}
-        self._flat: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._compiled: Optional[CompiledNetwork] = None
-        # the partition lumping last proved an equivalence of this network
-        self._proved: Optional[Partition] = None
+        self.proved: Optional[Partition] = None
 
     @property
     def reactions(self) -> Tuple[Reaction, ...]:
         """The reactions as objects, built from the table on first use."""
         if self._reactions is None:
             t = self.table
-            sides = [Multiset.from_canonical(s) for s in t.sides]
+            pairs = list(zip(t.species.tolist(), t.count.tolist()))
+            end = np.cumsum(t.size).tolist()
+            sides = [Multiset.from_canonical(tuple(pairs[a:e]))
+                     for a, e in zip([0] + end, end)]
             self._reactions = tuple(
                 Reaction(sides[a], sides[b], RateInterval(lo, hi), j)
                 for j, (a, b, lo, hi) in enumerate(zip(
@@ -305,13 +294,6 @@ class ReactionNetwork:
         return tuple(s.name for s in self.species)
 
     @property
-    def flat(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`flat_sides` of the table's sides, built on first use and kept."""
-        if self._flat is None:
-            self._flat = flat_sides(self.table.sides)
-        return self._flat
-
-    @property
     def compiled(self) -> "CompiledNetwork":
         """The network's read-only array form, built on first use."""
         if self._compiled is None:
@@ -327,18 +309,6 @@ class ReactionNetwork:
     def multiset(self, text_counts: Dict[str, int]) -> Multiset:
         """Build a multiset from a name -> count mapping."""
         return Multiset((self.index_of(n), c) for n, c in text_counts.items())
-
-    def structurally_equal(self, other: "ReactionNetwork") -> bool:
-        """Equality of species names, reaction sets (as sets), and initial data."""
-        if self.names != other.names:
-            return False
-        mine = sorted((r.reactant.entries, r.product.entries, r.rate.lo, r.rate.hi)
-                      for r in self.reactions)
-        theirs = sorted((r.reactant.entries, r.product.entries, r.rate.lo, r.rate.hi)
-                        for r in other.reactions)
-        return (mine == theirs
-                and self.initial_state == other.initial_state
-                and self.initial_concentration == other.initial_concentration)
 
     def __repr__(self) -> str:
         return f"ReactionNetwork({self.n_species} species, {self.n_reactions} reactions)"
@@ -474,8 +444,8 @@ class CompiledNetwork(NamedTuple):
 
 
 def flat_sides(sides) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each side's entry count, and the species and count of every entry of
-    the sides in order."""
+    """The `size`, `species` and `count` arrays of a `ReactionTable` whose
+    sides are the given canonical entry tuples, in order."""
     size = np.fromiter(map(len, sides), np.int64, len(sides))
     n = int(size.sum())
     chain = itertools.chain.from_iterable
@@ -489,7 +459,7 @@ def compile_network(net: ReactionNetwork) -> CompiledNetwork:
     `ReactionNetwork.compiled` caches it."""
     t = net.table
     R, S = net.n_reactions, net.n_species
-    size, species, count = net.flat
+    size, species, count = t.size, t.species, t.count
     start = np.cumsum(size) - size
 
     def gather(side):

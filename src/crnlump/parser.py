@@ -83,11 +83,6 @@ class ModelDocument:
     labels: Dict[int, str] = field(default_factory=dict)
     source: Optional[str] = field(default=None, compare=False)
 
-    def structurally_equal(self, other: "ModelDocument") -> bool:
-        return (self.network.structurally_equal(other.network)
-                and self.initial_partition == other.initial_partition
-                and self.labels == other.labels)
-
 
 class Token(NamedTuple):
     kind: str
@@ -212,8 +207,8 @@ class _Builder:
                 state = Multiset((i, int(v)) for i, v in enumerate(vec))
         rows = np.array(self.rows, dtype=np.int64).reshape(-1, 3)
         lo, hi = np.array(self.bounds).reshape(-1, 2)[rows[:, 2]].T
-        table = ReactionTable(tuple(self.side_ids), rows[:, 0], rows[:, 1],
-                              lo, hi)
+        table = ReactionTable(*flat_sides(tuple(self.side_ids)), rows[:, 0],
+                              rows[:, 1], lo, hi)
         network = ReactionNetwork.from_table(species, table, state,
                                              concentration)
 
@@ -500,12 +495,10 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _side_texts(net: ReactionNetwork, names) -> np.ndarray:
-    """`Multiset.format` of each side of `net`'s table, as an object array,
-    built one term position at a time. The flat sides are used if the
-    network has them and not kept otherwise, so writing a network leaves
-    it as it was."""
-    size, sp, cnt = net._flat or flat_sides(net.table.sides)
+def _side_texts(t: ReactionTable, names) -> np.ndarray:
+    """`Multiset.format` of each side of the table `t`, as an object array,
+    built one term position at a time."""
+    size, sp, cnt = t.size, t.species, t.count
     term = np.array(names, dtype=object)[sp]
     many = np.flatnonzero(cnt != 1)
     term[many] = [f"{c} {name}" for c, name in
@@ -526,7 +519,7 @@ def serialize_model(doc: ModelDocument) -> str:
     net = doc.network
     names = net.names
     t = net.table
-    sides = _side_texts(net, names)
+    sides = _side_texts(t, names)
     # one text per distinct (lo, hi) bit pattern
     _, first, rate = np.unique(row_keys(np.column_stack((t.lo, t.hi)).view(
         np.int64)), return_index=True, return_inverse=True)

@@ -10,8 +10,9 @@ import pytest
 
 import crnlump as cl
 from crnlump.model import (CompiledNetwork, Multiset, Partition,
-                           RateInterval, Reaction, ReactionNetwork, Species,
-                           StructuralError, falling_binomial, project_key)
+                           RateInterval, Reaction, ReactionNetwork,
+                           ReactionTable, Species, StructuralError,
+                           falling_binomial, project_key)
 
 # Two-site reversible binding with sitewise-symmetric rate intervals: the
 # binding/unbinding pair of site 1 mirrors the pair of site 2, which makes
@@ -157,6 +158,19 @@ def varied_network(rng: random.Random, max_species: int = 5,
     return ReactionNetwork(species, reactions)
 
 
+def jittered_edge_list(seed: int, nodes: int, edges: int) -> str:
+    """Edge-list text of a seeded random directed graph without self-loops
+    or repeated edges, with weights jittered around 1.0."""
+    rng = random.Random(seed)
+    lines, seen = [], set()
+    while len(lines) < edges:
+        a, b = rng.randrange(nodes), rng.randrange(nodes)
+        if a != b and (a, b) not in seen:
+            seen.add((a, b))
+            lines.append(f"{a} {b} {1.0 + rng.uniform(-0.05, 0.05)!r}")
+    return "\n".join(lines) + "\n"
+
+
 def random_partition(rng: random.Random, n: int) -> Partition:
     labels = [rng.randrange(1 + rng.randrange(n)) for _ in range(n)]
     blocks = {}
@@ -174,6 +188,47 @@ def refines(fine: Partition, coarse: Partition) -> bool:
         if any(coarse.block_of[i] != target for i in b[1:]):
             return False
     return True
+
+
+def contains(big: Multiset, small: Multiset) -> bool:
+    """True iff `small` is a sub-multiset of `big`."""
+    return all(big.count(idx) >= cnt for idx, cnt in small.entries)
+
+
+def networks_equal(a: ReactionNetwork, b: ReactionNetwork) -> bool:
+    """Equality of species names, reaction sets (as sets), and initial data."""
+    if a.names != b.names:
+        return False
+
+    def rows(net):
+        return sorted((r.reactant.entries, r.product.entries, r.rate.lo,
+                       r.rate.hi) for r in net.reactions)
+
+    return (rows(a) == rows(b) and a.initial_state == b.initial_state
+            and a.initial_concentration == b.initial_concentration)
+
+
+def documents_equal(a: "cl.ModelDocument", b: "cl.ModelDocument") -> bool:
+    """`networks_equal` networks, equal initial partitions and labels."""
+    return (networks_equal(a.network, b.network)
+            and a.initial_partition == b.initial_partition
+            and a.labels == b.labels)
+
+
+def table_sides(t: ReactionTable) -> list:
+    """The canonical entry tuples of a reaction table's sides, in order."""
+    pairs = list(zip(t.species.tolist(), t.count.tolist()))
+    end = np.cumsum(t.size).tolist()
+    return [tuple(pairs[a:e]) for a, e in zip([0] + end, end)]
+
+
+def table_is_canonical(t: ReactionTable) -> bool:
+    """True iff the table's arrays are read-only and its sides distinct and
+    canonical."""
+    sides = table_sides(t)
+    return (not any(a.flags.writeable for a in t)
+            and len(set(sides)) == len(sides)
+            and all(Multiset(s).entries == s for s in sides))
 
 
 def set_partitions(items):

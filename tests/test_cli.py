@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import random
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import crnlump as cl
 from crnlump import cli
 from crnlump.cli import run
 
-from conftest import TWO_SITE_TEXT
+from conftest import TWO_SITE_TEXT, jittered_edge_list, networks_equal
 
 
 @pytest.fixture
@@ -164,17 +163,6 @@ class TestReduce:
         assert [f["file"] for f in files] == [str(tmp_path / "solo.red.crn")]
 
 
-def _jittered_graph(seed: int, nodes: int, edges: int) -> cl.EdgeListGraph:
-    rng = random.Random(seed)
-    lines, seen = [], set()
-    while len(lines) < edges:
-        a, b = rng.randrange(nodes), rng.randrange(nodes)
-        if a != b and (a, b) not in seen:
-            seen.add((a, b))
-            lines.append(f"{a} {b} {1.0 + rng.uniform(-0.05, 0.05)!r}")
-    return cl.parse_edge_list("\n".join(lines) + "\n")
-
-
 _SIR = cl.SirParams(beta=0.4, gamma=0.25, eta=0.1,
                     vaccination=cl.RateInterval(0.0, 1.0))
 
@@ -194,8 +182,8 @@ class TestGoldenOutputs:
     def test_reduced_files(self, tmp_path, family, model_sha, map_sha):
         doc = {"ms5": lambda: cl.multisite_binding_model(5),
                "star40": lambda: cl.sir_star_model(40, _SIR),
-               "sirnet60": lambda: cl.sir_network_model(
-                   _jittered_graph(7, 60, 360), _SIR)}[family]()
+               "sirnet60": lambda: cl.sir_network_model(cl.parse_edge_list(
+                   jittered_edge_list(7, 60, 360)), _SIR)}[family]()
         model = tmp_path / "in.crn"
         model.write_text(cl.serialize_model(doc))
         out, mp = tmp_path / "red.crn", tmp_path / "map.json"
@@ -224,7 +212,8 @@ class TestBlockMap:
     def test_bundled_families(self, two_site_doc):
         docs = [two_site_doc, cl.multisite_binding_model(3),
                 cl.sir_star_model(5, _SIR),
-                cl.sir_network_model(_jittered_graph(3, 12, 30), _SIR),
+                cl.sir_network_model(
+                    cl.parse_edge_list(jittered_edge_list(3, 12, 30)), _SIR),
                 cl.ModelDocument(cl.ReactionNetwork([], []),
                                  cl.Partition.one_block(0))]
         for doc in docs:
@@ -466,7 +455,7 @@ class TestGenerate:
             f"A01 -> B + A00 , [{d.lo!r} : {d.hi!r}]\n"
             f"B + A01 -> A11 , [{a.lo!r} : {a.hi!r}]\n"
             f"A11 -> B + A01 , [{2 * d.lo!r} : {2 * d.hi!r}]\n").network
-        assert lumped.structurally_equal(expected)
+        assert networks_equal(lumped, expected)
 
     def test_sir_net_from_edge_list(self, tmp_path):
         edges = tmp_path / "g.edges"
@@ -478,6 +467,25 @@ class TestGenerate:
         doc = cl.parse_model(model.read_text())
         assert doc.network.n_species == 12
         assert doc.initial_partition.n_blocks == 4
+
+
+    @pytest.mark.parametrize("argv,name", [
+        (["sir-star", "--n", "3", "--beta", "nan"], "beta"),
+        (["sir-star", "--n", "3", "--beta", "0.4", "--eta", "inf"], "eta"),
+        (["sir-net", "--beta", "0.4", "--uncertainty-halfwidth", "-0.1"],
+         "uncertainty_halfwidth"),
+    ])
+    def test_bad_parameter_is_named(self, tmp_path, capsys, argv, name):
+        edges = tmp_path / "g.edges"
+        edges.write_text("1 2 0.5\n")
+        model = tmp_path / "m.crn"
+        # argparse keeps the last of a repeated option
+        assert run(["generate", argv[0], "--edge-list", str(edges),
+                    "--beta", "0.4", "--gamma", "0.25", "--eta", "0.1",
+                    *argv[1:], "-o", str(model)]) == 2
+        assert f"{name} must be finite and nonnegative" \
+            in capsys.readouterr().err
+        assert not model.exists()
 
 
 class TestReconstructCommand:

@@ -241,7 +241,8 @@ def oracle_network(rng: random.Random) -> ReactionNetwork:
         rate = RateInterval(lo, lo + rng.choice([0.0, 0.05, 1.0]))
         add(reactant, product, rate)
         if rng.random() < 0.2:
-            add(reactant, product, RateInterval.exact(rng.choice(RATES)))
+            point = rng.choice(RATES)
+            add(reactant, product, RateInterval(point, point))
         if k >= 2 and rng.random() < 0.5:
             x, y = rng.sample(range(k), 2)
             swap = {x: y, y: x}
