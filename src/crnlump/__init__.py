@@ -2,8 +2,8 @@
 reaction networks whose kinetic rates are interval-valued control inputs."""
 
 from .model import (Multiset, Partition, RateInterval, Reaction,
-                    ReactionNetwork, Species, StructuralError,
-                    falling_binomial, project_key)
+                    ReactionNetwork, StructuralError, falling_binomial,
+                    project_key)
 from .parser import (EdgeListGraph, ModelDocument, ParseError, parse_edge_list,
                      parse_model, parse_partition_file, serialize_model)
 from .lumping import (InvalidPartitionError, check_equivalence,
@@ -14,12 +14,10 @@ from .ode import (ControlSchedule, CostSpec, DivergenceError,
                   schedule_from_csv, schedule_to_csv, simulate,
                   trajectory_from_csv, trajectory_to_csv)
 from .ctmc import (ApproximateResultWarning, CapacityError, Generator,
-                   JumpPath, LumpabilityResult, PropensityOverflowError,
-                   StateSpace, build_generator, check_ordinary_lumpability,
-                   enumerate_ball, enumerate_states, ssa_simulate,
-                   transient_solve)
-from .reconstruct import (BoxLsResult, DriftMatchProblem,
-                          ReconstructionFailureError, ReconstructionResult,
+                   PropensityOverflowError, StateSpace, build_generator,
+                   check_ordinary_lumpability, enumerate_ball,
+                   enumerate_states, ssa_simulate, transient_solve)
+from .reconstruct import (DriftMatchProblem, ReconstructionFailureError,
                           build_drift_match, reconstruct_trajectory,
                           solve_box_ls)
 from .generators import (DEFAULT_ASSOCIATION, DEFAULT_DISSOCIATION, SirParams,
@@ -29,15 +27,14 @@ from .generators import (DEFAULT_ASSOCIATION, DEFAULT_DISSOCIATION, SirParams,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproximateResultWarning", "BoxLsResult", "CapacityError",
-    "ControlSchedule", "CostSpec", "DEFAULT_ASSOCIATION",
-    "DEFAULT_DISSOCIATION", "DivergenceError", "DriftMatchProblem",
-    "EdgeListGraph", "Generator", "InvalidPartitionError", "JumpPath",
-    "LumpabilityResult", "ModelDocument", "Multiset", "ParseError",
+    "ApproximateResultWarning", "CapacityError", "ControlSchedule",
+    "CostSpec", "DEFAULT_ASSOCIATION", "DEFAULT_DISSOCIATION",
+    "DivergenceError", "DriftMatchProblem", "EdgeListGraph", "Generator",
+    "InvalidPartitionError", "ModelDocument", "Multiset", "ParseError",
     "Partition", "ProjectionFailureError", "PropensityOverflowError",
     "RateInterval", "Reaction", "ReactionNetwork",
-    "ReconstructionFailureError", "ReconstructionResult", "SirParams",
-    "Species", "StateSpace", "StructuralError", "Trajectory", "VectorField",
+    "ReconstructionFailureError", "SirParams", "StateSpace",
+    "StructuralError", "Trajectory", "VectorField",
     "block_indicator", "block_sums", "build_drift_match", "build_generator",
     "check_equivalence", "check_ordinary_lumpability", "coarsest_equivalence",
     "enumerate_ball", "enumerate_states", "evaluate_cost", "falling_binomial",

@@ -58,7 +58,7 @@ def _emit_report(report: dict, path: Optional[str]):
 
 
 def _load_document(path: str) -> ModelDocument:
-    return parse_model(Path(path).read_text(encoding="utf-8"), source=path)
+    return parse_model(Path(path).read_text(encoding="utf-8"))
 
 
 def _initial_partition(doc: ModelDocument, partition_file: Optional[str]) -> Partition:

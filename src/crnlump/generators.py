@@ -11,8 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (Partition, RateInterval, ReactionNetwork, ReactionTable,
-                    Species)
+from .model import Partition, RateInterval, ReactionNetwork, ReactionTable
 from .parser import EdgeListGraph, ModelDocument
 
 MAX_SITES = 20  # n = 20: 2**20 + 1 species and 20 * 2**20 reactions
@@ -39,13 +38,13 @@ class SirParams:
             _check_rate(name, getattr(self, name))
 
 
-def _network(species, rows: np.ndarray, bounds: np.ndarray) -> ReactionNetwork:
+def _network(names, rows: np.ndarray, bounds: np.ndarray) -> ReactionNetwork:
     """The network of the reactions a + b -> c + d at rates [lo, hi], one
     per row (a, b, c, d) of species indices and row (lo, hi) of `bounds`,
     where -1 stands for no species and a species given twice counts twice.
     The distinct sides are numbered in sorted order of their (smaller,
     larger) index pairs."""
-    base = len(species) + 1
+    base = len(names) + 1
     pairs = np.sort(np.concatenate((rows[:, :2], rows[:, 2:])), axis=1) + 1
     keys, ids = np.unique(pairs[:, 0] * base + pairs[:, 1],
                           return_inverse=True)
@@ -54,7 +53,7 @@ def _network(species, rows: np.ndarray, bounds: np.ndarray) -> ReactionNetwork:
     # which of a side's (smaller, larger) slots are entries, and their counts
     entry = np.column_stack(((sides[:, 0] >= 0) & ~twice, sides[:, 1] >= 0))
     count = np.column_stack((np.ones(len(keys), dtype=np.int64), 1 + twice))
-    return ReactionNetwork.from_table(species, ReactionTable(
+    return ReactionNetwork.from_table(names, ReactionTable(
         entry.sum(axis=1), sides[entry], count[entry], ids[:len(rows)],
         ids[len(rows):], bounds[:, 0], bounds[:, 1]))
 
@@ -66,15 +65,14 @@ def _sir_network(n: int, p: SirParams, src: np.ndarray, dst: np.ndarray,
     at the edge's row of `bounds`, then per location recovery I -> R, then
     per location immunity loss R -> S. Location i's species S, I, R and V
     have indices 4i to 4i + 3."""
-    species = [Species(f"{kind}{i}", 4 * (i - 1) + k)
-               for i in range(1, n + 1) for k, kind in enumerate("SIRV")]
+    names = [f"{kind}{i}" for i in range(1, n + 1) for kind in "SIRV"]
     s, none = 4 * np.arange(n), np.full(n, -1)
     rows = np.concatenate((
         np.column_stack((s, none, s + 2, s + 3)),
         np.column_stack((4 * dst, 4 * src + 1, 4 * dst + 1, 4 * src + 1)),
         np.column_stack((s + 1, none, s + 2, none)),
         np.column_stack((s + 2, none, s, none))))
-    return _network(species, rows, np.concatenate((
+    return _network(names, rows, np.concatenate((
         np.full((n, 2), (p.vaccination.lo, p.vaccination.hi)), bounds,
         np.full((n, 2), p.gamma), np.full((n, 2), p.eta))))
 
@@ -147,8 +145,7 @@ def multisite_binding_model(n: int,
         raise ValueError(f"n = {n} exceeds the configured cap of {MAX_SITES} sites")
     # pattern p is the species A<bits of p>, index p + 1; site i (the i-th
     # bit from the left) is bit n - 1 - i of p
-    species = [Species("B", 0)] + [Species(f"A{p:0{n}b}", p + 1)
-                                   for p in range(2 ** n)]
+    names = ["B"] + [f"A{p:0{n}b}" for p in range(2 ** n)]
     pattern = np.repeat(np.arange(2 ** n), n)
     site = np.tile(1 << np.arange(n - 1, -1, -1), 2 ** n)
     free = (pattern & site) == 0
@@ -159,6 +156,6 @@ def multisite_binding_model(n: int,
     rows = np.concatenate((
         np.column_stack((a[free], B, flipped[free], none)),
         np.column_stack((a[~free], none, flipped[~free], B))))
-    net = _network(species, rows, np.repeat(
+    net = _network(names, rows, np.repeat(
         [[assoc.lo, assoc.hi], [dissoc.lo, dissoc.hi]], len(B), axis=0))
     return ModelDocument(net, Partition.one_block(net.n_species))

@@ -48,7 +48,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .model import (CompiledNetwork, Multiset, Partition, ReactionNetwork,
-                    ReactionTable, Species, StructuralError, group_sums,
+                    ReactionTable, StructuralError, group_sums,
                     project_key, row_keys)
 
 
@@ -276,8 +276,6 @@ def quotient(net: ReactionNetwork,
     table = ReactionTable(n_runs, block[run], count[run], new[:len(members)],
                           new[len(members):], lo, hi)
 
-    species = tuple(Species(net.species[orig].name, new_i)
-                    for new_i, orig in enumerate(reps))
     init_state = None
     if net.initial_state is not None:
         init_state = Multiset.from_canonical(
@@ -289,5 +287,6 @@ def quotient(net: ReactionNetwork,
             acc[block_of[i]] += v
         init_conc = tuple(acc)
 
-    lumped = ReactionNetwork.from_table(species, table, init_state, init_conc)
+    lumped = ReactionNetwork.from_table([net.names[i] for i in reps], table,
+                                        init_state, init_conc)
     return lumped, part

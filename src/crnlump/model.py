@@ -1,10 +1,11 @@
-"""Core domain types: species, multisets, rate intervals, reactions, the
-reaction table a network stores its reactions in, partitions, and the
-compiled array form every layer reads a network through.
+"""Core domain types: multisets, rate intervals, reactions, the reaction
+table a network stores its reactions in, partitions, and the compiled array
+form every layer reads a network through.
 
 Everything in this module is immutable after construction and safe to share
-across threads. Species are interned to dense integer indices so that all
-hot paths work on small integers instead of strings.
+across threads. A network's species are its tuple of names, and species i is
+the name at position i: all hot paths work on these integer indices instead
+of strings.
 """
 
 from __future__ import annotations
@@ -23,22 +24,12 @@ class StructuralError(ValueError):
     mismatched species universes, malformed partition, horizon out of range)."""
 
 
-@dataclass(frozen=True)
-class Species:
-    """A named species with its dense index into the network's species list."""
-
-    name: str
-    index: int
-
-
 class Multiset:
     """Immutable multiset over species indices.
 
     Stored as a tuple of (index, count) pairs sorted by index with all counts
-    positive. The canonical representation makes multisets hashable, directly
-    comparable, and usable as dictionary keys; tuple comparison of `entries`
-    doubles as the deterministic lexicographic order used to canonicalize
-    state enumerations.
+    positive. The canonical representation makes multisets hashable and
+    usable as dictionary keys; `entries` is the key to sort them by.
     """
 
     __slots__ = ("entries",)
@@ -109,9 +100,6 @@ class Multiset:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Multiset) and self.entries == other.entries
 
-    def __lt__(self, other: "Multiset") -> bool:
-        return self.entries < other.entries
-
     def __hash__(self) -> int:
         return hash(self.entries)
 
@@ -179,22 +167,24 @@ def _read_only(a, dtype) -> np.ndarray:
 class ReactionNetwork:
     """A finite species set plus reactions with interval-valued rates.
 
-    The reactions are stored as one `ReactionTable`, into which the
-    constructor interns the sides of the reactions it is given; it keeps
-    those reactions as `reactions`, which a network built by `from_table`
-    builds from the table on first use. The `lower` and `upper` rate
-    vectors pin every rate at its interval endpoint; these two extremal
-    networks drive both the equivalence check and the stochastic semantics.
+    The species are the tuple of distinct strings `names`: species i is
+    `names[i]`. The reactions are stored as one `ReactionTable`, into which
+    the constructor interns the sides of the reactions it is given; it
+    keeps those reactions as `reactions`, which a network built by
+    `from_table` builds from the table on first use. The `lower` and
+    `upper` rate vectors pin every rate at its interval endpoint; these two
+    extremal networks drive both the equivalence check and the stochastic
+    semantics.
     Optional initial data carries a molecule multiset (stochastic) and/or a
     concentration vector (deterministic). `proved` is the partition that
     lumping last proved an equivalence of this network, or None.
     """
 
-    __slots__ = ("species", "table", "initial_state",
+    __slots__ = ("names", "table", "initial_state",
                  "initial_concentration", "proved", "_reactions",
                  "_index_of", "_compiled")
 
-    def __init__(self, species: Sequence[Species], reactions: Sequence[Reaction],
+    def __init__(self, names: Sequence[str], reactions: Sequence[Reaction],
                  initial_state: Optional[Multiset] = None,
                  initial_concentration: Optional[Sequence[float]] = None):
         reactions = tuple(reactions)
@@ -206,11 +196,11 @@ class ReactionNetwork:
         table = ReactionTable(*flat_sides(tuple(ids)), lhs, rhs,
                               [r.rate.lo for r in reactions],
                               [r.rate.hi for r in reactions])
-        self._setup(species, table, initial_state, initial_concentration)
+        self._setup(names, table, initial_state, initial_concentration)
         self._reactions: Optional[Tuple[Reaction, ...]] = reactions
 
     @classmethod
-    def from_table(cls, species: Sequence[Species], table: ReactionTable,
+    def from_table(cls, names: Sequence[str], table: ReactionTable,
                    initial_state: Optional[Multiset] = None,
                    initial_concentration: Optional[Sequence[float]] = None
                    ) -> "ReactionNetwork":
@@ -220,20 +210,17 @@ class ReactionNetwork:
         in range. Only the species indices and the rates are checked. The
         arrays are kept read-only, and `reactions` is built on first use."""
         net = object.__new__(cls)
-        net._setup(species, table, initial_state, initial_concentration)
+        net._setup(names, table, initial_state, initial_concentration)
         net._reactions = None
         return net
 
-    def _setup(self, species, table: ReactionTable, initial_state,
+    def _setup(self, names, table: ReactionTable, initial_state,
                initial_concentration):
-        self.species: Tuple[Species, ...] = tuple(species)
-        names = [s.name for s in self.species]
-        if len(set(names)) != len(names):
+        self.names: Tuple[str, ...] = tuple(names)
+        n = len(self.names)
+        self._index_of: Dict[str, int] = dict(zip(self.names, range(n)))
+        if len(self._index_of) != n:
             raise StructuralError("duplicate species names")
-        for i, s in enumerate(self.species):
-            if s.index != i:
-                raise StructuralError("species indices must be contiguous and in order")
-        n = len(self.species)
         size, sp, cnt, lhs, rhs = (_read_only(a, np.int64) for a in table[:5])
         lo, hi = (_read_only(a, float) for a in table[5:])
         # a canonical side's last entry holds its largest species index
@@ -261,7 +248,6 @@ class ReactionNetwork:
         self.table = ReactionTable(size, sp, cnt, lhs, rhs, lo, hi)
         self.initial_state = initial_state
         self.initial_concentration = conc
-        self._index_of: Dict[str, int] = {s.name: s.index for s in self.species}
         self._compiled: Optional[CompiledNetwork] = None
         self.proved: Optional[Partition] = None
 
@@ -283,15 +269,11 @@ class ReactionNetwork:
 
     @property
     def n_species(self) -> int:
-        return len(self.species)
+        return len(self.names)
 
     @property
     def n_reactions(self) -> int:
         return len(self.table.lhs)
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(s.name for s in self.species)
 
     @property
     def compiled(self) -> "CompiledNetwork":
@@ -383,20 +365,6 @@ def project_key(entries: Tuple[Tuple[int, int], ...],
     sorted (block id, count) pairs: the computable fingerprint of the
     multiset lifting. Two multisets are lifted-equivalent exactly when their
     keys are equal."""
-    m = len(entries)
-    if m == 0:
-        return ()
-    if m == 1:
-        i, c = entries[0]
-        return ((block_of[i], c),)
-    if m == 2:
-        (i, c), (j, d) = entries
-        bi, bj = block_of[i], block_of[j]
-        if bi == bj:
-            return ((bi, c + d),)
-        if bi < bj:
-            return ((bi, c), (bj, d))
-        return ((bj, d), (bi, c))
     acc: Dict[int, int] = {}
     for i, c in entries:
         b = block_of[i]

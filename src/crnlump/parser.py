@@ -32,7 +32,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .model import (Multiset, Partition, ReactionNetwork, ReactionTable,
-                    Species, flat_sides, row_keys)
+                    flat_sides, row_keys)
 
 _KEYWORDS = {"species", "init", "partition"}
 
@@ -75,13 +75,12 @@ class ParseError(ValueError):
 
 @dataclass
 class ModelDocument:
-    """A parsed model: the network, an optional initial partition, and
-    source metadata kept only for diagnostics (excluded from comparisons)."""
+    """A parsed model: the network, an optional initial partition, and the
+    reaction labels by reaction id."""
 
     network: ReactionNetwork
     initial_partition: Optional[Partition] = None
     labels: Dict[int, str] = field(default_factory=dict)
-    source: Optional[str] = field(default=None, compare=False)
 
 
 class Token(NamedTuple):
@@ -193,9 +192,8 @@ class _Builder:
             self.labels[len(self.rows) // 3] = label
         self.rows += (lhs, rhs, rate)
 
-    def document(self, source: Optional[str]) -> ModelDocument:
-        species = tuple(Species(name, i) for i, name in enumerate(self.names))
-        n = len(species)
+    def document(self) -> ModelDocument:
+        n = len(self.names)
         concentration = None
         state = None
         if self.init_values:
@@ -209,7 +207,7 @@ class _Builder:
         lo, hi = np.array(self.bounds).reshape(-1, 2)[rows[:, 2]].T
         table = ReactionTable(*flat_sides(tuple(self.side_ids)), rows[:, 0],
                               rows[:, 1], lo, hi)
-        network = ReactionNetwork.from_table(species, table, state,
+        network = ReactionNetwork.from_table(self.names, table, state,
                                              concentration)
 
         partition = None
@@ -221,7 +219,7 @@ class _Builder:
                 groups.append(rest)
             partition = Partition(groups, n)
 
-        return ModelDocument(network, partition, self.labels, source)
+        return ModelDocument(network, partition, self.labels)
 
 
 def _parse_number(tok: Token) -> float:
@@ -482,13 +480,13 @@ def _parse_line_fast(b: _Builder, raw: str) -> bool:
     return False
 
 
-def parse_model(text: str, source: Optional[str] = None) -> ModelDocument:
+def parse_model(text: str) -> ModelDocument:
     """Parse a model document; raises ParseError with source location on error."""
     b = _Builder()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not _parse_line_fast(b, raw):
             _parse_line(b, raw, line_no)
-    return b.document(source)
+    return b.document()
 
 
 def _fmt(x: float) -> str:
@@ -565,7 +563,7 @@ def parse_partition_file(text: str, network: ReactionNetwork) -> Partition:
         _parse_line(b, raw, line_no)
     if b.partition_groups is None:
         raise ParseError("no partition line found", 1, 1)
-    return b.document(None).initial_partition
+    return b.document().initial_partition
 
 
 @dataclass

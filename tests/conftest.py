@@ -11,7 +11,7 @@ import pytest
 import crnlump as cl
 from crnlump.model import (CompiledNetwork, Multiset, Partition,
                            RateInterval, Reaction, ReactionNetwork,
-                           ReactionTable, Species, StructuralError,
+                           ReactionTable, StructuralError,
                            falling_binomial, project_key)
 
 # Two-site reversible binding with sitewise-symmetric rate intervals: the
@@ -51,7 +51,7 @@ def perturb_rate(net: ReactionNetwork, reaction_id: int, dlo: float = 0.0,
     r = reactions[reaction_id]
     reactions[reaction_id] = Reaction(
         r.reactant, r.product, RateInterval(r.rate.lo + dlo, r.rate.hi + dhi), r.id)
-    return ReactionNetwork(net.species, reactions, net.initial_state,
+    return ReactionNetwork(net.names, reactions, net.initial_state,
                            net.initial_concentration)
 
 
@@ -62,7 +62,7 @@ def random_network(rng: random.Random, max_species: int = 5,
     equivalences actually occur."""
     k = rng.randint(2, max_species)
     m = rng.randint(1, max_reactions)
-    species = [Species(f"S{i}", i) for i in range(k)]
+    names = [f"S{i}" for i in range(k)]
     palette = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
     widths = [0.0, 0.25, 0.5]
     reactions = []
@@ -84,7 +84,7 @@ def random_network(rng: random.Random, max_species: int = 5,
                 Multiset([(swap(i), c) for i, c in reactant]),
                 Multiset([(swap(i), c) for i, c in product]),
                 rate, len(reactions)))
-    return ReactionNetwork(species, reactions)
+    return ReactionNetwork(names, reactions)
 
 
 def swapped_twin_network(rng: random.Random, max_species: int = 5,
@@ -114,7 +114,7 @@ def swapped_twin_network(rng: random.Random, max_species: int = 5,
         reactions += [Reaction(r.reactant, r.product, r.rate, len(reactions)),
                       Reaction(swap(r.reactant), swap(r.product), rate,
                                len(reactions) + 1)]
-    return ReactionNetwork(net.species, reactions)
+    return ReactionNetwork(net.names, reactions)
 
 
 def varied_network(rng: random.Random, max_species: int = 5,
@@ -128,7 +128,7 @@ def varied_network(rng: random.Random, max_species: int = 5,
     if k == 0:
         return ReactionNetwork([], [])
     # species k is in no reaction
-    species = [Species(f"S{i}", i) for i in range(k + 1)]
+    names = [f"S{i}" for i in range(k + 1)]
     reactions: List[Reaction] = []
 
     def add(reactant, product, rate):
@@ -155,7 +155,7 @@ def varied_network(rng: random.Random, max_species: int = 5,
                                  for i, c in ms])
 
             add(swap(reactant), swap(product), RateInterval(lo, hi))
-    return ReactionNetwork(species, reactions)
+    return ReactionNetwork(names, reactions)
 
 
 def jittered_edge_list(seed: int, nodes: int, edges: int) -> str:
@@ -530,8 +530,6 @@ def dict_quotient(net: ReactionNetwork, part: Partition) -> ReactionNetwork:
     is_rep = [False] * net.n_species
     for orig in reps:
         is_rep[orig] = True
-    species = tuple(Species(net.species[orig].name, new_i)
-                    for new_i, orig in enumerate(reps))
     fused: Dict[Tuple[tuple, tuple], Tuple[List[float], List[float]]] = {}
     for r in net.reactions:
         rent = r.reactant.entries
@@ -555,7 +553,8 @@ def dict_quotient(net: ReactionNetwork, part: Partition) -> ReactionNetwork:
         for i, v in enumerate(net.initial_concentration):
             acc[block_of[i]] += v
         init_conc = tuple(acc)
-    return ReactionNetwork(species, reactions, init_state, init_conc)
+    return ReactionNetwork([net.names[i] for i in reps], reactions, init_state,
+                           init_conc)
 
 
 def reaction_rows(net: ReactionNetwork) -> list:

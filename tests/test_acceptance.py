@@ -342,8 +342,8 @@ def _sir_reduction_ratio(doc):
     net = doc.network
     part = cl.coarsest_equivalence(net, doc.initial_partition)
     sir_blocks = [b for b in part.blocks
-                  if not net.species[b[0]].name.startswith("V")]
-    sir_species = sum(1 for s in net.species if not s.name.startswith("V"))
+                  if not net.names[b[0]].startswith("V")]
+    sir_species = sum(1 for name in net.names if not name.startswith("V"))
     return len(sir_blocks) / sir_species
 
 

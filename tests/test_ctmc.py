@@ -16,7 +16,7 @@ from crnlump.ctmc import (ApproximateResultWarning, CapacityError,
                           check_ordinary_lumpability, enumerate_ball,
                           enumerate_states, ssa_simulate, transient_solve)
 from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
-                           ReactionNetwork, Species, StructuralError,
+                           ReactionNetwork, StructuralError,
                            project_key)
 
 from conftest import (exact_transitions, loop_enumerate_ball,
@@ -223,7 +223,7 @@ def oracle_network(rng: random.Random) -> ReactionNetwork:
     generator entry; species-swapped twins make lifted classes with several
     states lumpable."""
     k = rng.randint(1, 4)
-    species = [Species(f"S{i}", i) for i in range(k)]
+    names = [f"S{i}" for i in range(k)]
     reactions: list = []
 
     def add(reactant, product, rate):
@@ -248,7 +248,7 @@ def oracle_network(rng: random.Random) -> ReactionNetwork:
             swap = {x: y, y: x}
             add([(swap.get(i, i), n) for i, n in reactant],
                 [(swap.get(i, i), n) for i, n in product], rate)
-    return ReactionNetwork(species, reactions)
+    return ReactionNetwork(names, reactions)
 
 
 class TestArrayOracleMatchesLoops:

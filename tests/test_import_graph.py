@@ -1,9 +1,12 @@
 """The package-internal import graph of crnlump, read from its sources with
 `ast`, has no cycle. Imports inside functions and `if TYPE_CHECKING:` blocks
-count as edges: a local import only hides a cycle at load time."""
+count as edges: a local import only hides a cycle at load time. Every name
+the package exports resolves."""
 
 import ast
 from pathlib import Path
+
+import crnlump
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "crnlump"
 
@@ -69,3 +72,10 @@ def test_no_import_cycle():
 def test_cycle_finder_reports_a_cycle():
     graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}
     assert _find_cycle(graph) == ["a", "b", "c", "a"]
+
+
+def test_every_exported_name_resolves_once():
+    names = crnlump.__all__
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(crnlump, name)]
+    assert not missing, f"exported but undefined: {missing}"

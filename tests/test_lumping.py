@@ -9,7 +9,7 @@ from crnlump import lumping
 from crnlump.lumping import (InvalidPartitionError, check_equivalence,
                              coarsest_equivalence, quotient)
 from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
-                           ReactionNetwork, Species)
+                           ReactionNetwork)
 
 from conftest import (alternating_refinement, block_projection,
                       dict_quotient, networks_equal, perturb_rate,
@@ -96,7 +96,7 @@ class TestCoarsestEquivalence:
         assert part.n_blocks == 6
         groups = {}
         for block in part.blocks:
-            names = sorted(net.species[i].name for i in block)
+            names = sorted(net.names[i] for i in block)
             groups[tuple(names)] = block
         assert (("B",),) and ("B",) in groups
         by_count = {}
@@ -184,9 +184,9 @@ class TestQuotient:
         }
         actual = set()
         for r in lumped.reactions:
-            reactant = tuple(sorted(lumped.species[i].name for i, c in r.reactant
+            reactant = tuple(sorted(lumped.names[i] for i, c in r.reactant
                                     for _ in range(c)))
-            product = tuple(sorted(lumped.species[i].name for i, c in r.product
+            product = tuple(sorted(lumped.names[i] for i, c in r.product
                                    for _ in range(c)))
             actual.add((reactant, product, r.rate.lo, r.rate.hi))
         assert actual == expected
@@ -327,7 +327,7 @@ class TestProvedPartition:
         assert broken.n_species == two_site.n_species
         with pytest.raises(InvalidPartitionError):
             quotient(broken, part)
-        twin = ReactionNetwork(two_site.species, two_site.reactions)
+        twin = ReactionNetwork(two_site.names, two_site.reactions)
         quotient(twin, part)
         assert [args[0] for args in check_calls] == [broken, twin]
 
@@ -346,7 +346,7 @@ class TestProvedPartition:
 
     def test_partition_accepted_by_check_is_trusted(
             self, two_site, two_site_partition, check_calls):
-        twin = ReactionNetwork(two_site.species, two_site.reactions)
+        twin = ReactionNetwork(two_site.names, two_site.reactions)
         assert check_equivalence(twin, two_site_partition)
         assert not check_equivalence(twin, Partition.one_block(5))
         quotient(twin, Partition(two_site_partition.blocks, 5))
@@ -426,7 +426,7 @@ class TestNoopReactions:
         a01 = two_site.multiset({"A01": 1})
         reactions.append(Reaction(a01, a01, RateInterval(3.0, 9.0),
                                   len(reactions)))
-        withnoop = ReactionNetwork(two_site.species, reactions)
+        withnoop = ReactionNetwork(two_site.names, reactions)
         assert check_equivalence(withnoop, two_site_partition)
         assert coarsest_equivalence(withnoop, two_site_partition) \
             == two_site_partition
@@ -496,6 +496,6 @@ class TestProperties:
             reactions = [Reaction(r.reactant, r.product,
                                   RateInterval(r.rate.lo, r.rate.lo), r.id)
                          for r in net.reactions]
-            degen = ReactionNetwork(net.species, reactions)
+            degen = ReactionNetwork(net.names, reactions)
             assert coarsest_equivalence(degen, initial) \
                 == refine_partition(degen, initial, "lower")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import crnlump as cl
 from crnlump import model
 from crnlump.model import (CompiledNetwork, Multiset, Partition, RateInterval,
-                           Reaction, ReactionNetwork, ReactionTable, Species,
+                           Reaction, ReactionNetwork, ReactionTable,
                            StructuralError, falling_binomial, flat_sides,
                            project_key)
 
@@ -48,8 +48,12 @@ class TestMultiset:
             b.subtract(a)
 
     def test_lexicographic_order(self):
-        assert ms((0, 1)) < ms((0, 2))
-        assert ms((0, 1)) < ms((1, 1))
+        # multisets sort by their canonical entries
+        assert ms((0, 1)).entries < ms((0, 2)).entries
+        assert ms((0, 1)).entries < ms((1, 1)).entries
+        assert sorted([ms((1, 1)), ms((0, 2)), ms((0, 1))],
+                      key=lambda m: m.entries) \
+            == [ms((0, 1)), ms((0, 2)), ms((1, 1))]
 
     def test_format(self):
         names = ("B", "A")
@@ -279,7 +283,7 @@ class TestReactionTable:
         for _ in range(100):
             net = varied_network(rng)
             given = net.reactions
-            again = ReactionNetwork(net.species, given)
+            again = ReactionNetwork(net.names, given)
             assert again.reactions is given
             t = again.table
             assert table_is_canonical(t)
@@ -316,8 +320,40 @@ class TestReactionTable:
     ])
     def test_trusted_constructor_checks_the_table(self, sides, lhs, rhs, lo,
                                                   hi, message):
-        species = [Species("A", 0), Species("B", 1)]
         table = ReactionTable(*flat_sides(sides), np.array(lhs),
                               np.array(rhs), np.array(lo), np.array(hi))
         with pytest.raises(StructuralError, match=message):
-            ReactionNetwork.from_table(species, table)
+            ReactionNetwork.from_table(["A", "B"], table)
+
+
+class TestNames:
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(StructuralError, match="duplicate species names"):
+            ReactionNetwork(["A", "A"], [])
+        table = ReactionTable(*flat_sides([((0, 1),), ((1, 1),)]),
+                              np.array([0]), np.array([1]), np.array([1.0]),
+                              np.array([1.0]))
+        with pytest.raises(StructuralError, match="duplicate species names"):
+            ReactionNetwork.from_table(["A", "A"], table)
+
+    @staticmethod
+    def _assert_names(net, want):
+        assert type(net.names) is tuple and net.names == tuple(want)
+        assert all(type(name) is str for name in net.names)
+        assert [net.index_of(name) for name in want] == list(range(len(want)))
+
+    def test_parsed_generated_and_lumped_networks(self, two_site_doc):
+        self._assert_names(two_site_doc.network,
+                           ["B", "A00", "A01", "A10", "A11"])
+        star = cl.sir_star_model(3, cl.SirParams(0.4, 0.25, 0.1)).network
+        self._assert_names(star, [f"{kind}{i}" for i in (1, 2, 3)
+                                  for kind in "SIRV"])
+        multisite = cl.multisite_binding_model(2)
+        self._assert_names(multisite.network, ["B", "A00", "A01", "A10", "A11"])
+        part = cl.coarsest_equivalence(multisite.network,
+                                       multisite.initial_partition)
+        lumped, _ = cl.quotient(multisite.network, part)
+        self._assert_names(lumped, [multisite.network.names[i]
+                                    for i in part.representatives])
+        assert lumped.names == ("B", "A00", "A01", "A11")
+

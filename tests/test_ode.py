@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import crnlump as cl
 from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
-                           ReactionNetwork, Species, StructuralError)
+                           ReactionNetwork, StructuralError)
 from crnlump.parser import ParseError
 from crnlump.ode import (ControlSchedule, CostSpec, DivergenceError,
                          Trajectory, block_indicator, block_sums,
@@ -72,7 +72,7 @@ def mass_action_network(rng: random.Random) -> ReactionNetwork:
     rng.shuffle(sides)
     reactions = [Reaction(Multiset(a), Multiset(b), RateInterval(1.0, 2.0), j)
                  for j, (a, b) in enumerate(sides)]
-    return ReactionNetwork([Species(f"S{i}", i) for i in range(k)], reactions)
+    return ReactionNetwork([f"S{i}" for i in range(k)], reactions)
 
 
 class TestSparseVectorField:
@@ -115,7 +115,7 @@ class TestSparseVectorField:
     def test_degenerate_networks(self, sides):
         reactions = [Reaction(Multiset(a), Multiset(b), RateInterval(1.0, 1.0), j)
                      for j, (a, b) in enumerate(sides)]
-        net = ReactionNetwork([Species("A", 0), Species("B", 1)], reactions)
+        net = ReactionNetwork(["A", "B"], reactions)
         self._compare(net, np.array([0.5, 3.0]), np.full(len(sides), 1.5))
 
 

@@ -207,7 +207,7 @@ def tokenizer_parse(text):
     b = _Builder()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         _parse_line(b, raw, line_no)
-    return b.document(None)
+    return b.document()
 
 
 def outcome(parse, text):

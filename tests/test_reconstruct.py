@@ -5,7 +5,7 @@ import pytest
 
 import crnlump as cl
 from crnlump.model import Multiset, Partition, RateInterval, Reaction, \
-    ReactionNetwork, Species, StructuralError
+    ReactionNetwork, StructuralError
 from crnlump.ode import ControlSchedule, block_indicator, block_sums, simulate
 from crnlump.reconstruct import (DriftMatchProblem, ReconstructionFailureError,
                                  build_drift_match, reconstruct_trajectory,
@@ -34,7 +34,7 @@ class TestBuildDriftMatch:
 
     def test_single_reaction_decay(self):
         net = ReactionNetwork(
-            [Species("A", 0)],
+            ["A"],
             [Reaction(Multiset([(0, 1)]), Multiset(), RateInterval(0.0, 2.0), 0)])
         prob = build_drift_match(net, Partition.one_block(1), np.array([2.0]),
                                  np.array([-1.0]))
