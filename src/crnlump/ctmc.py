@@ -6,6 +6,11 @@ cutoff.
 Everything here deliberately enumerates states and is only meant for small
 populations; it serves as an independent oracle against the reaction-level
 equivalence check, which never touches the state space.
+
+scipy is needed only here, by `enumerate_states`, `build_generator` and
+`transient_solve` (and so by `crnlump check --oracle`), and is loaded on
+first use: `import crnlump`, `reduce`, `check` without `--oracle`,
+`simulate`, `generate` and `reconstruct` never load it.
 """
 
 from __future__ import annotations
@@ -14,10 +19,13 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .model import (Multiset, Partition, ReactionNetwork, StructuralError,
                     group_sums, project_key, row_keys)
@@ -129,6 +137,8 @@ def enumerate_states(net: ReactionNetwork, init: Multiset, pop_bound: int,
     Each level is expanded on arrays: every reaction is applied to the whole
     frontier at once, and successors are deduplicated and checked against
     the states seen so far by their row keys."""
+    import scipy.sparse as sp
+
     _check_bound(pop_bound)
     if init.total > pop_bound:
         raise StructuralError("population bound smaller than the initial state")
@@ -270,6 +280,8 @@ def build_generator(space: StateSpace, net: ReactionNetwork,
     the row's entries. A falling binomial above 2**53, a product that
     overflows or an overflowing row sum raises PropensityOverflowError
     naming the state (and the reaction, for the first two)."""
+    import scipy.sparse as sp
+
     if extremal not in ("lower", "upper"):
         raise ValueError(f"extremal must be 'lower' or 'upper', "
                          f"got {extremal!r}")
@@ -444,6 +456,8 @@ def transient_solve(gen: Generator, p0: Sequence[float], t: float,
     """Transient distribution p(t) = p0 exp(t Q) by uniformization with
     Poisson-series truncation error at most `eps`. Long horizons are split so
     the Poisson weights never underflow. Warns when the space is truncated."""
+    import scipy.sparse as sp
+
     if not (math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ValueError(f"eps must be a finite number in (0, 1), got {eps!r}")
     p = np.asarray(p0, dtype=float).copy()

@@ -209,17 +209,20 @@ class _Builder:
                               rows[:, 1], lo, hi)
         network = ReactionNetwork.from_table(self.names, table, state,
                                              concentration)
+        return ModelDocument(network, self.partition(), self.labels)
 
-        partition = None
-        if self.partition_groups is not None:
-            groups = [list(g) for g in self.partition_groups]
-            covered = {i for g in groups for i in g}
-            rest = [i for i in range(n) if i not in covered]
-            if rest:
-                groups.append(rest)
-            partition = Partition(groups, n)
-
-        return ModelDocument(network, partition, self.labels)
+    def partition(self) -> Optional[Partition]:
+        """The declared partition, its undeclared species in one more
+        block; None when no partition was declared."""
+        if self.partition_groups is None:
+            return None
+        n = len(self.names)
+        groups = [list(g) for g in self.partition_groups]
+        covered = {i for g in groups for i in g}
+        rest = [i for i in range(n) if i not in covered]
+        if rest:
+            groups.append(rest)
+        return Partition(groups, n)
 
 
 def _parse_number(tok: Token) -> float:
@@ -357,7 +360,10 @@ def _parse_reaction_line(cur: _Cursor, b: _Builder):
 def _parse_line(b: _Builder, raw: str, line_no: int):
     """Tokenizer path: parses any line of the grammar, or raises the
     located ParseError."""
-    tokens = _tokenize(raw.rstrip("\r"), line_no)
+    _parse_tokens(b, _tokenize(raw.rstrip("\r"), line_no), line_no)
+
+
+def _parse_tokens(b: _Builder, tokens: List[Token], line_no: int):
     if not tokens:
         return
     cur = _Cursor(tokens, line_no)
@@ -553,17 +559,20 @@ def parse_partition_file(text: str, network: ReactionNetwork) -> Partition:
     `partition { ... } ...` line, every other line blank. Errors carry the
     file's own line numbers."""
     b = _Builder()
-    for name in network.names:
-        b.intern(name)
+    b.names = list(network.names)
+    b.index = dict(zip(b.names, range(len(b.names))))
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        head = _tokenize(raw.rstrip("\r"), line_no)[:1]
-        if head and head[0].text != "partition":
-            raise ParseError(f"expected a partition line, got {head[0].text!r}",
-                             line_no, head[0].col)
-        _parse_line(b, raw, line_no)
+        m = _PARTITION_RE.fullmatch(raw)
+        if m is not None and _fast_partition(b, m):
+            continue
+        tokens = _tokenize(raw.rstrip("\r"), line_no)
+        if tokens and tokens[0].text != "partition":
+            raise ParseError(f"expected a partition line, got {tokens[0].text!r}",
+                             line_no, tokens[0].col)
+        _parse_tokens(b, tokens, line_no)
     if b.partition_groups is None:
         raise ParseError("no partition line found", 1, 1)
-    return b.document().initial_partition
+    return b.partition()
 
 
 @dataclass

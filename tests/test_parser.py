@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import crnlump as cl
 from crnlump.model import Multiset, Partition, RateInterval
-from crnlump.parser import (ParseError, _Builder, _parse_line, parse_edge_list,
-                            parse_model, parse_partition_file, serialize_model)
+from crnlump.parser import (ParseError, _Builder, _parse_line, _tokenize,
+                            parse_edge_list, parse_model, parse_partition_file,
+                            serialize_model)
 
 from conftest import (TWO_SITE_TEXT, documents_equal, networks_equal,
                       varied_network)
@@ -264,6 +265,51 @@ _PIECES = ["A", "B", "e5", "2", "0", "01", "2e5", "1.5", ".5", "1e999", "+",
 def test_fast_path_agrees_on_arbitrary_lines(lines):
     text = "\n".join("".join(p + sep for p, sep in line) for line in lines)
     assert outcome(parse_model, text) == outcome(tokenizer_parse, text)
+
+
+def tokenizer_partition_file(text, network):
+    """The partition the tokenizer path alone reads from a partition file,
+    each line's head checked on its own token list."""
+    b = _Builder()
+    for name in network.names:
+        b.intern(name)
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        head = _tokenize(raw.rstrip("\r"), line_no)[:1]
+        if head and head[0].text != "partition":
+            raise ParseError(f"expected a partition line, got {head[0].text!r}",
+                             line_no, head[0].col)
+        _parse_line(b, raw, line_no)
+    if b.partition_groups is None:
+        raise ParseError("no partition line found", 1, 1)
+    return b.document().initial_partition
+
+
+def partition_outcome(parse, text, network):
+    try:
+        return parse(text, network).blocks
+    except ParseError as err:
+        return ("error", err.message, err.line, err.col)
+
+
+_SEP = st.sampled_from(["", " ", "\t", " \t"])
+# mostly partition lines, some of them malformed (an open or empty block, a
+# repeated or unknown species, a stray token), among blank and other lines
+_PARTITION_LINE = st.one_of(
+    st.tuples(_SEP, st.just("partition"), _SEP, st.lists(st.tuples(
+        st.sampled_from(["{ A }", "{B}", "{ C A }", "{\tB C }", "{C}", "{ A",
+                         "C }", "{ }", "{ Q }", "x", "{ init }"]), _SEP),
+        max_size=4)).map(lambda t: t[0] + t[1] + t[2]
+                         + "".join(b + sep for b, sep in t[3])),
+    st.sampled_from(["", "  ", "\t", "init A = 1", "A -> B , 1", "partitionA"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PARTITION_LINE, max_size=3))
+def test_partition_file_fast_path_agrees_on_arbitrary_lines(lines):
+    net = parse_model("species A B C\n").network
+    text = "\n".join(lines)
+    assert partition_outcome(parse_partition_file, text, net) \
+        == partition_outcome(tokenizer_partition_file, text, net)
 
 
 _NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True).filter(
