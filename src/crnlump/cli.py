@@ -72,8 +72,8 @@ def _initial_partition(doc: ModelDocument, partition_file: Optional[str]) -> Par
 
 def _parse_assignments(text: str, net: ReactionNetwork, flag: str,
                        counts: bool = False) -> Dict[int, float]:
-    """Parse a `NAME=VALUE,...` flag value. A missing `=`, an unknown
-    species, or a value that is not a finite number (with `counts`, not a
+    """Parse a `NAME=VALUE,...` flag value. A missing `=`, an unknown or
+    repeated species, or a value that is not finite (with `counts`, not a
     non-negative integer) is a ParseError at the item's column."""
     out: Dict[int, float] = {}
     col = 1
@@ -92,6 +92,8 @@ def _parse_assignments(text: str, net: ReactionNetwork, flag: str,
             why = "expected NAME=VALUE"
         elif name not in net.names:
             why = f"unknown species {name!r}"
+        elif net.index_of(name) in out:
+            why = f"duplicate value for {name!r}"
         elif not math.isfinite(number):
             why = f"value {value!r} is not a finite number"
         elif counts and not (number >= 0 and number.is_integer()):
@@ -213,6 +215,8 @@ def _batch_inputs(in_dir: Path, out_dir: Path) -> List[str]:
 
 def _reduce_batch(args) -> int:
     in_dir = Path(args.batch)
+    if not in_dir.is_dir():
+        raise FileNotFoundError(f"--batch {str(in_dir)!r} is not a directory")
     out_dir = Path(args.out_dir or in_dir)
     files = _batch_inputs(in_dir, out_dir)
     try:
@@ -254,14 +258,12 @@ def cmd_check(args) -> int:
         # With an explicit initial state the oracle runs on the reachable
         # space; otherwise it enumerates the full population ball, which sees
         # every state the reaction-level criterion quantifies over.
+        init = net.initial_state
         if args.init:
             init = Multiset((i, int(v)) for i, v in _parse_assignments(
                 args.init, net, "--init", counts=True).items())
-            space = enumerate_states(net, init, args.pop_bound)
-        elif net.initial_state is not None:
-            space = enumerate_states(net, net.initial_state, args.pop_bound)
-        else:
-            space = enumerate_ball(net, args.pop_bound)
+        space = (enumerate_ball(net, args.pop_bound) if init is None
+                 else enumerate_states(net, init, args.pop_bound))
         oracle = {"states": space.n_states, "truncated": space.truncated}
         report["flags"]["truncated"] = space.truncated
         for extremal in ("lower", "upper"):
@@ -496,8 +498,10 @@ def run(argv: Optional[List[str]] = None) -> int:
         if args.family == "sir-net" and not args.edge_list:
             print("generate: --edge-list is required for sir-net", file=sys.stderr)
             return EXIT_INTERNAL
-    if args.command == "reduce" and not args.batch and not args.input:
-        print("reduce: -i/--input is required", file=sys.stderr)
+    if args.command == "reduce" and (bool(args.batch) == bool(args.input)
+                                     or (args.out_dir and not args.batch)):
+        print("reduce: use either -i/--input or --batch [--out-dir]",
+              file=sys.stderr)
         return EXIT_INTERNAL
     try:
         return args.func(args)

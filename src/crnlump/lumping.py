@@ -47,9 +47,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .model import (CompiledNetwork, Multiset, Partition, ReactionNetwork,
-                    ReactionTable, StructuralError, group_sums,
-                    project_key, row_keys)
+from .model import (CompiledNetwork, Partition, ReactionNetwork,
+                    ReactionTable, StructuralError, group_sums, row_keys)
 
 
 class InvalidPartitionError(ValueError):
@@ -104,19 +103,17 @@ def _block_sums(owner: np.ndarray, block: np.ndarray, value: np.ndarray):
     return owner[first], block[first], total
 
 
-def _owner_ids(owner: np.ndarray, block: np.ndarray, value: np.ndarray,
-               n: int) -> np.ndarray:
-    """For (owner, block, value) triples sorted by owner, then block: per
-    owner 0..n-1, an id of its sorted (block, value) pairs, equal pair
-    lists sharing it; -1 for an owner with no pair."""
-    # one row of (block, value) pairs per owner, padded with -1
-    row = _run_ids(owner)
-    pos = np.arange(len(owner)) - np.searchsorted(row, row)
-    table = np.full((row.max(initial=-1) + 1,
-                     2 * (pos.max(initial=-1) + 1)), -1, dtype=np.int64)
-    table[row, 2 * pos], table[row, 2 * pos + 1] = block, value
-    ids = np.full(n, -1)
-    ids[np.unique(owner)] = _row_ids(table)
+def _list_ids(owner: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """For the rows of a 2-D array sorted by owner: per owner 0..n-1, an id
+    of its list of rows, equal lists sharing it; -1 for an owner with no
+    row. The lists of one length are compared as one flat row each."""
+    size = np.bincount(owner, minlength=n)
+    first = np.cumsum(size) - size
+    ids = np.full(n, -1, dtype=np.int64)
+    for k in np.unique(size[size > 0]).tolist():
+        who = np.flatnonzero(size == k)
+        flat = rows[first[who, None] + np.arange(k)].reshape(len(who), -1)
+        ids[who] = ids.max() + 1 + _row_ids(flat)
     return ids
 
 
@@ -128,7 +125,8 @@ def _change_ids(c: CompiledNetwork, need: np.ndarray,
     t = np.flatnonzero(need[c.rx])
     rx, b, change = _block_sums(c.rx[t], label[c.sp[t]], c.dn[t])
     nonzero = change != 0
-    return _owner_ids(rx[nonzero], b[nonzero], change[nonzero], len(need))
+    return _list_ids(rx[nonzero], np.column_stack((b, change))[nonzero],
+                     len(need))
 
 
 def _sweep(c: CompiledNetwork, pairs,
@@ -154,17 +152,9 @@ def _sweep(c: CompiledNetwork, pairs,
     val = np.column_stack((lo, hi)) + 0.0
     if not np.all(np.isfinite(val)):
         raise OverflowError("an aggregate rate overflows")
-    a = a[start]
+    # a species' signature is its sorted (context, change, lo, hi) items
     items = np.column_stack((ctx[start], change[start], val.view(np.int64)))
-    # a species' signature is its run of sorted (context, change, lo, hi)
-    # items; runs of one length are compared as rows, an empty one is 0
-    size = np.bincount(a, minlength=len(label))
-    first = np.cumsum(size) - size
-    sig = np.zeros(len(label), dtype=np.int64)
-    for n in np.unique(size[size > 0]).tolist():
-        who = np.flatnonzero(size == n)
-        rows = items[first[who, None] + np.arange(n)].reshape(len(who), -1)
-        sig[who] = sig.max() + 1 + _row_ids(rows)
+    sig = _list_ids(a[start], items, len(label))
     label = _row_ids(np.column_stack((label, sig)))
     return label, int(label.max(initial=-1)) + 1
 
@@ -246,7 +236,7 @@ def quotient(net: ReactionNetwork,
     owner = np.repeat(np.arange(n_sides), t.size)
     label = np.asarray(block_of, dtype=np.int64)
     side, block, count = _block_sums(owner, label[t.species], t.count)
-    proj = _owner_ids(side, block, count, n_sides) + 1
+    proj = _list_ids(side, np.column_stack((block, count)), n_sides) + 1
     is_rep = np.zeros(net.n_species, dtype=bool)
     is_rep[list(reps)] = True
     rep_only = np.bincount(owner, ~is_rep[t.species], n_sides) == 0
@@ -276,17 +266,9 @@ def quotient(net: ReactionNetwork,
     table = ReactionTable(n_runs, block[run], count[run], new[:len(members)],
                           new[len(members):], lo, hi)
 
-    init_state = None
-    if net.initial_state is not None:
-        init_state = Multiset.from_canonical(
-            project_key(net.initial_state.entries, block_of))
-    init_conc = None
-    if net.initial_concentration is not None:
-        acc = [0.0] * len(reps)
-        for i, v in enumerate(net.initial_concentration):
-            acc[block_of[i]] += v
-        init_conc = tuple(acc)
-
+    conc = net.initial_concentration
+    if conc is not None:  # summed in species order, as a loop would
+        conc = np.bincount(label, conc, len(reps))
     lumped = ReactionNetwork.from_table([net.names[i] for i in reps], table,
-                                        init_state, init_conc)
+                                        conc)
     return lumped, part

@@ -175,17 +175,16 @@ class ReactionNetwork:
     `upper` rate vectors pin every rate at its interval endpoint; these two
     extremal networks drive both the equivalence check and the stochastic
     semantics.
-    Optional initial data carries a molecule multiset (stochastic) and/or a
-    concentration vector (deterministic). `proved` is the partition that
-    lumping last proved an equivalence of this network, or None.
+    The optional initial data is one vector, `initial_concentration`;
+    `initial_state` is the molecule multiset it gives when every value is
+    an integer. `proved` is the partition that lumping last proved an
+    equivalence of this network, or None.
     """
 
-    __slots__ = ("names", "table", "initial_state",
-                 "initial_concentration", "proved", "_reactions",
-                 "_index_of", "_compiled")
+    __slots__ = ("names", "table", "initial_concentration", "proved",
+                 "_reactions", "_index_of", "_compiled")
 
     def __init__(self, names: Sequence[str], reactions: Sequence[Reaction],
-                 initial_state: Optional[Multiset] = None,
                  initial_concentration: Optional[Sequence[float]] = None):
         reactions = tuple(reactions)
         if any(r.id != j for j, r in enumerate(reactions)):
@@ -196,12 +195,11 @@ class ReactionNetwork:
         table = ReactionTable(*flat_sides(tuple(ids)), lhs, rhs,
                               [r.rate.lo for r in reactions],
                               [r.rate.hi for r in reactions])
-        self._setup(names, table, initial_state, initial_concentration)
+        self._setup(names, table, initial_concentration)
         self._reactions: Optional[Tuple[Reaction, ...]] = reactions
 
     @classmethod
     def from_table(cls, names: Sequence[str], table: ReactionTable,
-                   initial_state: Optional[Multiset] = None,
                    initial_concentration: Optional[Sequence[float]] = None
                    ) -> "ReactionNetwork":
         """Trusted constructor: the table's sides must be distinct and
@@ -210,12 +208,11 @@ class ReactionNetwork:
         in range. Only the species indices and the rates are checked. The
         arrays are kept read-only, and `reactions` is built on first use."""
         net = object.__new__(cls)
-        net._setup(names, table, initial_state, initial_concentration)
+        net._setup(names, table, initial_concentration)
         net._reactions = None
         return net
 
-    def _setup(self, names, table: ReactionTable, initial_state,
-               initial_concentration):
+    def _setup(self, names, table: ReactionTable, initial_concentration):
         self.names: Tuple[str, ...] = tuple(names)
         n = len(self.names)
         self._index_of: Dict[str, int] = dict(zip(self.names, range(n)))
@@ -236,17 +233,12 @@ class ReactionNetwork:
             j = int(bad[0])
             raise StructuralError(f"reaction {j} has invalid rate interval "
                                   f"[{lo[j]}; {hi[j]}]")
-        if initial_state is not None:
-            for idx, _ in initial_state:
-                if idx >= n:
-                    raise StructuralError("initial state references unknown species")
         conc: Optional[Tuple[float, ...]] = None
         if initial_concentration is not None:
             conc = tuple(float(x) for x in initial_concentration)
             if len(conc) != n:
                 raise StructuralError("initial concentration length mismatch")
         self.table = ReactionTable(size, sp, cnt, lhs, rhs, lo, hi)
-        self.initial_state = initial_state
         self.initial_concentration = conc
         self._compiled: Optional[CompiledNetwork] = None
         self.proved: Optional[Partition] = None
@@ -266,6 +258,15 @@ class ReactionNetwork:
                     t.lhs.tolist(), t.rhs.tolist(), t.lo.tolist(),
                     t.hi.tolist())))
         return self._reactions
+
+    @property
+    def initial_state(self) -> Optional[Multiset]:
+        """The molecule counts of `initial_concentration` when every value
+        is an integer; None otherwise or without initial data."""
+        conc = self.initial_concentration
+        if conc is None or not all(v.is_integer() for v in conc):
+            return None
+        return Multiset((i, int(v)) for i, v in enumerate(conc))
 
     @property
     def n_species(self) -> int:

@@ -195,20 +195,16 @@ class _Builder:
     def document(self) -> ModelDocument:
         n = len(self.names)
         concentration = None
-        state = None
         if self.init_values:
             vec = [0.0] * n
             for idx, val in self.init_values.items():
                 vec[idx] = val
             concentration = tuple(vec)
-            if all(v.is_integer() for v in vec):
-                state = Multiset((i, int(v)) for i, v in enumerate(vec))
         rows = np.array(self.rows, dtype=np.int64).reshape(-1, 3)
         lo, hi = np.array(self.bounds).reshape(-1, 2)[rows[:, 2]].T
         table = ReactionTable(*flat_sides(tuple(self.side_ids)), rows[:, 0],
                               rows[:, 1], lo, hi)
-        network = ReactionNetwork.from_table(self.names, table, state,
-                                             concentration)
+        network = ReactionNetwork.from_table(self.names, table, concentration)
         return ModelDocument(network, self.partition(), self.labels)
 
     def partition(self) -> Optional[Partition]:
@@ -544,9 +540,6 @@ def serialize_model(doc: ModelDocument) -> str:
         if items:
             body = ", ".join(f"{names[i]} = {_fmt(v)}" for i, v in items)
             lines.append(f"init {body}")
-    elif net.initial_state is not None and len(net.initial_state) > 0:
-        body = ", ".join(f"{names[i]} = {_fmt(float(c))}" for i, c in net.initial_state)
-        lines.append(f"init {body}")
     if doc.initial_partition is not None:
         groups = " ".join("{ " + " ".join(names[i] for i in blk) + " }"
                           for blk in doc.initial_partition.blocks)

@@ -51,8 +51,7 @@ def perturb_rate(net: ReactionNetwork, reaction_id: int, dlo: float = 0.0,
     r = reactions[reaction_id]
     reactions[reaction_id] = Reaction(
         r.reactant, r.product, RateInterval(r.rate.lo + dlo, r.rate.hi + dhi), r.id)
-    return ReactionNetwork(net.names, reactions, net.initial_state,
-                           net.initial_concentration)
+    return ReactionNetwork(net.names, reactions, net.initial_concentration)
 
 
 def random_network(rng: random.Random, max_species: int = 5,
@@ -543,18 +542,13 @@ def dict_quotient(net: ReactionNetwork, part: Partition) -> ReactionNetwork:
     reactions = [Reaction(Multiset.from_canonical(rx), Multiset.from_canonical(px),
                           RateInterval(math.fsum(los), math.fsum(his)), rid)
                  for rid, ((rx, px), (los, his)) in enumerate(fused.items())]
-    init_state = None
-    if net.initial_state is not None:
-        init_state = Multiset.from_canonical(
-            project_key(net.initial_state.entries, block_of))
     init_conc = None
     if net.initial_concentration is not None:
         acc = [0.0] * len(reps)
         for i, v in enumerate(net.initial_concentration):
             acc[block_of[i]] += v
         init_conc = tuple(acc)
-    return ReactionNetwork([net.names[i] for i in reps], reactions, init_state,
-                           init_conc)
+    return ReactionNetwork([net.names[i] for i in reps], reactions, init_conc)
 
 
 def reaction_rows(net: ReactionNetwork) -> list:

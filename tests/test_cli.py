@@ -162,6 +162,33 @@ class TestReduce:
         files = read_report(tmp_path / "rep.json")["files"]
         assert [f["file"] for f in files] == [str(tmp_path / "solo.red.crn")]
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    @pytest.mark.parametrize("out_dir", [False, True])
+    def test_batch_input_must_be_a_directory(self, tmp_path, capsys, kind,
+                                             out_dir):
+        given = tmp_path / "models"
+        if kind == "file":
+            given.write_text(TWO_SITE_TEXT)
+        argv = ["reduce", "--batch", str(given)]
+        if out_dir:
+            argv += ["--out-dir", str(tmp_path / "out")]
+        assert run(argv) == 1
+        assert f"missing file: --batch {str(given)!r} is not a directory" \
+            in capsys.readouterr().err
+        assert given.exists() == (kind == "file")
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == (["models"] if kind == "file" else [])
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--batch", "{dir}", "-i", "{file}"],
+        ["-i", "{file}", "--out-dir", "{dir}/out"]])
+    def test_input_or_batch(self, tmp_path, two_site_file, capsys, extra):
+        argv = [a.format(dir=tmp_path, file=two_site_file) for a in extra]
+        assert run(["reduce", *argv]) == 2
+        assert "reduce: use either -i/--input or --batch [--out-dir]" \
+            in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["two_site.crn"]
+
 
 _SIR = cl.SirParams(beta=0.4, gamma=0.25, eta=0.1,
                     vaccination=cl.RateInterval(0.0, 1.0))
@@ -355,6 +382,8 @@ class TestAssignments:
         ("check", "A00=x", "A00=x", 1, "not a finite number"),
         ("check", "A00", "A00", 1, "expected NAME=VALUE"),
         ("check", "Z=1", "Z=1", 1, "unknown species 'Z'"),
+        ("simulate", "A00=1,A00=2", "A00=2", 7, "duplicate value for 'A00'"),
+        ("check", "B=1, B=1", "B=1", 6, "duplicate value for 'B'"),
     ])
     def test_bad_item_is_a_located_parse_error(self, two_site_file, capsys,
                                                command, value, item, col, why):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crnlump as cl
 from crnlump import lumping
@@ -418,6 +420,33 @@ class TestSignatureOracle:
         assert self.split_by_oracle(net, part, ("upper",)) \
             == Partition([[0, 2], [1], [3]], 4)
         assert self.split_by_sweep(net, part) == Partition.singletons(4)
+
+
+@st.composite
+def owned_lists(draw):
+    """Lists of rows of one width, some empty, with values from a small
+    range so that equal lists occur."""
+    width = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(-2, 2)] * width)
+    return width, draw(st.lists(st.lists(row, max_size=4), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(owned_lists())
+def test_list_ids_match_a_dict_of_tuples(case):
+    width, lists = case
+    owner = np.repeat(np.arange(len(lists)), [len(lst) for lst in lists])
+    rows = np.array([r for lst in lists for r in lst], dtype=np.int64)
+    ids = lumping._list_ids(owner, rows.reshape(-1, width),
+                            len(lists)).tolist()
+    ref = {}
+    for lst, got in zip(lists, ids):
+        if lst:
+            assert got >= 0 and ref.setdefault(tuple(lst), got) == got
+        else:
+            assert got == -1
+    # only equal lists share an id
+    assert len(set(ref.values())) == len(ref)
 
 
 class TestNoopReactions:

@@ -357,3 +357,59 @@ class TestNames:
                                     for i in part.representatives])
         assert lumped.names == ("B", "A00", "A01", "A11")
 
+
+
+class TestInitialState:
+    @staticmethod
+    def _assert_derived(net):
+        """`initial_state` is the counts of an integral initial vector, and
+        None for a non-integral one or none."""
+        conc = net.initial_concentration
+        if conc is not None and all(v.is_integer() for v in conc):
+            assert net.initial_state == Multiset(
+                (i, int(v)) for i, v in enumerate(conc))
+        else:
+            assert net.initial_state is None
+
+    @pytest.mark.parametrize("init,state", [
+        ("init A = 2.0, C = 1", ms((0, 2), (2, 1))),
+        ("init A = 2.0, B = 0.5", None),
+        ("init A = 0", ms()),
+        ("", None),
+    ])
+    def test_parsed(self, init, state):
+        net = cl.parse_model(f"species A B C\nA -> B , 1.0\n{init}\n").network
+        assert net.initial_state == state
+        self._assert_derived(net)
+
+    def test_generated_networks_have_none(self):
+        params = cl.SirParams(0.4, 0.25, 0.1, RateInterval(0.0, 1.0))
+        for doc in (cl.multisite_binding_model(3),
+                    cl.sir_star_model(3, params)):
+            assert doc.network.initial_state is None
+
+    @pytest.mark.parametrize("conc,state", [
+        ((1.0, 2.0, 0.0), ms((0, 1), (1, 2))),
+        ((1.0, 2.5, 0.0), None),
+    ])
+    def test_built_from_a_vector(self, conc, state):
+        reactions = [Reaction(ms((0, 1)), ms((1, 1)), RateInterval(1.0, 1.0),
+                              0)]
+        net = ReactionNetwork(["A", "B", "C"], reactions, conc)
+        assert net.initial_state == state
+        self._assert_derived(net)
+
+    @pytest.mark.parametrize("init,state", [
+        ("A = 1.0, B = 2.0, C = 3", ms((0, 3), (1, 3))),
+        # a non-integral vector whose block sums are integral: the lumped
+        # network has a state although the original has none
+        ("A = 0.5, B = 0.5, C = 2", ms((0, 1), (1, 2))),
+        ("A = 0.5, B = 1.0, C = 2", None),
+    ])
+    def test_lumped(self, init, state):
+        doc = cl.parse_model(f"species A B C\nA -> C , 1.0\nB -> C , 1.0\n"
+                             f"init {init}\n")
+        lumped, _ = cl.quotient(doc.network, Partition([[0, 1], [2]], 3))
+        assert lumped.initial_state == state
+        self._assert_derived(doc.network)
+        self._assert_derived(lumped)
