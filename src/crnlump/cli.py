@@ -498,8 +498,10 @@ def run(argv: Optional[List[str]] = None) -> int:
         if args.family == "sir-net" and not args.edge_list:
             print("generate: --edge-list is required for sir-net", file=sys.stderr)
             return EXIT_INTERNAL
-    if args.command == "reduce" and (bool(args.batch) == bool(args.input)
-                                     or (args.out_dir and not args.batch)):
+    if args.command == "reduce" and (
+            (args.batch and any((args.input, args.output, args.map,
+                                 args.partition_file)))
+            or (not args.batch and (not args.input or args.out_dir))):
         print("reduce: use either -i/--input or --batch [--out-dir]",
               file=sys.stderr)
         return EXIT_INTERNAL

@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 from .model import (Multiset, Partition, ReactionNetwork, StructuralError,
-                    group_sums, project_key, row_keys)
+                    group_sums, project_key, row_keys, side_texts)
 
 
 class CapacityError(RuntimeError):
@@ -294,9 +294,9 @@ def build_generator(space: StateSpace, net: ReactionNetwork,
 
     def overflow(si: int, what: str, j=None) -> PropensityOverflowError:
         if j is not None:
-            r = net.reactions[j]
-            what = (f"reaction {j} ({r.reactant.format(names)} -> "
-                    f"{r.product.format(names)}): {what}")
+            sides = side_texts(net.table, names)
+            what = (f"reaction {j} ({sides[net.table.lhs[j]]} -> "
+                    f"{sides[net.table.rhs[j]]}): {what}")
         return PropensityOverflowError(
             counts[si].copy(),
             f"{what} at state {space.states[si].format(names)}")

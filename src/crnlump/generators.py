@@ -53,7 +53,7 @@ def _network(names, rows: np.ndarray, bounds: np.ndarray) -> ReactionNetwork:
     # which of a side's (smaller, larger) slots are entries, and their counts
     entry = np.column_stack(((sides[:, 0] >= 0) & ~twice, sides[:, 1] >= 0))
     count = np.column_stack((np.ones(len(keys), dtype=np.int64), 1 + twice))
-    return ReactionNetwork.from_table(names, ReactionTable(
+    return ReactionNetwork(names, ReactionTable(
         entry.sum(axis=1), sides[entry], count[entry], ids[:len(rows)],
         ids[len(rows):], bounds[:, 0], bounds[:, 1]))
 

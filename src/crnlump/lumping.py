@@ -269,6 +269,5 @@ def quotient(net: ReactionNetwork,
     conc = net.initial_concentration
     if conc is not None:  # summed in species order, as a loop would
         conc = np.bincount(label, conc, len(reps))
-    lumped = ReactionNetwork.from_table([net.names[i] for i in reps], table,
-                                        conc)
+    lumped = ReactionNetwork([net.names[i] for i in reps], table, conc)
     return lumped, part

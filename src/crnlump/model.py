@@ -1,6 +1,7 @@
-"""Core domain types: multisets, rate intervals, reactions, the reaction
-table a network stores its reactions in, partitions, and the compiled array
-form every layer reads a network through.
+"""Core domain types: multisets, rate intervals, the reaction table that
+`ReactionNetwork(names, table)` checks and builds a network from, the
+`Reaction` objects that only view that table, partitions, and the compiled
+array form every layer reads a network through.
 
 Everything in this module is immutable after construction and safe to share
 across threads. A network's species are its tuple of names, and species i is
@@ -143,11 +144,11 @@ class Reaction:
 
 
 class ReactionTable(NamedTuple):
-    """A network's reactions as one table of read-only arrays. Side k, one
-    of the distinct canonical reaction sides, has `size[k]` entries, which
-    are the next `size[k]` (`species`, `count`) pairs after those of sides
-    0..k-1, in increasing species order. Reaction j is side `lhs[j]` ->
-    side `rhs[j]` with rate bounds `[lo[j], hi[j]]`."""
+    """A network's reactions as one table of read-only arrays. Side k, a
+    canonical reaction side, has `size[k]` entries, which are the next
+    `size[k]` (`species`, `count`) pairs after those of sides 0..k-1, in
+    increasing species order. Reaction j is side `lhs[j]` -> side `rhs[j]`
+    with rate bounds `[lo[j], hi[j]]`."""
 
     size: np.ndarray
     species: np.ndarray
@@ -164,82 +165,91 @@ def _read_only(a, dtype) -> np.ndarray:
     return a
 
 
+def _check_table(t: ReactionTable, n: int):
+    """Raise StructuralError naming the first bad reaction or side of `t`."""
+    size, sp, cnt, lhs, rhs, lo, hi = t
+    if {len(rhs), len(lo), len(hi)} != {len(lhs)}:
+        raise StructuralError("lhs, rhs, lo and hi have lengths "
+                              f"{[len(a) for a in t[3:]]}")
+    if (size < 0).any() or size.sum() != len(sp) or len(cnt) != len(sp):
+        raise StructuralError("side sizes must be non-negative and sum to "
+                              f"the {len(sp)} species and {len(cnt)} counts")
+    k = len(size)
+    bad = np.flatnonzero((lhs < 0) | (lhs >= k) | (rhs < 0) | (rhs >= k))
+    if len(bad):
+        j = int(bad[0])
+        raise StructuralError(f"reaction {j} has side ids {lhs[j]} -> "
+                              f"{rhs[j]}, not in 0..{k - 1}")
+    # a canonical side's species increase strictly and are in range, and
+    # its counts are positive
+    ok = np.ones(len(sp), dtype=bool)
+    ok[1:] = sp[1:] > sp[:-1]
+    ok[(np.cumsum(size) - size)[size > 0]] = True
+    ok &= (sp >= 0) & (sp < n) & (cnt >= 1)
+    if not ok.all():
+        e = int(np.argmin(ok))
+        side = int(np.searchsorted(np.cumsum(size), e, "right"))
+        uses = np.flatnonzero((lhs == side) | (rhs == side))
+        where = f"reaction {uses[0]}" if len(uses) else f"side {side}"
+        i = int(sp[e])
+        raise StructuralError(
+            f"{where} references species index {i} >= {n}" if i >= n else
+            f"{where} references species index {i} < 0" if i < 0 else
+            f"{where} has count {cnt[e]} of species index {i}" if cnt[e] < 1
+            else f"{where} has species index {i} after {sp[e - 1]} in a side")
+    bad = np.flatnonzero(~((0.0 <= lo) & (lo <= hi) & np.isfinite(hi)))
+    if len(bad):
+        j = int(bad[0])
+        raise StructuralError(f"reaction {j} has invalid rate interval "
+                              f"[{lo[j]}; {hi[j]}]")
+
+
 class ReactionNetwork:
     """A finite species set plus reactions with interval-valued rates.
 
     The species are the tuple of distinct strings `names`: species i is
-    `names[i]`. The reactions are stored as one `ReactionTable`, into which
-    the constructor interns the sides of the reactions it is given; it
-    keeps those reactions as `reactions`, which a network built by
-    `from_table` builds from the table on first use. The `lower` and
-    `upper` rate vectors pin every rate at its interval endpoint; these two
+    `names[i]`. The reactions are the rows of `table`, a `ReactionTable`,
+    which the constructor checks and keeps as read-only arrays:
+    `StructuralError` names the first bad reaction or side when the arrays'
+    lengths disagree, a side id is out of range, a side is not canonical
+    (species strictly increasing, each below `len(names)`, counts at least
+    1) or a rate interval is invalid. `reactions`, the reactions as objects,
+    is a view built from the table on first use. The `lower` and `upper`
+    rate vectors pin every rate at its interval endpoint; these two
     extremal networks drive both the equivalence check and the stochastic
     semantics.
-    The optional initial data is one vector, `initial_concentration`;
-    `initial_state` is the molecule multiset it gives when every value is
-    an integer. `proved` is the partition that lumping last proved an
-    equivalence of this network, or None.
+    The optional initial data is one vector of finite non-negative values,
+    `initial_concentration`; `initial_state` is the molecule multiset it
+    gives when every value is an integer. `proved` is the partition that
+    lumping last proved an equivalence of this network, or None.
     """
 
     __slots__ = ("names", "table", "initial_concentration", "proved",
                  "_reactions", "_index_of", "_compiled")
 
-    def __init__(self, names: Sequence[str], reactions: Sequence[Reaction],
+    def __init__(self, names: Sequence[str], table: ReactionTable,
                  initial_concentration: Optional[Sequence[float]] = None):
-        reactions = tuple(reactions)
-        if any(r.id != j for j, r in enumerate(reactions)):
-            raise StructuralError("reaction ids must be contiguous and in order")
-        ids: Dict[tuple, int] = {}
-        lhs = [ids.setdefault(r.reactant.entries, len(ids)) for r in reactions]
-        rhs = [ids.setdefault(r.product.entries, len(ids)) for r in reactions]
-        table = ReactionTable(*flat_sides(tuple(ids)), lhs, rhs,
-                              [r.rate.lo for r in reactions],
-                              [r.rate.hi for r in reactions])
-        self._setup(names, table, initial_concentration)
-        self._reactions: Optional[Tuple[Reaction, ...]] = reactions
-
-    @classmethod
-    def from_table(cls, names: Sequence[str], table: ReactionTable,
-                   initial_concentration: Optional[Sequence[float]] = None
-                   ) -> "ReactionNetwork":
-        """Trusted constructor: the table's sides must be distinct and
-        canonical, `size` must sum to the length of `species` and `count`,
-        and `lhs`, `rhs`, `lo` and `hi` must be of one length with side ids
-        in range. Only the species indices and the rates are checked. The
-        arrays are kept read-only, and `reactions` is built on first use."""
-        net = object.__new__(cls)
-        net._setup(names, table, initial_concentration)
-        net._reactions = None
-        return net
-
-    def _setup(self, names, table: ReactionTable, initial_concentration):
         self.names: Tuple[str, ...] = tuple(names)
         n = len(self.names)
         self._index_of: Dict[str, int] = dict(zip(self.names, range(n)))
         if len(self._index_of) != n:
             raise StructuralError("duplicate species names")
-        size, sp, cnt, lhs, rhs = (_read_only(a, np.int64) for a in table[:5])
-        lo, hi = (_read_only(a, float) for a in table[5:])
-        # a canonical side's last entry holds its largest species index
-        top = np.full(len(size), -1, dtype=np.int64)
-        top[size > 0] = sp[np.cumsum(size)[size > 0] - 1]
-        bad = np.flatnonzero((top[lhs] >= n) | (top[rhs] >= n))
-        if len(bad):
-            j = int(bad[0])
-            raise StructuralError(f"reaction {j} references species index "
-                                  f"{max(top[lhs[j]], top[rhs[j]])} >= {n}")
-        bad = np.flatnonzero(~((0.0 <= lo) & (lo <= hi) & np.isfinite(hi)))
-        if len(bad):
-            j = int(bad[0])
-            raise StructuralError(f"reaction {j} has invalid rate interval "
-                                  f"[{lo[j]}; {hi[j]}]")
+        self.table = ReactionTable(
+            *(_read_only(a, np.int64) for a in table[:5]),
+            *(_read_only(a, float) for a in table[5:]))
+        _check_table(self.table, n)
         conc: Optional[Tuple[float, ...]] = None
         if initial_concentration is not None:
             conc = tuple(float(x) for x in initial_concentration)
             if len(conc) != n:
                 raise StructuralError("initial concentration length mismatch")
-        self.table = ReactionTable(size, sp, cnt, lhs, rhs, lo, hi)
+            bad = [i for i, v in enumerate(conc) if not 0.0 <= v < math.inf]
+            if bad:
+                raise StructuralError(
+                    f"initial concentration of {self.names[bad[0]]!r} is "
+                    f"{conc[bad[0]]}, not a finite non-negative number")
         self.initial_concentration = conc
+        self._reactions: Optional[Tuple[Reaction, ...]] = None
         self._compiled: Optional[CompiledNetwork] = None
         self.proved: Optional[Partition] = None
 
@@ -421,6 +431,23 @@ def flat_sides(sides) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     sp, cnt = np.fromiter(chain(chain(sides)), np.int64,
                           2 * n).reshape(n, 2).T
     return size, sp, cnt
+
+
+def side_texts(t: ReactionTable, names: Sequence[str]) -> np.ndarray:
+    """`Multiset.format` of each side of the table `t`, as an object array,
+    built one term position at a time."""
+    size, sp, cnt = t.size, t.species, t.count
+    term = np.array(names, dtype=object)[sp]
+    many = np.flatnonzero(cnt != 1)
+    term[many] = [f"{c} {name}" for c, name in
+                  zip(cnt[many].tolist(), term[many].tolist())]
+    start = np.cumsum(size) - size
+    text = np.full(len(size), "0", dtype=object)
+    for k in range(int(size.max(initial=0))):
+        more = np.flatnonzero(size > k)
+        text[more] = (term[start[more]] if k == 0 else
+                      text[more] + " + " + term[start[more] + k])
+    return text
 
 
 def compile_network(net: ReactionNetwork) -> CompiledNetwork:

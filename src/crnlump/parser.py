@@ -31,8 +31,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .model import (Multiset, Partition, ReactionNetwork, ReactionTable,
-                    flat_sides, row_keys)
+from .model import (Partition, ReactionNetwork, ReactionTable, flat_sides,
+                    row_keys, side_texts)
 
 _KEYWORDS = {"species", "init", "partition"}
 
@@ -179,7 +179,18 @@ class _Builder:
             raise ParseError(f"unknown species {tok.text!r}", tok.line, tok.col)
         return idx
 
-    def side(self, entries: Tuple[Tuple[int, int], ...]) -> int:
+    def side(self, terms: List[Tuple[str, int]]) -> int:
+        """Intern the species of a reaction side's (name, count) terms, in
+        order; the id of its canonical side, in which a species given twice
+        counts twice."""
+        index = self.index
+        acc: Dict[int, int] = {}
+        for name, count in terms:
+            idx = index.get(name)
+            if idx is None:
+                idx = self.intern(name)
+            acc[idx] = acc.get(idx, 0) + count
+        entries = tuple(sorted(acc.items()))
         return self.side_ids.setdefault(entries, len(self.side_ids))
 
     def rate(self, lo: float, hi: float) -> int:
@@ -204,7 +215,7 @@ class _Builder:
         lo, hi = np.array(self.bounds).reshape(-1, 2)[rows[:, 2]].T
         table = ReactionTable(*flat_sides(tuple(self.side_ids)), rows[:, 0],
                               rows[:, 1], lo, hi)
-        network = ReactionNetwork.from_table(self.names, table, concentration)
+        network = ReactionNetwork(self.names, table, concentration)
         return ModelDocument(network, self.partition(), self.labels)
 
     def partition(self) -> Optional[Partition]:
@@ -231,14 +242,15 @@ def _parse_number(tok: Token) -> float:
     return value
 
 
-def _parse_multiset(cur: _Cursor, b: _Builder) -> Multiset:
+def _parse_side(cur: _Cursor, b: _Builder) -> int:
+    """Parse a reaction side; its side id."""
     first = cur.peek()
     if first is not None and first.kind == "number" and first.text == "0":
         nxt = cur.peek(1)
         if nxt is None or nxt.kind != "ident":
             cur.next()
-            return Multiset()
-    pairs: List[Tuple[int, int]] = []
+            return b.side([])
+    terms: List[Tuple[str, int]] = []
     while True:
         tok = cur.next()
         count = 1
@@ -251,13 +263,13 @@ def _parse_multiset(cur: _Cursor, b: _Builder) -> Multiset:
             raise ParseError(f"expected species term, got {tok.text!r}", tok.line, tok.col)
         if tok.text in _KEYWORDS:
             raise ParseError(f"reserved word {tok.text!r} used as species", tok.line, tok.col)
-        pairs.append((b.intern(tok.text), count))
+        terms.append((tok.text, count))
         nxt = cur.peek()
         if nxt is not None and nxt.kind == "sym" and nxt.text == "+":
             cur.next()
             continue
         break
-    return Multiset(pairs)
+    return b.side(terms)
 
 
 def _parse_rate(cur: _Cursor) -> Tuple[float, float]:
@@ -343,14 +355,13 @@ def _parse_reaction_line(cur: _Cursor, b: _Builder):
         label = tok0.text
         cur.next()
         cur.next()
-    reactant = _parse_multiset(cur, b)
+    reactant = _parse_side(cur, b)
     cur.expect("arrow")
-    product = _parse_multiset(cur, b)
+    product = _parse_side(cur, b)
     cur.expect("sym", ",")
     rate = _parse_rate(cur)
     cur.require_done()
-    b.add_reaction(b.side(reactant.entries), b.side(product.entries),
-                   b.rate(*rate), label)
+    b.add_reaction(reactant, product, b.rate(*rate), label)
 
 
 def _parse_line(b: _Builder, raw: str, line_no: int):
@@ -392,19 +403,6 @@ def _side_terms(side: str) -> List[Tuple[str, int]]:
     return terms
 
 
-def _side_id(b: _Builder, side: str, terms: List[Tuple[str, int]]) -> int:
-    """Intern a side's species and its canonical entries; the side's id."""
-    index = b.index
-    acc: Dict[int, int] = {}
-    for name, count in terms:
-        idx = index.get(name)
-        if idx is None:
-            idx = b.intern(name)
-        acc[idx] = acc.get(idx, 0) + count
-    b.sides[side] = sid = b.side(tuple(sorted(acc.items())))
-    return sid
-
-
 def _fast_reaction(b: _Builder, m: re.Match) -> bool:
     label, lhs, rhs = m.group(1, 2, 3)
     key = m.group(4, 5, 6)
@@ -431,9 +429,9 @@ def _fast_reaction(b: _Builder, m: re.Match) -> bool:
     if any(name in _KEYWORDS for name, _ in lterms + rterms):
         return False
     if reactant is None:
-        reactant = _side_id(b, lhs, lterms)
+        reactant = b.sides[lhs] = b.side(lterms)
     if product is None:
-        product = _side_id(b, rhs, rterms)
+        product = b.sides[rhs] = b.side(rterms)
     b.add_reaction(reactant, product, rate, label)
     return True
 
@@ -495,23 +493,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _side_texts(t: ReactionTable, names) -> np.ndarray:
-    """`Multiset.format` of each side of the table `t`, as an object array,
-    built one term position at a time."""
-    size, sp, cnt = t.size, t.species, t.count
-    term = np.array(names, dtype=object)[sp]
-    many = np.flatnonzero(cnt != 1)
-    term[many] = [f"{c} {name}" for c, name in
-                  zip(cnt[many].tolist(), term[many].tolist())]
-    start = np.cumsum(size) - size
-    text = np.full(len(size), "0", dtype=object)
-    for k in range(int(size.max(initial=0))):
-        more = np.flatnonzero(size > k)
-        text[more] = (term[start[more]] if k == 0 else
-                      text[more] + " + " + term[start[more] + k])
-    return text
-
-
 def serialize_model(doc: ModelDocument) -> str:
     """Deterministic serialization: species in index order, reactions in id
     order; parsing the output reproduces the document structurally. Each
@@ -519,7 +500,7 @@ def serialize_model(doc: ModelDocument) -> str:
     net = doc.network
     names = net.names
     t = net.table
-    sides = _side_texts(t, names)
+    sides = side_texts(t, names)
     # one text per distinct (lo, hi) bit pattern
     _, first, rate = np.unique(row_keys(np.column_stack((t.lo, t.hi)).view(
         np.int64)), return_index=True, return_inverse=True)

@@ -12,7 +12,7 @@ import crnlump as cl
 from crnlump.model import (CompiledNetwork, Multiset, Partition,
                            RateInterval, Reaction, ReactionNetwork,
                            ReactionTable, StructuralError,
-                           falling_binomial, project_key)
+                           falling_binomial, flat_sides, project_key)
 
 # Two-site reversible binding with sitewise-symmetric rate intervals: the
 # binding/unbinding pair of site 1 mirrors the pair of site 2, which makes
@@ -45,13 +45,27 @@ def two_site_partition(two_site_doc):
     return two_site_doc.initial_partition
 
 
+def from_reactions(names, reactions,
+                   initial_concentration=None) -> ReactionNetwork:
+    """The network of `Reaction` objects, taken in order (their ids are not
+    read), through the table constructor; each distinct side is one side
+    of the table, numbered in order of first use."""
+    ids: Dict[tuple, int] = {}
+    lhs = [ids.setdefault(r.reactant.entries, len(ids)) for r in reactions]
+    rhs = [ids.setdefault(r.product.entries, len(ids)) for r in reactions]
+    table = ReactionTable(*flat_sides(tuple(ids)), lhs, rhs,
+                          [r.rate.lo for r in reactions],
+                          [r.rate.hi for r in reactions])
+    return ReactionNetwork(names, table, initial_concentration)
+
+
 def perturb_rate(net: ReactionNetwork, reaction_id: int, dlo: float = 0.0,
                  dhi: float = 0.0) -> ReactionNetwork:
     reactions = list(net.reactions)
     r = reactions[reaction_id]
     reactions[reaction_id] = Reaction(
         r.reactant, r.product, RateInterval(r.rate.lo + dlo, r.rate.hi + dhi), r.id)
-    return ReactionNetwork(net.names, reactions, net.initial_concentration)
+    return from_reactions(net.names, reactions, net.initial_concentration)
 
 
 def random_network(rng: random.Random, max_species: int = 5,
@@ -83,7 +97,7 @@ def random_network(rng: random.Random, max_species: int = 5,
                 Multiset([(swap(i), c) for i, c in reactant]),
                 Multiset([(swap(i), c) for i, c in product]),
                 rate, len(reactions)))
-    return ReactionNetwork(names, reactions)
+    return from_reactions(names, reactions)
 
 
 def swapped_twin_network(rng: random.Random, max_species: int = 5,
@@ -113,7 +127,7 @@ def swapped_twin_network(rng: random.Random, max_species: int = 5,
         reactions += [Reaction(r.reactant, r.product, r.rate, len(reactions)),
                       Reaction(swap(r.reactant), swap(r.product), rate,
                                len(reactions) + 1)]
-    return ReactionNetwork(net.names, reactions)
+    return from_reactions(net.names, reactions)
 
 
 def varied_network(rng: random.Random, max_species: int = 5,
@@ -125,7 +139,7 @@ def varied_network(rng: random.Random, max_species: int = 5,
     twin under swapping two species, so that lumping merges species."""
     k = rng.randint(0, max_species)
     if k == 0:
-        return ReactionNetwork([], [])
+        return from_reactions([], [])
     # species k is in no reaction
     names = [f"S{i}" for i in range(k + 1)]
     reactions: List[Reaction] = []
@@ -154,7 +168,7 @@ def varied_network(rng: random.Random, max_species: int = 5,
                                  for i, c in ms])
 
             add(swap(reactant), swap(product), RateInterval(lo, hi))
-    return ReactionNetwork(names, reactions)
+    return from_reactions(names, reactions)
 
 
 def jittered_edge_list(seed: int, nodes: int, edges: int) -> str:
@@ -548,7 +562,7 @@ def dict_quotient(net: ReactionNetwork, part: Partition) -> ReactionNetwork:
         for i, v in enumerate(net.initial_concentration):
             acc[block_of[i]] += v
         init_conc = tuple(acc)
-    return ReactionNetwork([net.names[i] for i in reps], reactions, init_conc)
+    return from_reactions([net.names[i] for i in reps], reactions, init_conc)
 
 
 def reaction_rows(net: ReactionNetwork) -> list:

@@ -9,7 +9,8 @@ import crnlump as cl
 from crnlump import cli
 from crnlump.cli import run
 
-from conftest import TWO_SITE_TEXT, jittered_edge_list, networks_equal
+from conftest import (TWO_SITE_TEXT, from_reactions, jittered_edge_list,
+                      networks_equal)
 
 
 @pytest.fixture
@@ -181,7 +182,11 @@ class TestReduce:
 
     @pytest.mark.parametrize("extra", [
         [], ["--batch", "{dir}", "-i", "{file}"],
-        ["-i", "{file}", "--out-dir", "{dir}/out"]])
+        ["-i", "{file}", "--out-dir", "{dir}/out"],
+        # single-file options that a batch run would ignore
+        ["--batch", "{dir}", "-o", "{dir}/x.crn"],
+        ["--batch", "{dir}", "--map", "{dir}/x.json"],
+        ["--batch", "{dir}", "--partition-file", "{dir}/nothere.part"]])
     def test_input_or_batch(self, tmp_path, two_site_file, capsys, extra):
         argv = [a.format(dir=tmp_path, file=two_site_file) for a in extra]
         assert run(["reduce", *argv]) == 2
@@ -241,7 +246,7 @@ class TestBlockMap:
                 cl.sir_star_model(5, _SIR),
                 cl.sir_network_model(
                     cl.parse_edge_list(jittered_edge_list(3, 12, 30)), _SIR),
-                cl.ModelDocument(cl.ReactionNetwork([], []),
+                cl.ModelDocument(from_reactions([], []),
                                  cl.Partition.one_block(0))]
         for doc in docs:
             net = doc.network

@@ -19,9 +19,10 @@ from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
                            ReactionNetwork, StructuralError,
                            project_key)
 
-from conftest import (exact_transitions, loop_enumerate_ball,
-                      loop_enumerate_states, loop_generator,
-                      loop_lumpability, perturb_rate, random_partition)
+from conftest import (exact_transitions, from_reactions,
+                      loop_enumerate_ball, loop_enumerate_states,
+                      loop_generator, loop_lumpability, perturb_rate,
+                      random_partition)
 
 
 class TestEnumerateStates:
@@ -248,7 +249,7 @@ def oracle_network(rng: random.Random) -> ReactionNetwork:
             swap = {x: y, y: x}
             add([(swap.get(i, i), n) for i, n in reactant],
                 [(swap.get(i, i), n) for i, n in product], rate)
-    return ReactionNetwork(names, reactions)
+    return from_reactions(names, reactions)
 
 
 class TestArrayOracleMatchesLoops:

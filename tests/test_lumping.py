@@ -14,10 +14,11 @@ from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
                            ReactionNetwork)
 
 from conftest import (alternating_refinement, block_projection,
-                      dict_quotient, networks_equal, perturb_rate,
-                      random_network, random_partition, reaction_rows,
-                      refine_partition, refines, set_partitions,
-                      species_signature, swapped_twin_network, varied_network)
+                      dict_quotient, from_reactions, networks_equal,
+                      perturb_rate, random_network, random_partition,
+                      reaction_rows, refine_partition, refines,
+                      set_partitions, species_signature,
+                      swapped_twin_network, varied_network)
 
 # two-site fixture rate endpoints, by reaction id (0-based)
 A1 = (1.0, 2.0)     # site-1 binding == site-2 binding (ids 0, 2)
@@ -329,7 +330,7 @@ class TestProvedPartition:
         assert broken.n_species == two_site.n_species
         with pytest.raises(InvalidPartitionError):
             quotient(broken, part)
-        twin = ReactionNetwork(two_site.names, two_site.reactions)
+        twin = ReactionNetwork(two_site.names, two_site.table)
         quotient(twin, part)
         assert [args[0] for args in check_calls] == [broken, twin]
 
@@ -348,7 +349,7 @@ class TestProvedPartition:
 
     def test_partition_accepted_by_check_is_trusted(
             self, two_site, two_site_partition, check_calls):
-        twin = ReactionNetwork(two_site.names, two_site.reactions)
+        twin = ReactionNetwork(two_site.names, two_site.table)
         assert check_equivalence(twin, two_site_partition)
         assert not check_equivalence(twin, Partition.one_block(5))
         quotient(twin, Partition(two_site_partition.blocks, 5))
@@ -455,7 +456,7 @@ class TestNoopReactions:
         a01 = two_site.multiset({"A01": 1})
         reactions.append(Reaction(a01, a01, RateInterval(3.0, 9.0),
                                   len(reactions)))
-        withnoop = ReactionNetwork(two_site.names, reactions)
+        withnoop = from_reactions(two_site.names, reactions)
         assert check_equivalence(withnoop, two_site_partition)
         assert coarsest_equivalence(withnoop, two_site_partition) \
             == two_site_partition
@@ -518,13 +519,13 @@ class TestProperties:
                  "species A B C\nA -> C , 0.0\nB -> C , 1.0\nC -> 0 , 0.0\n",
                  "species A B C\n3 A -> C , 1.0\n3 B -> C , 1.0\n"
                  "C -> A + B , 2.0\n")
-        edges = [ReactionNetwork([], [])]
+        edges = [from_reactions([], [])]
         edges += [cl.parse_model(text).network for text in texts]
         cases += [(net, Partition.one_block(net.n_species)) for net in edges]
         for net, initial in cases:
             reactions = [Reaction(r.reactant, r.product,
                                   RateInterval(r.rate.lo, r.rate.lo), r.id)
                          for r in net.reactions]
-            degen = ReactionNetwork(net.names, reactions)
+            degen = from_reactions(net.names, reactions)
             assert coarsest_equivalence(degen, initial) \
                 == refine_partition(degen, initial, "lower")

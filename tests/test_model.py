@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crnlump as cl
-from crnlump import model
+from crnlump import cli, model
 from crnlump.model import (CompiledNetwork, Multiset, Partition, RateInterval,
                            Reaction, ReactionNetwork, ReactionTable,
                            StructuralError, falling_binomial, flat_sides,
                            project_key)
 
-from conftest import (TWO_SITE_TEXT, contains, loop_compile_network,
-                      refines, table_is_canonical, table_sides,
-                      varied_network)
+from conftest import (TWO_SITE_TEXT, contains, from_reactions,
+                      loop_compile_network, refines, table_is_canonical,
+                      table_sides, varied_network)
 
 
 def ms(*pairs):
@@ -283,9 +283,7 @@ class TestReactionTable:
         for _ in range(100):
             net = varied_network(rng)
             given = net.reactions
-            again = ReactionNetwork(net.names, given)
-            assert again.reactions is given
-            t = again.table
+            t = from_reactions(net.names, given).table
             assert table_is_canonical(t)
             sides = table_sides(t)
             assert [(sides[a], sides[b]) for a, b in
@@ -310,31 +308,116 @@ class TestReactionTable:
         cl.serialize_model(cl.ModelDocument(lumped))
         assert net._reactions is None and lumped._reactions is None
 
-    @pytest.mark.parametrize("sides,lhs,rhs,lo,hi,message", [
+    def test_no_command_reads_the_reaction_view(self, tmp_path, monkeypatch):
+        """The commands, `project_control`, `ssa_simulate` and the overflow
+        message of `build_generator` work from the table alone."""
+        def unread(net):
+            raise AssertionError("ReactionNetwork.reactions was read")
+
+        monkeypatch.setattr(ReactionNetwork, "reactions", property(unread))
+        path = {name: str(tmp_path / name) for name in (
+            "two_site.crn", "ms3.crn", "red.crn", "map.json", "traj.csv",
+            "lt.csv", "ls.csv", "p.txt", "rec.csv")}
+        (tmp_path / "two_site.crn").write_text(TWO_SITE_TEXT)
+        (tmp_path / "p.txt").write_text(
+            "partition { B } { A00 } { A01 A10 } { A11 }\n")
+        doc = cl.parse_model(TWO_SITE_TEXT)
+        net, part = doc.network, doc.initial_partition
+        lumped, _ = cl.quotient(net, part)
+        sched = cl.ControlSchedule.midpoint(lumped)
+        (tmp_path / "ls.csv").write_text(cl.schedule_to_csv(sched))
+        (tmp_path / "lt.csv").write_text(cl.trajectory_to_csv(cl.simulate(
+            lumped, np.array([0.6, 0.5, 0.5, 0.1]), sched, 0.05, 0.01)))
+        for argv in (
+                ["generate", "multisite", "--n", "3", "-o", path["ms3.crn"]],
+                ["reduce", "-i", path["ms3.crn"], "-o", path["red.crn"],
+                 "--map", path["map.json"]],
+                ["check", path["two_site.crn"], "--oracle", "--pop-bound", "3"],
+                ["simulate", path["two_site.crn"], "--t-end", "0.05",
+                 "--step", "0.01", "--init", "B=1,A00=1",
+                 "-o", path["traj.csv"]],
+                ["reconstruct", path["two_site.crn"],
+                 "--partition-file", path["p.txt"],
+                 "--lumped-traj", path["lt.csv"],
+                 "--lumped-schedule", path["ls.csv"],
+                 "--v0", "B=0.6,A00=0.5,A01=0.2,A10=0.3,A11=0.1",
+                 "-o", path["rec.csv"]]):
+            assert cli.run(argv) == 0, argv[0]
+        full = cl.ControlSchedule.midpoint(net)
+        traj = cl.simulate(net, np.full(5, 0.5), full, 0.05, 0.01)
+        cl.project_control(net, part, lumped, traj, full)
+        cl.ssa_simulate(net, net.multiset({"A00": 2, "B": 2}),
+                        full.values[0], 0.5, seed=1)
+        big = cl.parse_model("species A B\n2 A -> B , [1e306 : 1e307]\n")
+        space = cl.enumerate_states(big.network, ms((0, 400)), 400)
+        with pytest.raises(cl.PropensityOverflowError,
+                           match=r"reaction 0 \(2 A -> B\)"):
+            cl.build_generator(space, big.network, "upper")
+
+    @pytest.mark.parametrize("sides,lhs,rhs,lo,hi,message,conc", [
         ([((0, 1),), ((2, 1),)], [0], [1], [1.0], [1.0],
-         "reaction 0 references species index 2 >= 2"),
-        ([((0, 1),)], [0], [0], [2.0], [1.0], "invalid rate interval"),
-        ([((0, 1),)], [0], [0], [-1.0], [1.0], "invalid rate interval"),
-        ([((0, 1),)], [0], [0], [0.0], [np.inf], "invalid rate interval"),
-        ([((0, 1),)], [0], [0], [np.nan], [1.0], "invalid rate interval"),
+         "reaction 0 references species index 2 >= 2", None),
+        ([((0, 1),)], [0], [0], [2.0], [1.0], "invalid rate interval", None),
+        ([((0, 1),)], [0], [0], [-1.0], [1.0], "invalid rate interval", None),
+        ([((0, 1),)], [0], [0], [0.0], [np.inf], "invalid rate interval",
+         None),
+        ([((0, 1),)], [0], [0], [np.nan], [1.0], "invalid rate interval",
+         None),
+        # `A + A` stored as two entries would have twice the drift of `2 A`
+        ([((0, 1), (0, 1)), ()], [0], [1], [1.0], [1.0],
+         "reaction 0 has species index 0 after 0 in a side", None),
+        ([(), ((1, 1), (0, 1))], [0], [1], [1.0], [1.0],
+         "reaction 0 has species index 0 after 1 in a side", None),
+        ([((0, 1),), ((1, 0),)], [0], [1], [1.0], [1.0],
+         "reaction 0 has count 0 of species index 1", None),
+        ([((-1, 1),)], [0], [0], [1.0], [1.0],
+         "reaction 0 references species index -1 < 0", None),
+        # a bad side that no reaction uses is named as a side
+        ([((0, 1),), ((0, 1), (0, 2))], [0], [0], [1.0], [1.0],
+         "side 1 has species index 0 after 0 in a side", None),
+        ([((0, 1),)], [0], [0, 0], [1.0], [1.0],
+         r"lhs, rhs, lo and hi have lengths \[1, 2, 1, 1\]", None),
+        ([((0, 1),)], [0], [1], [1.0], [1.0],
+         "reaction 0 has side ids 0 -> 1, not in 0..0", None),
+        ([((0, 1),)], [-1], [0], [1.0], [1.0],
+         "reaction 0 has side ids -1 -> 0, not in 0..0", None),
+        ((np.array([2]), np.array([0]), np.array([1])), [0], [0], [1.0],
+         [1.0], "side sizes must be non-negative and sum to the 1 species",
+         None),
+        ((np.array([2, -1]), np.array([0]), np.array([1])), [0], [1], [1.0],
+         [1.0], "side sizes must be non-negative", None),
+        # each would make `serialize_model` write an `init` line that
+        # `parse_model` rejects
+        ([((0, 1),)], [0], [0], [1.0], [1.0],
+         "initial concentration of 'A' is nan", (np.nan, 0.0)),
+        ([((0, 1),)], [0], [0], [1.0], [1.0],
+         "initial concentration of 'B' is inf", (1.0, np.inf)),
+        ([((0, 1),)], [0], [0], [1.0], [1.0],
+         "initial concentration of 'A' is -1.0", (-1.0, 2.0)),
     ])
     def test_trusted_constructor_checks_the_table(self, sides, lhs, rhs, lo,
-                                                  hi, message):
-        table = ReactionTable(*flat_sides(sides), np.array(lhs),
-                              np.array(rhs), np.array(lo), np.array(hi))
+                                                  hi, message, conc):
+        flat = flat_sides(sides) if isinstance(sides, list) else sides
+        table = ReactionTable(*flat, np.array(lhs), np.array(rhs),
+                              np.array(lo), np.array(hi))
         with pytest.raises(StructuralError, match=message):
-            ReactionNetwork.from_table(["A", "B"], table)
+            ReactionNetwork(["A", "B"], table, conc)
+        if conc is not None:
+            net = ReactionNetwork(["A", "B"], table)
+            net.initial_concentration = tuple(conc)
+            with pytest.raises(cl.ParseError):
+                cl.parse_model(cl.serialize_model(cl.ModelDocument(net)))
 
 
 class TestNames:
     def test_duplicate_names_rejected(self):
         with pytest.raises(StructuralError, match="duplicate species names"):
-            ReactionNetwork(["A", "A"], [])
+            from_reactions(["A", "A"], [])
         table = ReactionTable(*flat_sides([((0, 1),), ((1, 1),)]),
                               np.array([0]), np.array([1]), np.array([1.0]),
                               np.array([1.0]))
         with pytest.raises(StructuralError, match="duplicate species names"):
-            ReactionNetwork.from_table(["A", "A"], table)
+            ReactionNetwork(["A", "A"], table)
 
     @staticmethod
     def _assert_names(net, want):
@@ -395,7 +478,7 @@ class TestInitialState:
     def test_built_from_a_vector(self, conc, state):
         reactions = [Reaction(ms((0, 1)), ms((1, 1)), RateInterval(1.0, 1.0),
                               0)]
-        net = ReactionNetwork(["A", "B", "C"], reactions, conc)
+        net = from_reactions(["A", "B", "C"], reactions, conc)
         assert net.initial_state == state
         self._assert_derived(net)
 

@@ -16,7 +16,7 @@ from crnlump.ode import (ControlSchedule, CostSpec, DivergenceError,
                          schedule_to_csv, simulate, trajectory_from_csv,
                          trajectory_to_csv)
 
-from conftest import DenseVectorField, random_partition
+from conftest import DenseVectorField, from_reactions, random_partition
 
 
 class TestVectorField:
@@ -72,7 +72,7 @@ def mass_action_network(rng: random.Random) -> ReactionNetwork:
     rng.shuffle(sides)
     reactions = [Reaction(Multiset(a), Multiset(b), RateInterval(1.0, 2.0), j)
                  for j, (a, b) in enumerate(sides)]
-    return ReactionNetwork([f"S{i}" for i in range(k)], reactions)
+    return from_reactions([f"S{i}" for i in range(k)], reactions)
 
 
 class TestSparseVectorField:
@@ -115,7 +115,7 @@ class TestSparseVectorField:
     def test_degenerate_networks(self, sides):
         reactions = [Reaction(Multiset(a), Multiset(b), RateInterval(1.0, 1.0), j)
                      for j, (a, b) in enumerate(sides)]
-        net = ReactionNetwork(["A", "B"], reactions)
+        net = from_reactions(["A", "B"], reactions)
         self._compare(net, np.array([0.5, 3.0]), np.full(len(sides), 1.5))
 
 

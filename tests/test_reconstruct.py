@@ -5,11 +5,13 @@ import pytest
 
 import crnlump as cl
 from crnlump.model import Multiset, Partition, RateInterval, Reaction, \
-    ReactionNetwork, StructuralError
+    StructuralError
 from crnlump.ode import ControlSchedule, block_indicator, block_sums, simulate
 from crnlump.reconstruct import (DriftMatchProblem, ReconstructionFailureError,
                                  build_drift_match, reconstruct_trajectory,
                                  solve_box_ls)
+
+from conftest import from_reactions
 
 
 class TestBuildDriftMatch:
@@ -33,7 +35,7 @@ class TestBuildDriftMatch:
         assert prob.M[0][0] == -1.0 and prob.M[0][2] == -1.0
 
     def test_single_reaction_decay(self):
-        net = ReactionNetwork(
+        net = from_reactions(
             ["A"],
             [Reaction(Multiset([(0, 1)]), Multiset(), RateInterval(0.0, 2.0), 0)])
         prob = build_drift_match(net, Partition.one_block(1), np.array([2.0]),
