@@ -263,8 +263,10 @@ def quotient(net: ReactionNetwork,
     end = np.cumsum(n_runs)
     run = (np.repeat(first_run - (end - n_runs), n_runs)
            + np.arange(int(n_runs.sum())))
-    table = ReactionTable(n_runs, block[run], count[run], new[:len(members)],
-                          new[len(members):], lo, hi)
+    # bincount summed the counts as floats; they are whole, so this cast is
+    # exact and the constructor does not check it
+    table = ReactionTable(n_runs, block[run], count[run].astype(np.int64),
+                          new[:len(members)], new[len(members):], lo, hi)
 
     conc = net.initial_concentration
     if conc is not None:  # summed in species order, as a loop would

@@ -159,8 +159,23 @@ class ReactionTable(NamedTuple):
     hi: np.ndarray
 
 
-def _read_only(a, dtype) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=dtype)
+def _read_only(name: str, a, dtype) -> np.ndarray:
+    """`a` as a contiguous read-only array of `dtype`. StructuralError names
+    the table array `name` when `a` is not 1-D or when the cast changes one
+    of its values (a fractional or non-finite id or count)."""
+    given = np.asarray(a)
+    if given.ndim != 1:
+        raise StructuralError(f"table array {name} has shape {given.shape}, "
+                              "not one dimension")
+    with np.errstate(invalid="ignore"):
+        a = np.ascontiguousarray(given, dtype=dtype)
+        # compared in the given type: as floats, 2**53 + 1 equals its cast
+        changed = [] if given.dtype == a.dtype else np.flatnonzero(
+            a.astype(given.dtype) != given)
+    if len(changed):
+        i = int(changed[0])
+        raise StructuralError(f"table array {name} has {given[i].item()!r} "
+                              f"at index {i}, which {a.dtype} cannot hold")
     a.setflags(write=False)
     return a
 
@@ -210,7 +225,9 @@ class ReactionNetwork:
     The species are the tuple of distinct strings `names`: species i is
     `names[i]`. The reactions are the rows of `table`, a `ReactionTable`,
     which the constructor checks and keeps as read-only arrays:
-    `StructuralError` names the first bad reaction or side when the arrays'
+    `StructuralError` names the array that is not 1-D or that holds a value
+    its type (int64 for the first five, float64 for `lo`/`hi`) cannot hold,
+    or the first bad reaction or side when the arrays'
     lengths disagree, a side id is out of range, a side is not canonical
     (species strictly increasing, each below `len(names)`, counts at least
     1) or a rate interval is invalid. `reactions`, the reactions as objects,
@@ -234,9 +251,9 @@ class ReactionNetwork:
         self._index_of: Dict[str, int] = dict(zip(self.names, range(n)))
         if len(self._index_of) != n:
             raise StructuralError("duplicate species names")
-        self.table = ReactionTable(
-            *(_read_only(a, np.int64) for a in table[:5]),
-            *(_read_only(a, float) for a in table[5:]))
+        self.table = ReactionTable(*(
+            _read_only(name, a, np.int64 if k < 5 else np.float64)
+            for k, (name, a) in enumerate(zip(ReactionTable._fields, table))))
         _check_table(self.table, n)
         conc: Optional[Tuple[float, ...]] = None
         if initial_concentration is not None:

@@ -1,7 +1,7 @@
 """Deterministic semantics: mass-action vector field, fixed-step integration
 under piecewise-constant controls, block-sum projection, cost functionals,
-the box least-squares solver behind drift matching, and projection of
-controls onto a quotient network.
+the box least-squares solver and the group-space drift match behind
+control transfer, and projection of controls onto a quotient network.
 
 The vector field of species A is
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,10 +26,10 @@ from .parser import ParseError
 
 # Drift-match residual above which projection and reconstruction fail.
 RESIDUAL_MAX = 1e-6
-# KKT sign tolerance of `box_least_squares`, relative to the size of the
+# KKT sign tolerance of `BoxLeastSquares`, relative to the size of the
 # terms summed into each gradient entry times the problem's dimensions.
 KKT_RTOL = 1e-14
-# Iteration cap of `box_least_squares` per coordinate of the problem.
+# Iteration cap of `BoxLeastSquares` per coordinate of the problem.
 ITERS_PER_COORDINATE = 3
 # Most grid points times species `simulate` allocates a trajectory for.
 MAX_GRID_CELLS = 10 ** 8
@@ -45,13 +45,15 @@ class DivergenceError(RuntimeError):
 
 class ProjectionFailureError(RuntimeError):
     """Drift matching left a residual above threshold; the partition is not an
-    equivalence or the trajectory is inconsistent with the network."""
+    equivalence or the trajectory is inconsistent with the network.
+    `converged` is False when a solve stopped at its iteration cap."""
 
     def __init__(self, time: float, residual: float, converged: bool = True):
         super().__init__(f"projection residual {residual:.3e} at t = {time}"
                          + ("" if converged else "; solver did not converge"))
         self.time = time
         self.residual = residual
+        self.converged = converged
 
 
 class ControlSchedule:
@@ -137,7 +139,8 @@ class VectorField:
     product over the (K, R) reactant table, whose padding slots point at
     an extra state entry holding 1.0, and the drift sums the nonzero
     (reaction, species, change) triples in their fixed order, so identical
-    inputs give bit-identical output."""
+    inputs give bit-identical output. Given 2-D arrays, one state per row,
+    the evaluation is batched and bit-identical to row-by-row calls."""
 
     def __init__(self, net: ReactionNetwork):
         c = net.compiled
@@ -146,14 +149,32 @@ class VectorField:
         self.rx, self.sp, self.dn = c.rx, c.sp, c.dn
 
     def monomials(self, v: np.ndarray) -> np.ndarray:
-        """prod_B v_B^{rho(B)} / rho(B)! per reaction."""
-        ext = np.concatenate((v, _ONE))
-        return (ext[self.idx] ** self.exp).prod(axis=0) / self.fact
+        """prod_B v_B^{rho(B)} / rho(B)! per reaction; per row for a 2-D `v`."""
+        if v.ndim == 1:
+            terms = np.concatenate((v, _ONE))[self.idx]
+        else:
+            terms = np.take(np.concatenate((v, np.ones((len(v), 1))), axis=1),
+                            self.idx, axis=1)
+        np.power(terms, self.exp, out=terms)
+        mono = terms.prod(axis=-2)
+        mono /= self.fact
+        return mono
+
+    def drift(self, rate: np.ndarray) -> np.ndarray:
+        """Species drift of the per-reaction rates a_r m_r(v); per row for a
+        2-D `rate`, summed in the same order as one row at a time."""
+        if rate.ndim == 1:
+            return np.bincount(self.sp, weights=rate[self.rx] * self.dn,
+                               minlength=self.n_species)
+        n, S = len(rate), self.n_species
+        bins = (np.arange(n)[:, None] * S + self.sp).ravel()
+        return np.bincount(bins, weights=(rate[:, self.rx] * self.dn).ravel(),
+                           minlength=n * S).reshape(n, S)
 
     def __call__(self, v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        rate = alpha * self.monomials(v)
-        return np.bincount(self.sp, weights=rate[self.rx] * self.dn,
-                           minlength=self.n_species)
+        """The drift at state `v` under controls `alpha`; per row of 2-D
+        `v` and `alpha` alike."""
+        return self.drift(alpha * self.monomials(v))
 
     def block_coefficients(self, indicator: np.ndarray) -> np.ndarray:
         """Per-reaction block-summed stoichiometric change, shape (R, n_blocks)."""
@@ -317,58 +338,148 @@ class BoxLsResult:
     iterations: int
 
 
-def box_least_squares(M: np.ndarray, b: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, x0: Optional[np.ndarray] = None,
-                      max_iter: Optional[int] = None) -> BoxLsResult:
+class BoxLeastSquares:
     """Exact active-set solver of min ||M x - b|| subject to lo <= x <= hi
-    (Lawson-Hanson NNLS extended to boxes, as in Stark-Parker BVLS).
+    for one fixed matrix M (Lawson-Hanson NNLS extended to boxes, as in
+    Stark-Parker BVLS).
 
     The coordinates on a bound of the warm start `x0` (default: the box
     midpoint) start fixed there. Each iteration moves the free coordinates
     by the minimum-norm least-squares correction from the current point,
-    which copes with wide, rank-deficient M. If that leaves the box, the
-    step stops at the first bound crossed and fixes that coordinate;
-    otherwise the fixed coordinates' gradient signs are checked and the
-    worst violator is freed, or the point is optimal. A coordinate with
-    lo == hi is never freed. After `max_iter` iterations (default
-    ITERS_PER_COORDINATE * (n + 1) for n coordinates) the current point is
-    returned with `converged=False`."""
-    m, n = M.shape
-    x = 0.5 * (lo + hi) if x0 is None else np.clip(x0, lo, hi)
-    at_lo, at_hi = x <= lo, x >= hi
-    movable = lo < hi
-    absM = np.abs(M)
-    cap = ITERS_PER_COORDINATE * (n + 1) if max_iter is None else max_iter
-    for it in range(1, cap + 1):
-        free = ~(at_lo | at_hi)
-        r = b - M @ x
-        if free.any():
-            d = np.linalg.lstsq(M[:, free], r, rcond=None)[0]
-            xf, lf, hf = x[free], lo[free], hi[free]
-            z = xf + d
-            out = (z < lf) | (z > hf)
-            if out.any():
-                bound = np.where(d < 0, lf, hf)
-                t = np.full(len(d), np.inf)
-                t[out] = (bound[out] - xf[out]) / d[out]
-                j = int(np.argmin(t))
-                x[free] = np.clip(xf + t[j] * d, lf, hf)
-                k = int(np.flatnonzero(free)[j])
-                x[k] = bound[j]
-                (at_lo if d[j] < 0 else at_hi)[k] = True
-                continue
-            x[free] = z
+    which copes with wide, rank-deficient M. The pseudo-inverse of M's free
+    columns gives that correction; it is computed once per free set and
+    kept, so repeated solves with the same M cost matrix-vector products.
+    If the correction leaves the box, the step stops at the first bound
+    crossed and fixes that coordinate. Otherwise the point is optimal when
+    no coordinate is fixed; else the fixed coordinates' gradient signs are
+    checked and the worst violator is freed, or the point is optimal. A
+    coordinate with lo == hi is never freed. After `max_iter` iterations
+    (default ITERS_PER_COORDINATE * (n + 1) for n coordinates) the current
+    point is returned with `converged=False`."""
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+        self.absM = np.abs(M)
+        self._pinv: Dict[bytes, np.ndarray] = {}
+
+    def _correction(self, free: np.ndarray, r: np.ndarray) -> np.ndarray:
+        P = self._pinv.get(free.tobytes())
+        if P is None:
+            A = self.M[:, free]
+            # the cutoff of `np.linalg.lstsq`'s default
+            P = np.linalg.pinv(A, rcond=np.finfo(float).eps * max(A.shape))
+            self._pinv[free.tobytes()] = P
+        return P @ r
+
+    def solve(self, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              x0: Optional[np.ndarray] = None,
+              max_iter: Optional[int] = None) -> BoxLsResult:
+        M, absM = self.M, self.absM
+        m, n = M.shape
+        x = 0.5 * (lo + hi) if x0 is None else np.minimum(np.maximum(x0, lo), hi)
+        at_lo, at_hi = x <= lo, x >= hi
+        movable = lo < hi
+        cap = ITERS_PER_COORDINATE * (n + 1) if max_iter is None else max_iter
+        for it in range(1, cap + 1):
+            free = ~(at_lo | at_hi)
             r = b - M @ x
-        g = -(M.T @ r)
-        tol = KKT_RTOL * (m + n) * (absM.T @ (absM @ np.abs(x) + np.abs(b)))
-        viol = np.where(at_lo, -g, np.where(at_hi, g, 0.0)) - tol
-        viol[~movable] = 0.0
-        if not np.any(viol > 0):
-            return BoxLsResult(x, float(np.sqrt(r @ r)), True, it)
-        i = int(np.argmax(viol))
-        at_lo[i] = at_hi[i] = False
-    r = b - M @ x
-    return BoxLsResult(x, float(np.sqrt(r @ r)), False, cap)
+            n_free = np.count_nonzero(free)
+            if n_free:
+                d = self._correction(free, r)
+                xf, lf, hf = x[free], lo[free], hi[free]
+                z = xf + d
+                out = (z < lf) | (z > hf)
+                if np.count_nonzero(out):
+                    bound = np.where(d < 0, lf, hf)
+                    t = np.full(len(d), np.inf)
+                    t[out] = (bound[out] - xf[out]) / d[out]
+                    j = int(np.argmin(t))
+                    x[free] = np.clip(xf + t[j] * d, lf, hf)
+                    k = int(np.flatnonzero(free)[j])
+                    x[k] = bound[j]
+                    (at_lo if d[j] < 0 else at_hi)[k] = True
+                    continue
+                x[free] = z
+                r = b - M @ x
+                if n_free == n:
+                    # an unconstrained least-squares point: no sign to check
+                    return BoxLsResult(x, math.sqrt(r @ r), True, it)
+            g = -(M.T @ r)
+            tol = KKT_RTOL * (m + n) * (absM.T @ (absM @ np.abs(x) + np.abs(b)))
+            viol = np.where(at_lo, -g, np.where(at_hi, g, 0.0)) - tol
+            viol[~movable] = 0.0
+            if viol.max(initial=0.0) <= 0:
+                return BoxLsResult(x, math.sqrt(r @ r), True, it)
+            i = int(np.argmax(viol))
+            at_lo[i] = at_hi[i] = False
+        r = b - M @ x
+        return BoxLsResult(x, math.sqrt(r @ r), False, cap)
+
+
+def box_least_squares(M: np.ndarray, b: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray, x0: Optional[np.ndarray] = None,
+                      max_iter: Optional[int] = None) -> BoxLsResult:
+    """One solve of min ||M x - b|| subject to lo <= x <= hi by
+    `BoxLeastSquares`, warm-started from `x0`."""
+    return BoxLeastSquares(M).solve(b, lo, hi, x0, max_iter)
+
+
+class DriftMatch:
+    """The drift matches of one network against per-block target drifts,
+    solved one at a time, each warm-started from the one before.
+
+    At state v, column r of the drift-match matrix is reaction r's
+    block-summed change (its row of `VectorField.block_coefficients`)
+    times its monomial m_r(v), so reactions with the same change give
+    parallel columns. The reactions are grouped once by their distinct
+    change, the G columns of a constant matrix D, and each solve is the box
+    least-squares problem over the group fluxes phi_g = sum m_r a_r: the
+    residual ||D phi - target|| is the full problem's, and phi_g ranges
+    over [sum min(m_r lo_r, m_r hi_r), sum max(m_r lo_r, m_r hi_r)], the
+    sum of the members' ranges. Each member then takes the group's relative
+    position theta_g in its own range: a_r = lo_r + theta_g (hi_r - lo_r)
+    when m_r >= 0, else lo_r + (1 - theta_g) (hi_r - lo_r), which realizes
+    phi_g for monomials of either sign (a negative state gives negative
+    ones). A solve warm-starts at the previous solve's theta (the box
+    midpoint at first); a group whose box is one point keeps it. A solve
+    that does not converge raises `error(time, residual, False)`."""
+
+    def __init__(self, vf: VectorField, indicator: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, error):
+        # rows compared as bytes; adding 0.0 turns -0.0 into 0.0
+        coeff = vf.block_coefficients(indicator) + 0.0
+        keys = coeff.view(np.dtype((np.void, coeff.itemsize
+                                    * coeff.shape[1]))).ravel()
+        _, first, group = np.unique(keys, return_index=True,
+                                    return_inverse=True)
+        self.group = group.reshape(-1)
+        self.solver = BoxLeastSquares(coeff[first].T)
+        self.lo, self.hi, self.width = lo, hi, hi - lo
+        self.theta = np.full(len(first), 0.5)
+        self.error = error
+
+    def solve(self, mono: np.ndarray, target: np.ndarray,
+              time: float) -> Tuple[np.ndarray, float]:
+        """Controls matching `target` at the per-reaction monomials `mono`,
+        and the drift-match residual."""
+        g, theta = self.group, self.theta
+        at_lo, at_hi = mono * self.lo, mono * self.hi
+        flo = np.bincount(g, weights=np.minimum(at_lo, at_hi),
+                          minlength=len(theta))
+        fhi = np.bincount(g, weights=np.maximum(at_lo, at_hi),
+                          minlength=len(theta))
+        span = fhi - flo
+        x0 = np.where(theta == 1.0, fhi, flo + theta * span)
+        res = self.solver.solve(target, flo, fhi, x0)
+        if not res.converged:
+            raise self.error(time, res.residual, False)
+        # in [0, 1]: flo <= x <= fhi, and rounding is monotonic
+        np.divide(res.x - flo, span, out=theta, where=span > 0)
+        alpha = theta[g]
+        np.subtract(1.0, alpha, out=alpha, where=mono < 0)
+        alpha *= self.width
+        alpha += self.lo
+        return np.minimum(alpha, self.hi, out=alpha), res.residual
 
 
 def project_control(net: ReactionNetwork, part: Partition,
@@ -378,13 +489,14 @@ def project_control(net: ReactionNetwork, part: Partition,
     """Controls for the quotient network matching a trajectory of the original.
 
     At every grid time the box-constrained least-squares drift match is solved
-    in the lumped parameter box: the block-summed original drift is the target
-    and the lumped drift is linear in the lumped controls. Each step of the
-    returned piecewise-constant schedule averages the solutions at its two
-    endpoints (both evaluated under that step's original control value), which
-    centers the constant approximation on the step. Returns the schedule and
-    the worst drift-match residual; a residual above RESIDUAL_MAX, or a solve
-    that does not converge, raises ProjectionFailureError.
+    in the lumped parameter box by `DriftMatch`: the block-summed original
+    drift is the target and the lumped drift is linear in the lumped
+    controls. Each step of the returned piecewise-constant schedule averages
+    the solutions at its two endpoints (both evaluated under that step's
+    original control value), which centers the constant approximation on the
+    step. Returns the schedule and the worst drift-match residual; a residual
+    above RESIDUAL_MAX, or a solve that does not converge, raises
+    ProjectionFailureError.
     """
     schedule.validate_for(net)
     if traj.states.shape[1] != net.n_species:
@@ -395,35 +507,32 @@ def project_control(net: ReactionNetwork, part: Partition,
         raise StructuralError("partition size does not match lumped network")
     vf = VectorField(net)
     lvf = VectorField(lumped)
-    lstoich = lvf.block_coefficients(np.eye(lumped.n_species))
     lo, hi = lumped.compiled.lo, lumped.compiled.hi
-    vhat = traj.states @ B.T
+    match = DriftMatch(lvf, np.eye(lumped.n_species), lo, hi,
+                       ProjectionFailureError)
+    mono = lvf.monomials(traj.states @ B.T)
     times = traj.times
     seg = schedule.segments(times[:-1])
 
     solves = [(0.0, 0.0)]  # (residual, time) of every solve
 
-    def solve_at(k: int, alpha: np.ndarray, warm: np.ndarray) -> np.ndarray:
-        target = B @ vf(traj.states[k], alpha)
-        coeff = (lstoich * lvf.monomials(vhat[k])[:, None]).T
-        res = box_least_squares(coeff, target, lo, hi, warm)
-        if not res.converged:
-            raise ProjectionFailureError(float(times[k]), res.residual, False)
-        solves.append((res.residual, float(times[k])))
-        return res.x
+    def solve_at(k: int, alpha: np.ndarray) -> np.ndarray:
+        t = float(times[k])
+        a, residual = match.solve(mono[k], B @ vf(traj.states[k], alpha), t)
+        solves.append((residual, t))
+        return a
 
     n_steps = len(times) - 1
     out = np.empty((n_steps, lumped.n_reactions))
     # the left control of a step is the previous step's right one while the
     # original control stays in one segment
-    warm = 0.5 * (lo + hi)
     for k in range(n_steps):
         alpha = schedule.values[seg[k]]
         if k == 0 or seg[k] != seg[k - 1]:
-            warm = solve_at(k, alpha, warm)
-        a_right = solve_at(k + 1, alpha, warm)
-        out[k] = np.clip(0.5 * (warm + a_right), lo, hi)
-        warm = a_right
+            left = solve_at(k, alpha)
+        right = solve_at(k + 1, alpha)
+        out[k] = np.minimum(np.maximum(0.5 * (left + right), lo), hi)
+        left = right
     worst, worst_time = max(solves, key=lambda s: s[0])
     if worst > RESIDUAL_MAX:
         raise ProjectionFailureError(worst_time, worst)

@@ -7,24 +7,31 @@ stoichiometric change of reaction r scaled by its mass-action monomial at v.
 The objective is convex; on consistent states (block sums of v equal to the
 lumped state that produced the target) the minimum is zero.
 
-Every drift match, here and in `ode.project_control`, is solved by the exact
-active-set solver `ode.box_least_squares`. When M is rank-deficient the
-minimizer is not unique; the solver returns the one reached by minimum-norm
-corrections from its warm start, and `reconstruct_trajectory` warm-starts
-each RK4 stage from the previous stage's controls.
+Every drift match, here and in `ode.project_control`, is solved in group
+space by `ode.DriftMatch`. Reactions with the same block-summed change give
+parallel columns of M, and real networks have only a few such directions.
+So each RK4 stage solves for one flux per direction with the exact
+active-set solver `ode.BoxLeastSquares`, which keeps the pseudo-inverse of
+each free set of the constant group matrix. Each member of a group then
+takes the group's relative position in the range of its own flux (its
+monomial times its control, counted from the upper rate when the monomial
+is negative), and each stage warm-starts at the previous stage's
+positions. When M is rank-deficient the minimizer is not unique; this one
+has the optimal residual of the full problem, which `build_drift_match`
+and `solve_box_ls` state and solve over all reactions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .lumping import quotient
 from .model import Partition, ReactionNetwork, StructuralError
-from .ode import (RESIDUAL_MAX, BoxLsResult, ControlSchedule, Trajectory,
-                  VectorField, block_indicator, box_least_squares,
+from .ode import (RESIDUAL_MAX, BoxLsResult, ControlSchedule, DriftMatch,
+                  Trajectory, VectorField, block_indicator, box_least_squares,
                   require_steps, rk4_step)
 
 # Largest gap allowed between the block sums of `v0` and the lumped start.
@@ -33,13 +40,14 @@ CONSISTENCY_TOL = 1e-9
 
 class ReconstructionFailureError(RuntimeError):
     """A reconstruction step left a drift-match residual above threshold or
-    its solver did not converge."""
+    its solver did not converge (`converged` is then False)."""
 
     def __init__(self, time: float, residual: float, converged: bool = True):
         super().__init__(f"reconstruction residual {residual:.3e} at t = {time}"
                          + ("" if converged else "; solver did not converge"))
         self.time = time
         self.residual = residual
+        self.converged = converged
 
 
 @dataclass
@@ -85,6 +93,20 @@ def solve_box_ls(prob: DriftMatchProblem, max_iter: Optional[int] = None,
     return box_least_squares(prob.M, prob.b, prob.lo, prob.hi, x0, max_iter)
 
 
+def stage_drifts(net: ReactionNetwork, traj: Trajectory,
+                 schedule: ControlSchedule) -> Tuple[np.ndarray, ...]:
+    """The four RK4 stage drifts of every step of `traj`, replayed from its
+    grid values under `schedule` for all steps at once: arrays of shape
+    (steps, species), bit-identical to `rk4_step` one step at a time."""
+    times = np.asarray(traj.times, dtype=float)
+    alpha = schedule.values[schedule.segments(times[:-1])]
+    vf = VectorField(net)
+    _, stages = rk4_step(lambda x: vf(x, alpha),
+                         np.asarray(traj.states, dtype=float)[:-1],
+                         np.diff(times)[:, None])
+    return stages
+
+
 @dataclass
 class ReconstructionResult:
     trajectory: Trajectory
@@ -103,10 +125,11 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     grid. At each stage the target drift is the lumped vector field evaluated
     on the lumped trajectory under the lumped control of the current step;
     between grid points the lumped trajectory is reconstituted by replaying
-    the integrator's own stages from the grid value, which keeps the targets
-    exactly consistent with the data. Each stage control solves the
-    drift-match problem at the current reconstructed state, warm-started from
-    the previous stage. Returns the reconstructed trajectory, the realized
+    the integrator's own stages from the grid values, for all steps in one
+    batch, which keeps the targets exactly consistent with the data. Each
+    stage control solves the drift-match problem at the current
+    reconstructed state with one `DriftMatch`, warm-started from the
+    previous stage. Returns the reconstructed trajectory, the realized
     piecewise-constant control (the first-stage solution of each step) and
     per-step residuals. A stage residual above RESIDUAL_MAX, or a stage solve
     that does not converge, raises ReconstructionFailureError.
@@ -124,12 +147,11 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
             f"initial state inconsistent with lumped trajectory (gap {gap:.3e})")
 
     vf = VectorField(net)
-    lvf = VectorField(lumped)
-    coeff_blocks = vf.block_coefficients(B)
-    lo, hi = net.compiled.lo, net.compiled.hi
+    match = DriftMatch(vf, B, net.compiled.lo, net.compiled.hi,
+                       ReconstructionFailureError)
     times = np.asarray(lumped_traj.times, dtype=float)
-    vhat = np.asarray(lumped_traj.states, dtype=float)
-    seg = lumped_schedule.segments(times[:-1])
+    dt = np.diff(times)
+    targets = stage_drifts(lumped, lumped_traj, lumped_schedule)
 
     n_steps = len(times) - 1
     states = np.empty((n_steps + 1, net.n_species))
@@ -137,35 +159,25 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     controls = np.empty((n_steps, net.n_reactions))
     residuals = np.empty(n_steps)
     v = v0.copy()
-    warm = 0.5 * (lo + hi)
     for k in range(n_steps):
-        dt = times[k + 1] - times[k]
-        alpha_hat = lumped_schedule.values[seg[k]]
-        # replay the lumped integrator's stages from the grid value so the
-        # stage targets are exactly those that produced the trajectory
-        _, targets = rk4_step(lambda x: lvf(x, alpha_hat), vhat[k], dt)
-        # (control, residual) of the warm start, then of each stage in turn
-        stages = [(warm, 0.0)]
+        t = float(times[k])
+        solved = []  # (control, residual) of each stage in turn
 
         def field(x):
-            coeff = (coeff_blocks * vf.monomials(x)[:, None]).T
-            res = box_least_squares(coeff, targets[len(stages) - 1], lo, hi,
-                                    stages[-1][0])
-            if not res.converged:
-                raise ReconstructionFailureError(float(times[k]),
-                                                 res.residual, False)
-            stages.append((res.x, res.residual))
-            return vf(x, res.x)
+            mono = vf.monomials(x)
+            alpha, residual = match.solve(mono, targets[len(solved)][k], t)
+            solved.append((alpha, residual))
+            mono *= alpha
+            return vf.drift(mono)
 
-        v, _ = rk4_step(field, v, dt)
+        v, _ = rk4_step(field, v, dt[k])
         if not np.all(np.isfinite(v)):
             raise ReconstructionFailureError(float(times[k + 1]), float("inf"))
         states[k + 1] = v
-        controls[k] = stages[1][0]
-        residuals[k] = worst = max(r for _, r in stages)
-        warm = stages[-1][0]
+        controls[k] = solved[0][0]
+        residuals[k] = worst = max(r for _, r in solved)
         if worst > RESIDUAL_MAX:
-            raise ReconstructionFailureError(float(times[k]), worst)
+            raise ReconstructionFailureError(t, worst)
 
     schedule = ControlSchedule(times[:-1].copy(), controls)
     traj = Trajectory(times, states, schedule, net.names)

@@ -394,6 +394,23 @@ class TestReactionTable:
          "initial concentration of 'B' is inf", (1.0, np.inf)),
         ([((0, 1),)], [0], [0], [1.0], [1.0],
          "initial concentration of 'A' is -1.0", (-1.0, 2.0)),
+        # an array that is not 1-D, or whose values its int64 or float64
+        # cast would change, is named instead of truncated
+        ([((0, 1),), ((1, 1),)], [0.7], [1], [1.0], [1.0],
+         "table array lhs has 0.7 at index 0, which int64 cannot hold", None),
+        ([((0, 1),), ((1, 1),)], [0], [np.inf], [1.0], [1.0],
+         "table array rhs has inf at index 0", None),
+        ((np.array([1]), np.array([0]), np.array([1.5])), [0], [0], [1.0],
+         [1.0], "table array count has 1.5 at index 0", None),
+        ((np.array([1]), np.array([np.nan]), np.array([1])), [0], [0], [1.0],
+         [1.0], "table array species has nan at index 0", None),
+        ((np.array([[1]]), np.array([0]), np.array([1])), [0], [0], [1.0],
+         [1.0], r"table array size has shape \(1, 1\), not one dimension",
+         None),
+        ([((0, 1),)], [0], [0], [[1.0]], [[1.0]],
+         r"table array lo has shape \(1, 1\)", None),
+        ([((0, 1),)], [0], [0], [2 ** 53 + 1], [2 ** 60],
+         "table array lo has 9007199254740993 at index 0", None),
     ])
     def test_trusted_constructor_checks_the_table(self, sides, lhs, rhs, lo,
                                                   hi, message, conc):

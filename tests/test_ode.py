@@ -106,6 +106,30 @@ class TestSparseVectorField:
             B = block_indicator(random_partition(rng, net.n_species))
             assert np.array_equal(vf.block_coefficients(B), ref.stoich @ B.T)
 
+    @staticmethod
+    def _assert_batched_rows_match(net: ReactionNetwork, rng):
+        vf = cl.VectorField(net)
+        V = rng.uniform(0.0, 2.0, (6, net.n_species))
+        V[rng.random(V.shape) < 0.2] = 0.0
+        A = rng.uniform(0.1, 3.0, (6, net.n_reactions))
+        mono = vf.monomials(V)
+        assert np.array_equal(mono, np.stack([vf.monomials(v) for v in V]))
+        assert np.array_equal(vf.drift(A * mono),
+                              np.stack([vf.drift(r) for r in A * mono]))
+        assert np.array_equal(vf(V, A),
+                              np.stack([vf(v, a) for v, a in zip(V, A)]))
+
+    def test_batched_rows_match_row_calls(self):
+        for seed in range(40):
+            self._assert_batched_rows_match(
+                mass_action_network(random.Random(seed)),
+                np.random.default_rng(seed))
+        params = cl.SirParams(0.4, 0.25, 0.1, RateInterval(0.2, 0.6))
+        for doc in (cl.multisite_binding_model(4),
+                    cl.sir_star_model(10, params)):
+            self._assert_batched_rows_match(doc.network,
+                                            np.random.default_rng(0))
+
     @pytest.mark.parametrize("sides", [
         [],
         [([], [(0, 1)])],
@@ -117,6 +141,7 @@ class TestSparseVectorField:
                      for j, (a, b) in enumerate(sides)]
         net = from_reactions(["A", "B"], reactions)
         self._compare(net, np.array([0.5, 3.0]), np.full(len(sides), 1.5))
+        self._assert_batched_rows_match(net, np.random.default_rng(1))
 
 
 class TestSchedule:
@@ -474,4 +499,4 @@ class TestProjectControl:
         with pytest.raises(cl.ProjectionFailureError,
                            match="solver did not converge") as err:
             project_control(two_site, two_site_partition, lumped, traj, sched)
-        assert err.value.time == 0.0
+        assert err.value.time == 0.0 and not err.value.converged

@@ -6,12 +6,27 @@ import pytest
 import crnlump as cl
 from crnlump.model import Multiset, Partition, RateInterval, Reaction, \
     StructuralError
-from crnlump.ode import ControlSchedule, block_indicator, block_sums, simulate
+from crnlump.ode import (BoxLeastSquares, ControlSchedule, DriftMatch,
+                         VectorField, block_indicator, block_sums,
+                         box_least_squares, rk4_step, simulate)
 from crnlump.reconstruct import (DriftMatchProblem, ReconstructionFailureError,
                                  build_drift_match, reconstruct_trajectory,
-                                 solve_box_ls)
+                                 solve_box_ls, stage_drifts)
 
-from conftest import from_reactions
+from conftest import TWO_SITE_TEXT, from_reactions
+
+
+def bundled_model(name):
+    """A bundled model and its coarsest equivalence."""
+    doc = {"two-site": lambda: cl.parse_model(TWO_SITE_TEXT),
+           "multisite-4": lambda: cl.multisite_binding_model(4),
+           "star-sir-10": lambda: cl.sir_star_model(
+               10, cl.SirParams(0.4, 0.25, 0.1, RateInterval(0.2, 0.6)))}[name]()
+    net = doc.network
+    return net, cl.coarsest_equivalence(net, doc.initial_partition)
+
+
+BUNDLED = ("two-site", "multisite-4", "star-sir-10")
 
 
 class TestBuildDriftMatch:
@@ -86,6 +101,39 @@ class TestSolveBoxLs:
         res = solve_box_ls(DriftMatchProblem(M, np.array([5.0]),
                                              np.array([2.0]), np.array([2.0])))
         assert res.x[0] == 2.0 and res.residual == pytest.approx(3.0)
+
+    def test_unconstrained_step_counts_as_an_iteration(self, monkeypatch):
+        # from the midpoint every coordinate is free and the least-squares
+        # correction stays inside the box: optimal after one iteration
+        M = np.array([[2.0, 1.0], [1.0, 3.0]])
+        x_star = np.array([0.3, 0.6])
+        lo, hi = np.zeros(2), np.ones(2)
+        solver = BoxLeastSquares(M)
+        res = solver.solve(M @ x_star, lo, hi)
+        assert res.converged and res.iterations == 1
+        assert np.allclose(res.x, x_star, rtol=0, atol=1e-15)
+        capped = solver.solve(M @ x_star, lo, hi, max_iter=0)
+        assert not capped.converged and capped.iterations == 0
+        assert np.array_equal(capped.x, [0.5, 0.5])
+        monkeypatch.setattr("crnlump.ode.ITERS_PER_COORDINATE", 0)
+        res = solver.solve(M @ x_star, lo, hi)
+        assert not res.converged and res.iterations == 0
+
+    def test_kept_pseudo_inverses_give_the_one_shot_answers(self):
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 7))
+        solver = BoxLeastSquares(M)
+        for _ in range(40):
+            lo = rng.random(7)
+            hi = lo + rng.random(7)
+            b = M @ (lo + (hi - lo) * rng.uniform(-1.0, 2.0, 7))
+            x0 = lo + (hi - lo) * rng.random(7)
+            x0[rng.random(7) < 0.3] = lo[0]
+            kept = solver.solve(b, lo, hi, x0)
+            once = box_least_squares(M, b, lo, hi, x0)
+            assert np.array_equal(kept.x, once.x)
+            assert (kept.residual, kept.iterations) == \
+                (once.residual, once.iterations)
 
     def test_non_convergence_is_flagged(self):
         M = np.array([[1.0, 1.0 + 1e-9]])
@@ -234,7 +282,7 @@ class TestReconstructTrajectory:
             reconstruct_trajectory(two_site, two_site_partition, corrupted,
                                    sched, v0)
         assert err.value.residual > 1e-6
-        assert err.value.time > 0.0
+        assert err.value.time > 0.0 and err.value.converged
 
     def test_non_convergence_raises(self, two_site, two_site_partition,
                                     monkeypatch):
@@ -243,4 +291,102 @@ class TestReconstructTrajectory:
         with pytest.raises(ReconstructionFailureError,
                            match="solver did not converge") as err:
             reconstruct_trajectory(two_site, two_site_partition, ltraj, sched, v0)
-        assert err.value.time == 0.0
+        assert err.value.time == 0.0 and not err.value.converged
+
+
+class TestDriftMatch:
+    """The group-space drift match against the full problem over all
+    reactions."""
+
+    @pytest.mark.parametrize("low", [0.0, -1.0], ids=["nonnegative", "signed"])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_reaches_the_full_optimal_residual(self, name, low):
+        # negative entries (a negative start, an RK4 stage overshooting
+        # zero) give negative monomials, alone or mixed in one group
+        net, part = bundled_model(name)
+        vf, lo, hi = VectorField(net), net.compiled.lo, net.compiled.hi
+        match = DriftMatch(vf, block_indicator(part), lo, hi,
+                           ReconstructionFailureError)
+        rng = np.random.default_rng(5)
+        for trial in range(30):
+            v = rng.uniform(low, 2.0, net.n_species)
+            v[rng.random(net.n_species) < 0.2] = 0.0
+            prob = build_drift_match(net, part, v, np.zeros(part.n_blocks))
+            # reachable targets, targets out of the box's reach, and
+            # targets off the matrix's range
+            spread = [(0.0, 1.0), (-1.0, 2.0)][trial % 2]
+            a = lo + (hi - lo) * rng.uniform(*spread, net.n_reactions)
+            prob.b = prob.M @ a
+            if trial % 3 == 0:
+                prob.b += rng.standard_normal(part.n_blocks)
+            full = solve_box_ls(prob)
+            assert full.converged
+            alpha, residual = match.solve(vf.monomials(v), prob.b, 0.0)
+            assert np.all((lo <= alpha) & (alpha <= hi))
+            scale = max(full.residual, float(np.linalg.norm(prob.b)))
+            assert abs(residual - full.residual) <= 1e-9 * scale
+            realized = float(np.linalg.norm(prob.M @ alpha - prob.b))
+            assert abs(realized - residual) <= 1e-9 * scale
+
+    def test_point_group_boxes_keep_their_positions(self):
+        # each binding group has a zero monomial without B; the unbinding
+        # group {A10 -> A00 + B, A01 -> A00 + B} is one point when A10 is
+        # empty, because the pinned A01 unbinding is its only live member
+        doc = cl.parse_model(TWO_SITE_TEXT.replace(
+            "A01 -> A00 + B , [0.5 : 0.75]", "A01 -> A00 + B , [0.6 : 0.6]"))
+        net, part = doc.network, doc.initial_partition
+        vf, lo, hi = VectorField(net), net.compiled.lo, net.compiled.hi
+        B = block_indicator(part)
+        match = DriftMatch(vf, B, lo, hi, ReconstructionFailureError)
+        v = np.array([0.6, 0.5, 0.2, 0.3, 0.1])
+        target = B @ vf(v, lo + 0.3 * (hi - lo))
+        before, _ = match.solve(vf.monomials(v), target, 0.0)
+        live = np.array([0.0, 0.5, 0.4, 0.0, 0.2])
+        point = [j for j, r in enumerate(net.reactions)
+                 if r.reactant.format(net.names) in ("A00 + B", "A10 + B",
+                                                     "A01 + B", "A10")]
+        stays = B @ vf(live, before)
+        after, residual = match.solve(vf.monomials(live), stays, 0.1)
+        assert np.all((lo <= after) & (after <= hi))
+        assert np.array_equal(after[point], before[point])
+        assert residual <= 1e-12
+
+    @pytest.mark.parametrize("name", ["two-site", "multisite-4"])
+    def test_batched_replay_matches_step_by_step(self, name):
+        net, part = bundled_model(name)
+        lumped, _ = cl.quotient(net, part)
+        rng = np.random.default_rng(6)
+        lo, hi = lumped.compiled.lo, lumped.compiled.hi
+        # breakpoints off the step grid give steps of several lengths
+        sched = ControlSchedule([0.0, 0.0137, 0.05, 0.0821], lo + (hi - lo)
+                                * rng.random((4, lumped.n_reactions)))
+        v0 = rng.random(net.n_species)
+        ltraj = simulate(lumped, block_indicator(part) @ v0, sched, 0.1, 0.01)
+        stages = stage_drifts(lumped, ltraj, sched)
+        lvf = VectorField(lumped)
+        times = ltraj.times
+        assert len(times) == 13
+        for k in range(len(times) - 1):
+            a = sched.value_at(times[k])
+            _, step = rk4_step(lambda x: lvf(x, a), ltraj.states[k],
+                               times[k + 1] - times[k])
+            for s in range(4):
+                assert np.array_equal(stages[s][k], step[s])
+
+    def test_shortcut_solve_honours_the_iteration_cap(self, two_site,
+                                                      two_site_partition,
+                                                      monkeypatch):
+        vf = VectorField(two_site)
+        lo, hi = two_site.compiled.lo, two_site.compiled.hi
+        B = block_indicator(two_site_partition)
+        v = np.array([0.6, 0.5, 0.2, 0.3, 0.1])
+        target = B @ vf(v, 0.5 * (lo + hi))
+        monkeypatch.setattr("crnlump.ode.ITERS_PER_COORDINATE", 0)
+        match = DriftMatch(vf, B, lo, hi, ReconstructionFailureError)
+        with pytest.raises(ReconstructionFailureError,
+                           match="solver did not converge") as err:
+            match.solve(vf.monomials(v), target, 0.25)
+        assert err.value.time == 0.25 and not err.value.converged
+        monkeypatch.setattr("crnlump.ode.ITERS_PER_COORDINATE", 1)
+        alpha, residual = match.solve(vf.monomials(v), target, 0.25)
+        assert residual <= 1e-15
