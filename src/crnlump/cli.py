@@ -23,7 +23,9 @@ import numpy as np
 
 from .ctmc import (build_generator, check_ordinary_lumpability,
                    enumerate_ball, enumerate_states)
-from .generators import (SirParams, multisite_binding_model, sir_network_model,
+from .generators import (DEFAULT_ASSOCIATION, DEFAULT_DISSOCIATION,
+                         DEFAULT_VACCINATION, SirParams,
+                         multisite_binding_model, sir_network_model,
                          sir_star_model)
 from .lumping import check_equivalence, coarsest_equivalence, quotient
 from .model import Multiset, Partition, RateInterval, ReactionNetwork
@@ -469,15 +471,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="infection scaling")
     p.add_argument("--gamma", type=float, help="recovery rate")
     p.add_argument("--eta", type=float, help="immunity-loss rate")
-    p.add_argument("--vac-lo", type=float, default=0.0)
-    p.add_argument("--vac-hi", type=float, default=1.0)
+    p.add_argument("--vac-lo", type=float, default=DEFAULT_VACCINATION.lo)
+    p.add_argument("--vac-hi", type=float, default=DEFAULT_VACCINATION.hi)
     p.add_argument("--edge-list", help="edge list file (sir-net)")
     p.add_argument("--undirected", action="store_true")
     p.add_argument("--uncertainty-halfwidth", type=float)
-    p.add_argument("--assoc-lo", type=float, default=9.95)
-    p.add_argument("--assoc-hi", type=float, default=10.05)
-    p.add_argument("--dissoc-lo", type=float, default=0.05)
-    p.add_argument("--dissoc-hi", type=float, default=0.15)
+    p.add_argument("--assoc-lo", type=float, default=DEFAULT_ASSOCIATION.lo)
+    p.add_argument("--assoc-hi", type=float, default=DEFAULT_ASSOCIATION.hi)
+    p.add_argument("--dissoc-lo", type=float, default=DEFAULT_DISSOCIATION.lo)
+    p.add_argument("--dissoc-hi", type=float, default=DEFAULT_DISSOCIATION.hi)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--report")
     p.set_defaults(func=cmd_generate)

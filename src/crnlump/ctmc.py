@@ -29,6 +29,7 @@ if TYPE_CHECKING:
 
 from .model import (Multiset, Partition, ReactionNetwork, StructuralError,
                     group_sums, project_key, row_keys, side_texts)
+from .ode import block_indicator
 
 
 class CapacityError(RuntimeError):
@@ -408,11 +409,9 @@ def check_ordinary_lumpability(gen: Generator, space: StateSpace,
     """
     n = space.n_states
     block_of = part.block_of
-    indicator = np.zeros((len(block_of), part.n_blocks), dtype=np.int64)
-    indicator[np.arange(len(block_of)), block_of] = 1
-    _, first, cls = np.unique(row_keys(space.counts @ indicator),
+    # block sums of counts are exact in float64; row_keys casts to int64
+    _, first, cls = np.unique(row_keys(space.counts @ block_indicator(part).T),
                               return_index=True, return_inverse=True)
-    cls = cls.ravel()
     ref = first[cls]  # the lowest-index state of each state's lifted class
     row, col, hi, lo = gen.terms
     tgt = cls[col]

@@ -15,6 +15,9 @@ from .model import Partition, RateInterval, ReactionNetwork, ReactionTable
 from .parser import EdgeListGraph, ModelDocument
 
 MAX_SITES = 20  # n = 20: 2**20 + 1 species and 20 * 2**20 reactions
+DEFAULT_ASSOCIATION = RateInterval(9.95, 10.05)
+DEFAULT_DISSOCIATION = RateInterval(0.05, 0.15)
+DEFAULT_VACCINATION = RateInterval(0.0, 1.0)
 
 
 def _check_rate(name: str, value: float):
@@ -31,7 +34,7 @@ class SirParams:
     beta: float
     gamma: float
     eta: float
-    vaccination: RateInterval = RateInterval(0.0, 1.0)
+    vaccination: RateInterval = DEFAULT_VACCINATION
 
     def __post_init__(self):
         for name in ("beta", "gamma", "eta"):
@@ -122,10 +125,6 @@ def sir_network_model(graph: EdgeListGraph, p: SirParams,
     net = _sir_network(n, p, src, dst, bounds)
     blocks = [range(k, 4 * n, 4) for k in range(4)]
     return ModelDocument(net, Partition(blocks, net.n_species))
-
-
-DEFAULT_ASSOCIATION = RateInterval(9.95, 10.05)
-DEFAULT_DISSOCIATION = RateInterval(0.05, 0.15)
 
 
 def multisite_binding_model(n: int,

@@ -227,18 +227,18 @@ class ReactionNetwork:
     which the constructor checks and keeps as read-only arrays:
     `StructuralError` names the array that is not 1-D or that holds a value
     its type (int64 for the first five, float64 for `lo`/`hi`) cannot hold,
-    or the first bad reaction or side when the arrays'
-    lengths disagree, a side id is out of range, a side is not canonical
-    (species strictly increasing, each below `len(names)`, counts at least
-    1) or a rate interval is invalid. `reactions`, the reactions as objects,
-    is a view built from the table on first use. The `lower` and `upper`
-    rate vectors pin every rate at its interval endpoint; these two
-    extremal networks drive both the equivalence check and the stochastic
-    semantics.
+    or the first bad reaction or side when the arrays' lengths disagree, a
+    side id is out of range, a side is not canonical (species strictly
+    increasing, each below `len(names)`, counts at least 1) or a rate
+    interval is invalid. `reactions`, the reactions as objects, is a view
+    built from the table on first use. The table's `lo` and `hi` vectors
+    pin every rate at its interval endpoint; these two extremal networks
+    drive both the equivalence check and the stochastic semantics.
     The optional initial data is one vector of finite non-negative values,
     `initial_concentration`; `initial_state` is the molecule multiset it
-    gives when every value is an integer. `proved` is the partition that
-    lumping last proved an equivalence of this network, or None.
+    gives when every value is an integer. `names`, `table` and
+    `initial_concentration` cannot be rebound. `proved` is the partition
+    that lumping last proved an equivalence of this network, or None.
     """
 
     __slots__ = ("names", "table", "initial_concentration", "proved",
@@ -269,6 +269,11 @@ class ReactionNetwork:
         self._reactions: Optional[Tuple[Reaction, ...]] = None
         self._compiled: Optional[CompiledNetwork] = None
         self.proved: Optional[Partition] = None
+
+    def __setattr__(self, name: str, value):
+        if name in ("names", "table", "initial_concentration") and hasattr(self, name):
+            raise AttributeError(f"ReactionNetwork.{name} cannot be rebound")
+        object.__setattr__(self, name, value)
 
     @property
     def reactions(self) -> Tuple[Reaction, ...]:

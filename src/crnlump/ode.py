@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Partition, ReactionNetwork, StructuralError
+from .model import Partition, ReactionNetwork, StructuralError, row_keys
 from .parser import ParseError
 
 # Drift-match residual above which projection and reconstruction fail.
@@ -43,17 +43,24 @@ class DivergenceError(RuntimeError):
         self.time = time
 
 
-class ProjectionFailureError(RuntimeError):
-    """Drift matching left a residual above threshold; the partition is not an
-    equivalence or the trajectory is inconsistent with the network.
-    `converged` is False when a solve stopped at its iteration cap."""
+class _MatchFailure(RuntimeError):
+    """A drift match at `time` left `residual` above RESIDUAL_MAX, or its
+    solve stopped at its iteration cap (`converged` is then False); the
+    message starts with the subclass's `word`."""
 
     def __init__(self, time: float, residual: float, converged: bool = True):
-        super().__init__(f"projection residual {residual:.3e} at t = {time}"
+        super().__init__(f"{self.word} residual {residual:.3e} at t = {time}"
                          + ("" if converged else "; solver did not converge"))
         self.time = time
         self.residual = residual
         self.converged = converged
+
+
+class ProjectionFailureError(_MatchFailure):
+    """A projection drift match failed: the partition is not an equivalence
+    or the trajectory is inconsistent with the network."""
+
+    word = "projection"
 
 
 class ControlSchedule:
@@ -176,11 +183,15 @@ class VectorField:
         `v` and `alpha` alike."""
         return self.drift(alpha * self.monomials(v))
 
-    def block_coefficients(self, indicator: np.ndarray) -> np.ndarray:
-        """Per-reaction block-summed stoichiometric change, shape (R, n_blocks)."""
-        out = np.zeros((len(self.fact), indicator.shape[0]))
-        np.add.at(out, self.rx, self.dn[:, None] * indicator[:, self.sp].T)
-        return out
+    def block_coefficients(self, part: Partition) -> np.ndarray:
+        """Per-reaction block-summed stoichiometric change under `part`,
+        shape (R, part.n_blocks): one `bincount` over (reaction, block)."""
+        if part.n != self.n_species:
+            raise StructuralError("partition over wrong species universe")
+        R, n = len(self.fact), part.n_blocks
+        cell = self.rx * n + np.asarray(part.block_of, dtype=np.intp)[self.sp]
+        return np.bincount(cell, weights=self.dn,
+                           minlength=R * n).reshape(R, n)
 
 
 def block_indicator(part: Partition) -> np.ndarray:
@@ -416,23 +427,15 @@ class BoxLeastSquares:
         return BoxLsResult(x, math.sqrt(r @ r), False, cap)
 
 
-def box_least_squares(M: np.ndarray, b: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, x0: Optional[np.ndarray] = None,
-                      max_iter: Optional[int] = None) -> BoxLsResult:
-    """One solve of min ||M x - b|| subject to lo <= x <= hi by
-    `BoxLeastSquares`, warm-started from `x0`."""
-    return BoxLeastSquares(M).solve(b, lo, hi, x0, max_iter)
-
-
 class DriftMatch:
-    """The drift matches of one network against per-block target drifts,
-    solved one at a time, each warm-started from the one before.
+    """The drift matches of one network against target drifts per block of
+    `part`, solved one at a time, each warm-started from the one before.
 
     At state v, column r of the drift-match matrix is reaction r's
-    block-summed change (its row of `VectorField.block_coefficients`)
-    times its monomial m_r(v), so reactions with the same change give
-    parallel columns. The reactions are grouped once by their distinct
-    change, the G columns of a constant matrix D, and each solve is the box
+    block-summed change (its row of `vf.block_coefficients(part)`) times
+    its monomial m_r(v), so reactions with the same change give parallel
+    columns. The reactions are grouped once by their distinct change, the
+    G columns of a constant matrix D, and each solve is the box
     least-squares problem over the group fluxes phi_g = sum m_r a_r: the
     residual ||D phi - target|| is the full problem's, and phi_g ranges
     over [sum min(m_r lo_r, m_r hi_r), sum max(m_r lo_r, m_r hi_r)], the
@@ -444,15 +447,12 @@ class DriftMatch:
     midpoint at first); a group whose box is one point keeps it. A solve
     that does not converge raises `error(time, residual, False)`."""
 
-    def __init__(self, vf: VectorField, indicator: np.ndarray, lo: np.ndarray,
+    def __init__(self, vf: VectorField, part: Partition, lo: np.ndarray,
                  hi: np.ndarray, error):
-        # rows compared as bytes; adding 0.0 turns -0.0 into 0.0
-        coeff = vf.block_coefficients(indicator) + 0.0
-        keys = coeff.view(np.dtype((np.void, coeff.itemsize
-                                    * coeff.shape[1]))).ravel()
-        _, first, group = np.unique(keys, return_index=True,
-                                    return_inverse=True)
-        self.group = group.reshape(-1)
+        # rows keyed by their bytes; adding 0.0 turns -0.0 into 0.0
+        coeff = vf.block_coefficients(part) + 0.0
+        _, first, self.group = np.unique(row_keys(coeff.view(np.int64)),
+                                         return_index=True, return_inverse=True)
         self.solver = BoxLeastSquares(coeff[first].T)
         self.lo, self.hi, self.width = lo, hi, hi - lo
         self.theta = np.full(len(first), 0.5)
@@ -501,14 +501,16 @@ def project_control(net: ReactionNetwork, part: Partition,
     schedule.validate_for(net)
     if traj.states.shape[1] != net.n_species:
         raise StructuralError("trajectory does not match network")
+    if part.n != net.n_species:
+        raise StructuralError("partition over wrong species universe")
     require_steps(traj)
-    B = block_indicator(part)
-    if B.shape[0] != lumped.n_species:
+    if part.n_blocks != lumped.n_species:
         raise StructuralError("partition size does not match lumped network")
+    B = block_indicator(part)
     vf = VectorField(net)
     lvf = VectorField(lumped)
     lo, hi = lumped.compiled.lo, lumped.compiled.hi
-    match = DriftMatch(lvf, np.eye(lumped.n_species), lo, hi,
+    match = DriftMatch(lvf, Partition.singletons(lumped.n_species), lo, hi,
                        ProjectionFailureError)
     mono = lvf.monomials(traj.states @ B.T)
     times = traj.times

@@ -8,17 +8,18 @@ The objective is convex; on consistent states (block sums of v equal to the
 lumped state that produced the target) the minimum is zero.
 
 Every drift match, here and in `ode.project_control`, is solved in group
-space by `ode.DriftMatch`. Reactions with the same block-summed change give
-parallel columns of M, and real networks have only a few such directions.
-So each RK4 stage solves for one flux per direction with the exact
-active-set solver `ode.BoxLeastSquares`, which keeps the pseudo-inverse of
-each free set of the constant group matrix. Each member of a group then
-takes the group's relative position in the range of its own flux (its
-monomial times its control, counted from the upper rate when the monomial
-is negative), and each stage warm-starts at the previous stage's
-positions. When M is rank-deficient the minimizer is not unique; this one
-has the optimal residual of the full problem, which `build_drift_match`
-and `solve_box_ls` state and solve over all reactions.
+space by `ode.DriftMatch` on the partition itself. Reactions with the same
+block-summed change give parallel columns of M, and real networks have
+only a few such directions. So each RK4 stage solves for one flux per
+direction with `ode.BoxLeastSquares`, the one box least-squares solver,
+which keeps the pseudo-inverse of each free set of the constant group
+matrix. Each member of a group then takes the group's relative position
+in the range of its own flux (its monomial times its control, counted
+from the upper rate when the monomial is negative), and each stage
+warm-starts at the previous stage's positions. When M is rank-deficient
+the minimizer is not unique; this one has the optimal residual of the
+full problem, which `build_drift_match` and `solve_box_ls` state and
+solve over all reactions.
 """
 
 from __future__ import annotations
@@ -30,24 +31,18 @@ import numpy as np
 
 from .lumping import quotient
 from .model import Partition, ReactionNetwork, StructuralError
-from .ode import (RESIDUAL_MAX, BoxLsResult, ControlSchedule, DriftMatch,
-                  Trajectory, VectorField, block_indicator, box_least_squares,
-                  require_steps, rk4_step)
+from .ode import (RESIDUAL_MAX, BoxLeastSquares, BoxLsResult,
+                  ControlSchedule, DriftMatch, Trajectory, VectorField,
+                  _MatchFailure, block_indicator, require_steps, rk4_step)
 
 # Largest gap allowed between the block sums of `v0` and the lumped start.
 CONSISTENCY_TOL = 1e-9
 
 
-class ReconstructionFailureError(RuntimeError):
-    """A reconstruction step left a drift-match residual above threshold or
-    its solver did not converge (`converged` is then False)."""
+class ReconstructionFailureError(_MatchFailure):
+    """A drift match of a reconstruction step failed."""
 
-    def __init__(self, time: float, residual: float, converged: bool = True):
-        super().__init__(f"reconstruction residual {residual:.3e} at t = {time}"
-                         + ("" if converged else "; solver did not converge"))
-        self.time = time
-        self.residual = residual
-        self.converged = converged
+    word = "reconstruction"
 
 
 @dataclass
@@ -74,23 +69,20 @@ def build_drift_match(net: ReactionNetwork, part: Partition,
                       v: np.ndarray, target: np.ndarray) -> DriftMatchProblem:
     """Assemble the drift-match problem at state `v` with a per-block target,
     using linearity of the mass-action drift in the controls."""
-    if part.n != net.n_species:
-        raise StructuralError("partition over wrong species universe")
     v = np.asarray(v, dtype=float)
     vf = VectorField(net)
-    B = block_indicator(part)
-    coeff = (vf.block_coefficients(B) * vf.monomials(v)[:, None]).T
+    coeff = (vf.block_coefficients(part) * vf.monomials(v)[:, None]).T
     return DriftMatchProblem(coeff, np.asarray(target, dtype=float),
                              net.compiled.lo, net.compiled.hi)
 
 
 def solve_box_ls(prob: DriftMatchProblem, max_iter: Optional[int] = None,
                  x0: Optional[np.ndarray] = None) -> BoxLsResult:
-    """Solve `prob` with the active-set solver `ode.box_least_squares`,
+    """Solve `prob` with the active-set solver `ode.BoxLeastSquares`,
     warm-started from `x0` (default: the box midpoint). A solve stopped by
     `max_iter` returns its last point with `converged=False`. When M is
     identically zero any point is optimal and the box midpoint is returned."""
-    return box_least_squares(prob.M, prob.b, prob.lo, prob.hi, x0, max_iter)
+    return BoxLeastSquares(prob.M).solve(prob.b, prob.lo, prob.hi, x0, max_iter)
 
 
 def stage_drifts(net: ReactionNetwork, traj: Trajectory,
@@ -141,13 +133,13 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (net.n_species,):
         raise StructuralError("initial state length mismatch")
-    gap = float(np.max(np.abs(B @ v0 - lumped_traj.states[0])))
+    gap = float(np.max(np.abs(B @ v0 - lumped_traj.states[0]), initial=0.0))
     if gap > CONSISTENCY_TOL:
         raise StructuralError(
             f"initial state inconsistent with lumped trajectory (gap {gap:.3e})")
 
     vf = VectorField(net)
-    match = DriftMatch(vf, B, net.compiled.lo, net.compiled.hi,
+    match = DriftMatch(vf, part, net.compiled.lo, net.compiled.hi,
                        ReconstructionFailureError)
     times = np.asarray(lumped_traj.times, dtype=float)
     dt = np.diff(times)

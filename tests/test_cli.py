@@ -180,6 +180,20 @@ class TestReduce:
         assert sorted(p.name for p in tmp_path.iterdir()) \
             == (["models"] if kind == "file" else [])
 
+    def test_batch_isolates_an_unparsable_file(self, tmp_path):
+        indir, outdir = tmp_path / "models", tmp_path / "out"
+        indir.mkdir()
+        (indir / "a.crn").write_text(TWO_SITE_TEXT)
+        (indir / "bad.crn").write_text("species A B\nA -> B , oops\n")
+        assert run(["reduce", "--batch", str(indir), "--out-dir", str(outdir),
+                    "--report", str(tmp_path / "rep.json")]) == 2
+        files = read_report(tmp_path / "rep.json")["files"]
+        assert [(f["file"], f["ok"]) for f in files] == [
+            (str(indir / "a.crn"), True), (str(indir / "bad.crn"), False)]
+        assert "line 2" in files[1]["error"]
+        assert sorted(p.name for p in outdir.iterdir()) \
+            == ["a.map.json", "a.red.crn"]
+
     @pytest.mark.parametrize("extra", [
         [], ["--batch", "{dir}", "-i", "{file}"],
         ["-i", "{file}", "--out-dir", "{dir}/out"],
@@ -467,6 +481,28 @@ class TestGenerate:
         assert run(["generate", "sir-star", "--n", "3",
                     "-o", str(tmp_path / "m.crn")]) == 2
 
+    @pytest.mark.parametrize("argv,why", [
+        (["multisite"], "--n is required"),
+        (["sir-net", "--beta", "0.4", "--gamma", "0.25", "--eta", "0.1"],
+         "--edge-list is required for sir-net")])
+    def test_missing_option_is_a_usage_error(self, tmp_path, capsys, argv,
+                                             why):
+        model = tmp_path / "m.crn"
+        assert run(["generate", *argv, "-o", str(model)]) == 2
+        assert capsys.readouterr().err == f"generate: {why}\n"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("argv,doc", [
+        (["multisite", "--n", "2"], lambda: cl.multisite_binding_model(2)),
+        (["sir-star", "--n", "3", "--beta", "0.4", "--gamma", "0.25",
+          "--eta", "0.1"],
+         lambda: cl.sir_star_model(3, cl.SirParams(0.4, 0.25, 0.1)))])
+    def test_default_rates_are_the_library_defaults(self, tmp_path, argv,
+                                                    doc):
+        model = tmp_path / "m.crn"
+        assert run(["generate", *argv, "-o", str(model)]) == 0
+        assert model.read_text() == cl.serialize_model(doc())
+
     def test_sir_star_reduce_pipeline(self, tmp_path):
         model = tmp_path / "star.crn"
         rep = tmp_path / "rep.json"
@@ -603,6 +639,15 @@ class TestReconstructCommand:
                     "--v0", "B=0.6,A00=0.5,A01=0.2,A10=0.3,A11=0.1"]) == 2
         assert ("error: StructuralError: the trajectory has 1 time point(s); "
                 "control transfer needs at least two") in capsys.readouterr().err
+
+    def test_missing_v0_is_an_error(self, tmp_path, two_site_file, capsys):
+        argv = self.lumped_inputs(tmp_path, two_site_file)
+        out = tmp_path / "rec.csv"
+        assert run(["reconstruct", str(two_site_file), *argv,
+                    "-o", str(out)]) == 2
+        assert capsys.readouterr().err == ("reconstruction needs an initial "
+                                           "state (--v0 or model init)\n")
+        assert not out.exists()
 
     def test_bad_v0_item(self, tmp_path, two_site_file, capsys):
         argv = self.lumped_inputs(tmp_path, two_site_file)

@@ -421,9 +421,24 @@ class TestReactionTable:
             ReactionNetwork(["A", "B"], table, conc)
         if conc is not None:
             net = ReactionNetwork(["A", "B"], table)
-            net.initial_concentration = tuple(conc)
+            with pytest.raises(AttributeError, match="cannot be rebound"):
+                net.initial_concentration = tuple(conc)
+            object.__setattr__(net, "initial_concentration", tuple(conc))
             with pytest.raises(cl.ParseError):
                 cl.parse_model(cl.serialize_model(cl.ModelDocument(net)))
+
+    @pytest.mark.parametrize("slot", ["names", "table",
+                                      "initial_concentration"])
+    def test_checked_slots_cannot_be_rebound(self, two_site_doc, slot):
+        net, part = two_site_doc.network, two_site_doc.initial_partition
+        kept = getattr(net, slot)
+        with pytest.raises(AttributeError, match=f"{slot} cannot be rebound"):
+            setattr(net, slot, kept)
+        assert getattr(net, slot) is kept
+        # the lazy caches and lumping's proof record still fill in
+        assert len(net.reactions) == net.n_reactions == len(net.compiled.lo)
+        cl.coarsest_equivalence(net, part)
+        assert net.proved is not None
 
 
 class TestNames:

@@ -10,11 +10,11 @@ import crnlump as cl
 from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
                            ReactionNetwork, StructuralError)
 from crnlump.parser import ParseError
-from crnlump.ode import (ControlSchedule, CostSpec, DivergenceError,
-                         Trajectory, block_indicator, block_sums,
-                         evaluate_cost, project_control, schedule_from_csv,
-                         schedule_to_csv, simulate, trajectory_from_csv,
-                         trajectory_to_csv)
+from crnlump.ode import (RESIDUAL_MAX, ControlSchedule, CostSpec,
+                         DivergenceError, Trajectory, block_indicator,
+                         block_sums, evaluate_cost, project_control,
+                         schedule_from_csv, schedule_to_csv, simulate,
+                         trajectory_from_csv, trajectory_to_csv)
 
 from conftest import DenseVectorField, from_reactions, random_partition
 
@@ -90,8 +90,9 @@ class TestSparseVectorField:
         # magnitude of the summed terms
         scale = np.abs(alpha * mono_ref) @ np.abs(ref.stoich)
         assert np.all(np.abs(vf(v, alpha) - ref(v, alpha)) <= 1e-12 * scale)
-        assert np.array_equal(vf.block_coefficients(np.eye(net.n_species)),
-                              ref.stoich)
+        assert np.array_equal(
+            vf.block_coefficients(Partition.singletons(net.n_species)),
+            ref.stoich)
         return vf, ref
 
     def test_matches_dense_reference_on_random_networks(self):
@@ -103,8 +104,9 @@ class TestSparseVectorField:
             v[nprng.random(net.n_species) < 0.2] = 0.0
             alpha = nprng.uniform(0.1, 3.0, net.n_reactions)
             vf, ref = self._compare(net, v, alpha)
-            B = block_indicator(random_partition(rng, net.n_species))
-            assert np.array_equal(vf.block_coefficients(B), ref.stoich @ B.T)
+            part = random_partition(rng, net.n_species)
+            B = block_indicator(part)
+            assert np.array_equal(vf.block_coefficients(part), ref.stoich @ B.T)
 
     @staticmethod
     def _assert_batched_rows_match(net: ReactionNetwork, rng):
@@ -426,7 +428,7 @@ class TestProjectControl:
         B = block_indicator(two_site_partition)
         target = B @ cl.VectorField(two_site)(v, np.asarray(alpha))
         lvf = cl.VectorField(lumped)
-        coeff = lvf.block_coefficients(np.eye(lumped.n_species))
+        coeff = lvf.block_coefficients(Partition.singletons(lumped.n_species))
         M = (coeff * lvf.monomials(B @ v)[:, None]).T
         return float(np.linalg.norm(M @ ahat - target))
 
@@ -481,6 +483,48 @@ class TestProjectControl:
         with pytest.raises(StructuralError, match="the trajectory has 1 time "
                            r"point\(s\); control transfer needs at least two"):
             project_control(two_site, two_site_partition, lumped, traj, sched)
+
+    @staticmethod
+    def _multisite_2():
+        doc = cl.multisite_binding_model(2)
+        net = doc.network
+        part = cl.coarsest_equivalence(net, doc.initial_partition)
+        lumped, _ = cl.quotient(net, part)
+        sched = ControlSchedule.midpoint(net)
+        traj = simulate(net, np.full(5, 0.5), sched, 0.02, 0.01)
+        return net, part, lumped, sched, traj
+
+    @pytest.mark.parametrize("case,message", [
+        ("universe-6", "partition over wrong species universe"),
+        ("universe-4", "partition over wrong species universe"),
+        ("trajectory", "trajectory does not match network"),
+        ("blocks", "partition size does not match lumped network")])
+    def test_mismatched_inputs_rejected(self, case, message):
+        net, part, lumped, sched, traj = self._multisite_2()
+        if case.startswith("universe"):
+            # as many blocks as the lumped network has species
+            n, m = int(case[-1]), lumped.n_species
+            part = Partition([(i,) for i in range(m - 1)] + [range(m - 1, n)],
+                             n)
+        elif case == "trajectory":
+            traj = Trajectory(traj.times, traj.states[:, 1:], sched)
+        else:
+            part = Partition.singletons(net.n_species)
+        with pytest.raises(StructuralError, match=message):
+            project_control(net, part, lumped, traj, sched)
+
+    def test_residual_above_threshold_raises(self):
+        # a lumped network whose rates are pinned at zero cannot match the
+        # original's nonzero block drift
+        net, part, lumped, sched, traj = self._multisite_2()
+        t = lumped.table
+        pinned = ReactionNetwork(lumped.names, t._replace(lo=0.0 * t.lo,
+                                                          hi=0.0 * t.hi))
+        with pytest.raises(cl.ProjectionFailureError,
+                           match="projection residual") as err:
+            project_control(net, part, pinned, traj, sched)
+        assert err.value.residual > RESIDUAL_MAX
+        assert err.value.converged and err.value.time in traj.times
 
     def test_zero_state_any_feasible(self, two_site, two_site_partition):
         lumped, _ = cl.quotient(two_site, two_site_partition)

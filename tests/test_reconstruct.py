@@ -7,8 +7,8 @@ import crnlump as cl
 from crnlump.model import Multiset, Partition, RateInterval, Reaction, \
     StructuralError
 from crnlump.ode import (BoxLeastSquares, ControlSchedule, DriftMatch,
-                         VectorField, block_indicator, block_sums,
-                         box_least_squares, rk4_step, simulate)
+                         Trajectory, VectorField, block_indicator, block_sums,
+                         rk4_step, simulate)
 from crnlump.reconstruct import (DriftMatchProblem, ReconstructionFailureError,
                                  build_drift_match, reconstruct_trajectory,
                                  solve_box_ls, stage_drifts)
@@ -96,6 +96,14 @@ class TestSolveBoxLs:
         assert np.array_equal(res.x, [0.5, 0.5, 0.5])
         assert res.residual == 1.0 and res.converged
 
+    @pytest.mark.parametrize("shape,lo,message", [
+        ((2, 2), 0.0, "inconsistent problem dimensions"),
+        ((2, 3), 2.0, "box lower bound exceeds upper bound")])
+    def test_malformed_problem_rejected(self, shape, lo, message):
+        with pytest.raises(ValueError, match=message):
+            DriftMatchProblem(np.zeros(shape), np.zeros(2), np.full(3, lo),
+                              np.ones(3))
+
     def test_point_box(self):
         M = np.array([[1.0]])
         res = solve_box_ls(DriftMatchProblem(M, np.array([5.0]),
@@ -130,7 +138,7 @@ class TestSolveBoxLs:
             x0 = lo + (hi - lo) * rng.random(7)
             x0[rng.random(7) < 0.3] = lo[0]
             kept = solver.solve(b, lo, hi, x0)
-            once = box_least_squares(M, b, lo, hi, x0)
+            once = BoxLeastSquares(M).solve(b, lo, hi, x0)
             assert np.array_equal(kept.x, once.x)
             assert (kept.residual, kept.iterations) == \
                 (once.residual, once.iterations)
@@ -242,6 +250,38 @@ class TestReconstructTrajectory:
         with pytest.raises(StructuralError):
             reconstruct_trajectory(two_site, two_site_partition, ltraj, sched, v0)
 
+    def test_initial_state_length_rejected(self, two_site, two_site_partition):
+        lumped, sched, ltraj, v0 = self._lumped_setup(two_site, two_site_partition)
+        with pytest.raises(StructuralError,
+                           match="initial state length mismatch"):
+            reconstruct_trajectory(two_site, two_site_partition, ltraj, sched,
+                                   v0[:-1])
+
+    def test_non_finite_state_raises(self):
+        # one RK4 step from 1e308 overflows although every stage target is
+        # finite and matched exactly
+        net = cl.parse_model("species A\nA -> 2 A , 1.0\n").network
+        part = Partition.singletons(1)
+        ltraj = Trajectory(np.array([0.0, 0.5]), np.full((2, 1), 1e308))
+        with np.errstate(over="ignore"), \
+                pytest.raises(ReconstructionFailureError) as err:
+            reconstruct_trajectory(net, part, ltraj,
+                                   ControlSchedule.midpoint(net), [1e308])
+        assert (err.value.time, err.value.residual) == (0.5, float("inf"))
+        assert err.value.converged
+
+    def test_network_without_species(self):
+        net = cl.parse_model("0 -> 0 , [1 : 2]\n").network
+        part = Partition([], 0)
+        lumped, _ = cl.quotient(net, part)
+        sched = ControlSchedule.midpoint(net)
+        traj = simulate(net, np.zeros(0), sched, 0.02, 0.01)
+        lsched, worst = cl.project_control(net, part, lumped, traj, sched)
+        assert worst == 0.0 and lsched.values.shape == (2, 1)
+        result = reconstruct_trajectory(net, part, traj, sched, np.zeros(0))
+        assert result.max_residual == 0.0
+        assert result.trajectory.states.shape == (3, 0)
+
     def test_one_point_trajectory_rejected(self, two_site, two_site_partition):
         lumped, sched, ltraj, v0 = self._lumped_setup(two_site, two_site_partition)
         ltraj = simulate(lumped, ltraj.states[0], sched, 0.0)
@@ -274,7 +314,6 @@ class TestReconstructTrajectory:
         lumped, sched, ltraj, v0 = self._lumped_setup(two_site, two_site_partition)
         # corrupt the trajectory after the start: the target drift moves out
         # of reach of the original parameter box
-        from crnlump.ode import Trajectory
         states = ltraj.states.copy()
         states[len(states) // 2:] *= 2.5
         corrupted = Trajectory(ltraj.times, states, ltraj.schedule, ltraj.names)
@@ -298,6 +337,20 @@ class TestDriftMatch:
     """The group-space drift match against the full problem over all
     reactions."""
 
+    @pytest.mark.parametrize("n", [6, 4])
+    @pytest.mark.parametrize("build", [
+        lambda net, part: VectorField(net).block_coefficients(part),
+        lambda net, part: build_drift_match(net, part, np.ones(5),
+                                            np.zeros(part.n_blocks)),
+        lambda net, part: DriftMatch(VectorField(net), part, net.compiled.lo,
+                                     net.compiled.hi,
+                                     ReconstructionFailureError)],
+        ids=["block_coefficients", "build_drift_match", "DriftMatch"])
+    def test_partition_over_wrong_universe_rejected(self, two_site, build, n):
+        with pytest.raises(StructuralError,
+                           match="partition over wrong species universe"):
+            build(two_site, Partition.singletons(n))
+
     @pytest.mark.parametrize("low", [0.0, -1.0], ids=["nonnegative", "signed"])
     @pytest.mark.parametrize("name", BUNDLED)
     def test_reaches_the_full_optimal_residual(self, name, low):
@@ -305,8 +358,7 @@ class TestDriftMatch:
         # zero) give negative monomials, alone or mixed in one group
         net, part = bundled_model(name)
         vf, lo, hi = VectorField(net), net.compiled.lo, net.compiled.hi
-        match = DriftMatch(vf, block_indicator(part), lo, hi,
-                           ReconstructionFailureError)
+        match = DriftMatch(vf, part, lo, hi, ReconstructionFailureError)
         rng = np.random.default_rng(5)
         for trial in range(30):
             v = rng.uniform(low, 2.0, net.n_species)
@@ -337,7 +389,7 @@ class TestDriftMatch:
         net, part = doc.network, doc.initial_partition
         vf, lo, hi = VectorField(net), net.compiled.lo, net.compiled.hi
         B = block_indicator(part)
-        match = DriftMatch(vf, B, lo, hi, ReconstructionFailureError)
+        match = DriftMatch(vf, part, lo, hi, ReconstructionFailureError)
         v = np.array([0.6, 0.5, 0.2, 0.3, 0.1])
         target = B @ vf(v, lo + 0.3 * (hi - lo))
         before, _ = match.solve(vf.monomials(v), target, 0.0)
@@ -382,7 +434,8 @@ class TestDriftMatch:
         v = np.array([0.6, 0.5, 0.2, 0.3, 0.1])
         target = B @ vf(v, 0.5 * (lo + hi))
         monkeypatch.setattr("crnlump.ode.ITERS_PER_COORDINATE", 0)
-        match = DriftMatch(vf, B, lo, hi, ReconstructionFailureError)
+        match = DriftMatch(vf, two_site_partition, lo, hi,
+                           ReconstructionFailureError)
         with pytest.raises(ReconstructionFailureError,
                            match="solver did not converge") as err:
             match.solve(vf.monomials(v), target, 0.25)
