@@ -405,8 +405,11 @@ def check_ordinary_lumpability(gen: Generator, space: StateSpace,
     or refactorings of the same real rates compare equal, exactly as
     `lumping` compares its signatures. Every state is compared with the
     first state of its class; the counterexample is the first failing pair
-    in state order.
+    in state order. StructuralError when `part` is over another number of
+    species than the states.
     """
+    if part.n != space.counts.shape[1]:
+        raise StructuralError("partition over wrong species universe")
     n = space.n_states
     block_of = part.block_of
     # block sums of counts are exact in float64; row_keys casts to int64
@@ -544,10 +547,9 @@ def ssa_simulate(net: ReactionNetwork, init: Multiset, alpha: Sequence[float],
         j = int(outside[0])
         raise ValueError(f"rate {rates[j]} outside interval of reaction {j}")
 
-    n = net.n_species
-    # the Python event loop reads list views of the compiled arrays; the
-    # state's extra last entry, always 0, serves the padding slots (C(0, 0) = 1)
-    reactants = [list(zip(i, k)) for i, k in
+    # the Python event loop reads list views of the compiled arrays, without
+    # the padding slots (count 0, C(0, 0) = 1)
+    reactants = [[(i, k) for i, k in zip(ii, kk) if k > 0] for ii, kk in
                  zip(cn.idx.T.tolist(), cn.exp.T.astype(np.int64).tolist())]
     species, change = cn.sp.tolist(), cn.dn.astype(np.int64).tolist()
     bounds = cn.offsets.tolist()
@@ -557,11 +559,11 @@ def ssa_simulate(net: ReactionNetwork, init: Multiset, alpha: Sequence[float],
         eff_rate = [a * (1.0 / int(N) ** (k - 1))
                     for a, k in zip(eff_rate, arity)]
 
-    state = _initial_counts(net, init).tolist() + [0]
+    state = _initial_counts(net, init).tolist()
     rng = random.Random(seed)
     comb = math.comb
     times = [0.0]
-    snapshots = [state[:n]]
+    snapshots = [state[:]]
     t = 0.0
     m = len(reactants)
     props = [0.0] * m
@@ -582,7 +584,7 @@ def ssa_simulate(net: ReactionNetwork, init: Multiset, alpha: Sequence[float],
         if N is not None:
             exit_rate = total * max(0.0, min(1.0, 2.0 - sum(state) / (N * c)))
         if not math.isfinite(exit_rate) or exit_rate > 1e18:
-            raise PropensityOverflowError(np.array(state[:n]))
+            raise PropensityOverflowError(np.array(state))
         if exit_rate <= 0.0:
             break
         t += rng.expovariate(exit_rate)
@@ -601,5 +603,5 @@ def ssa_simulate(net: ReactionNetwork, init: Multiset, alpha: Sequence[float],
         for j in range(bounds[chosen], bounds[chosen + 1]):
             state[species[j]] += change[j]
         times.append(t)
-        snapshots.append(state[:n])
+        snapshots.append(state[:])
     return JumpPath(np.array(times), np.array(snapshots, dtype=np.int64), t_end)

@@ -48,7 +48,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .model import (CompiledNetwork, Partition, ReactionNetwork,
-                    ReactionTable, StructuralError, group_sums, row_keys)
+                    ReactionTable, StructuralError, _block_sums, _list_ids,
+                    _row_ids, _run_ids, group_sums)
 
 
 class InvalidPartitionError(ValueError):
@@ -72,49 +73,6 @@ def _reactant_pairs(c: CompiledNetwork, n_species: int):
     rows = np.hstack((np.take_along_axis(idx, order, axis=1),
                       np.take_along_axis(exp, order, axis=1)))
     return r, c.idx[slot, r], _row_ids(rows)
-
-
-def _run_ids(*cols: np.ndarray) -> np.ndarray:
-    """Number of the run of equal rows each row of sorted columns is in."""
-    new = np.zeros(len(cols[0]), dtype=bool)
-    new[:1] = True
-    for col in cols:
-        new[1:] |= col[1:] != col[:-1]
-    return np.cumsum(new) - 1
-
-
-def _row_ids(rows: np.ndarray) -> np.ndarray:
-    """One id per row of a 2-D array, equal rows sharing it, from 0 up."""
-    keys = row_keys(rows)
-    order = np.argsort(keys)
-    ids = np.empty(len(keys), dtype=np.int64)
-    ids[order] = _run_ids(keys[order])
-    return ids
-
-
-def _block_sums(owner: np.ndarray, block: np.ndarray, value: np.ndarray):
-    """Owner, block and summed value of each (owner, block) run of the
-    terms, sorted by owner, then block."""
-    order = np.lexsort((block, owner))
-    owner, block = owner[order], block[order]
-    run = _run_ids(owner, block)
-    total = np.bincount(run, value[order])
-    first = np.flatnonzero(np.diff(run, prepend=-1))
-    return owner[first], block[first], total
-
-
-def _list_ids(owner: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """For the rows of a 2-D array sorted by owner: per owner 0..n-1, an id
-    of its list of rows, equal lists sharing it; -1 for an owner with no
-    row. The lists of one length are compared as one flat row each."""
-    size = np.bincount(owner, minlength=n)
-    first = np.cumsum(size) - size
-    ids = np.full(n, -1, dtype=np.int64)
-    for k in np.unique(size[size > 0]).tolist():
-        who = np.flatnonzero(size == k)
-        flat = rows[first[who, None] + np.arange(k)].reshape(len(who), -1)
-        ids[who] = ids.max() + 1 + _row_ids(flat)
-    return ids
 
 
 def _change_ids(c: CompiledNetwork, need: np.ndarray,
@@ -219,9 +177,10 @@ def quotient(net: ReactionNetwork,
     upper bounds independently, each exactly; the fused reactions are in
     the order of their first member. Raises InvalidPartitionError when the
     partition is not a species equivalence, and OverflowError when a fused
-    rate overflows. The check is skipped exactly when `part` equals, by
-    value, the partition that `coarsest_equivalence` or `check_equivalence`
-    last proved on this same network object.
+    rate overflows or a summed count exceeds int64. The check is skipped
+    exactly when `part` equals, by value, the partition that
+    `coarsest_equivalence` or `check_equivalence` last proved on this same
+    network object.
     """
     if part != net.proved and not check_equivalence(net, part):
         raise InvalidPartitionError("partition is not a species equivalence")
@@ -263,9 +222,7 @@ def quotient(net: ReactionNetwork,
     end = np.cumsum(n_runs)
     run = (np.repeat(first_run - (end - n_runs), n_runs)
            + np.arange(int(n_runs.sum())))
-    # bincount summed the counts as floats; they are whole, so this cast is
-    # exact and the constructor does not check it
-    table = ReactionTable(n_runs, block[run], count[run].astype(np.int64),
+    table = ReactionTable(n_runs, block[run], count[run],
                           new[:len(members)], new[len(members):], lo, hi)
 
     conc = net.initial_concentration

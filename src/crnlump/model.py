@@ -11,7 +11,6 @@ of strings.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, NamedTuple, Optional, Sequence,
@@ -237,8 +236,9 @@ class ReactionNetwork:
     The optional initial data is one vector of finite non-negative values,
     `initial_concentration`; `initial_state` is the molecule multiset it
     gives when every value is an integer. `names`, `table` and
-    `initial_concentration` cannot be rebound. `proved` is the partition
-    that lumping last proved an equivalence of this network, or None.
+    `initial_concentration` cannot be rebound or deleted. `proved` is the
+    partition that lumping last proved an equivalence of this network, or
+    None.
     """
 
     __slots__ = ("names", "table", "initial_concentration", "proved",
@@ -274,6 +274,11 @@ class ReactionNetwork:
         if name in ("names", "table", "initial_concentration") and hasattr(self, name):
             raise AttributeError(f"ReactionNetwork.{name} cannot be rebound")
         object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str):
+        if name in ("names", "table", "initial_concentration"):
+            raise AttributeError(f"ReactionNetwork.{name} cannot be deleted")
+        object.__delattr__(self, name)
 
     @property
     def reactions(self) -> Tuple[Reaction, ...]:
@@ -444,17 +449,6 @@ class CompiledNetwork(NamedTuple):
     hi: np.ndarray
 
 
-def flat_sides(sides) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The `size`, `species` and `count` arrays of a `ReactionTable` whose
-    sides are the given canonical entry tuples, in order."""
-    size = np.fromiter(map(len, sides), np.int64, len(sides))
-    n = int(size.sum())
-    chain = itertools.chain.from_iterable
-    sp, cnt = np.fromiter(chain(chain(sides)), np.int64,
-                          2 * n).reshape(n, 2).T
-    return size, sp, cnt
-
-
 def side_texts(t: ReactionTable, names: Sequence[str]) -> np.ndarray:
     """`Multiset.format` of each side of the table `t`, as an object array,
     built one term position at a time."""
@@ -518,6 +512,56 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     if c.shape[1] == 0:
         c = np.zeros((len(c), 1), dtype=np.int64)
     return c.view(np.dtype((np.void, 8 * c.shape[1]))).ravel()
+
+
+def _run_ids(*cols: np.ndarray) -> np.ndarray:
+    """Number of the run of equal rows each row of sorted columns is in."""
+    new = np.zeros(len(cols[0]), dtype=bool)
+    new[:1] = True
+    for col in cols:
+        new[1:] |= col[1:] != col[:-1]
+    return np.cumsum(new) - 1
+
+
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """One id per row of a 2-D array, equal rows sharing it, from 0 up."""
+    keys = row_keys(rows)
+    order = np.argsort(keys)
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[order] = _run_ids(keys[order])
+    return ids
+
+
+def _block_sums(owner: np.ndarray, block: np.ndarray, value: np.ndarray):
+    """Owner, block and summed value of each (owner, block) run of the
+    terms, sorted by owner, then block. Integer values are summed exactly:
+    OverflowError when a sum does not fit in int64."""
+    order = np.lexsort((block, owner))
+    owner, block = owner[order], block[order]
+    first = np.flatnonzero(np.diff(_run_ids(owner, block), prepend=-1))
+    value = value[order]
+    if value.dtype.kind == "i" and len(value) and np.abs(value).max() > (
+            2**63 - 1) // int(np.diff(first, append=len(value)).max()):
+        # an int64 sum could wrap; Python ints do not
+        value = value.astype(object)
+    total = np.add.reduceat(value, first)
+    if total.dtype == object:
+        total = total.astype(np.int64)
+    return owner[first], block[first], total
+
+
+def _list_ids(owner: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """For the rows of a 2-D array sorted by owner: per owner 0..n-1, an id
+    of its list of rows, equal lists sharing it; -1 for an owner with no
+    row. The lists of one length are compared as one flat row each."""
+    size = np.bincount(owner, minlength=n)
+    first = np.cumsum(size) - size
+    ids = np.full(n, -1, dtype=np.int64)
+    for k in np.unique(size[size > 0]).tolist():
+        who = np.flatnonzero(size == k)
+        flat = rows[first[who, None] + np.arange(k)].reshape(len(who), -1)
+        ids[who] = ids.max() + 1 + _row_ids(flat)
+    return ids
 
 
 _FSUM_CHUNK = 4096  # terms turned into Python floats at a time

@@ -14,12 +14,19 @@ appearance. Species omitted from every partition brace group form one
 implicit final block. Numbers must be finite. Serialization is
 deterministic and round-trip stable.
 
-Reaction, `species` and `partition` lines are first tried against one
-full-line regular expression each. These accept a subset of the grammar and
-follow the tokenizer's maximal munch: `2e5A` is the number `2e5` followed by
-`A`, and `+2` is a signed number, so neither is read as a count. A line that
-does not match, or that matches but fails a semantic check, is parsed again
-by the tokenizer, which either accepts it or raises the located error.
+A reaction line is first split at its first `->` and its last `,` into a
+left side, a right side and a rate text. Each text is looked up by its exact
+characters, so a line whose three texts were all seen before only records
+their ids. A new text is checked on its own against a regular expression
+for its piece of the grammar (the left one may carry a label), and a new
+rate must also be a valid interval. These expressions accept a subset of
+the grammar and follow the tokenizer's maximal munch: `2e5A` is the number
+`2e5` followed by `A`, and `+2` is a signed number, so neither is read as a
+count. The species of new side texts are registered, and all sides made
+canonical, in batches of array operations. `species` and `partition` lines
+are tried against one full-line expression each. A line that no expression
+accepts, or that fails a semantic check, is parsed again by the tokenizer,
+which either accepts it or raises the located error.
 """
 
 from __future__ import annotations
@@ -27,12 +34,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .model import (Partition, ReactionNetwork, ReactionTable, flat_sides,
-                    row_keys, side_texts)
+from .model import (Partition, ReactionNetwork, ReactionTable, _block_sums,
+                    _list_ids, row_keys, side_texts)
 
 _KEYWORDS = {"species", "init", "partition"}
 
@@ -45,18 +53,22 @@ _TOKEN_RE = re.compile(
 )
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# a species or label name: an identifier that is not a keyword
+_NAME = rf"(?!(?:species|init|partition)(?![A-Za-z0-9_])){_IDENT}"
 # unsigned; the same language as the tokenizer's number, without its
 # ambiguous `\d+\.?\d*` split
 _NUM = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # a count is a positive integer not continued by an exponent
-_TERM = rf"(?:0*[1-9][0-9]*(?![eE][+-]?[0-9])[ \t]*)?{_IDENT}"
+_TERM = rf"(?:0*[1-9][0-9]*(?![eE][+-]?[0-9])[ \t]*)?{_NAME}"
 # `+` directly before a digit or a dot would start a signed number
 _SIDE = rf"0|{_TERM}(?:[ \t]*\+(?![0-9.])[ \t]*{_TERM})*"
-_REACTION_RE = re.compile(
-    rf"[ \t]*(?:({_IDENT})[ \t]*:[ \t]*)?({_SIDE})[ \t]*->[ \t]*({_SIDE})"
-    rf"[ \t]*,[ \t]*(?:({_NUM})|\[[ \t]*({_NUM})[ \t]*:[ \t]*({_NUM})[ \t]*\])"
-    r"[ \t]*")
-_COUNT_TERM_RE = re.compile(r"([0-9]+)[ \t]*(.*)")
+_LEFT_RE = re.compile(rf"[ \t]*(?:({_NAME})[ \t]*:[ \t]*)?({_SIDE})[ \t]*")
+_RIGHT_RE = re.compile(rf"[ \t]*(?:{_SIDE})[ \t]*")
+_RATE_RE = re.compile(
+    rf"[ \t]*(?:({_NUM})|\[[ \t]*({_NUM})[ \t]*:[ \t]*({_NUM})[ \t]*\])[ \t]*")
+# the terms `[count ]name` of side texts that each end in a newline, and
+# each newline
+_TERMS_RE = re.compile(rf"{_IDENT}|[0-9]+[ \t]*{_IDENT}|\n")
 _SPECIES_RE = re.compile(rf"[ \t]*species((?:[ \t]+{_IDENT})*)[ \t]*")
 _BLOCK = rf"\{{[ \t]*{_IDENT}(?:[ \t]+{_IDENT})*[ \t]*\}}"
 _PARTITION_RE = re.compile(rf"[ \t]*partition[ \t]*((?:{_BLOCK}[ \t]*)+)")
@@ -141,11 +153,17 @@ class _Cursor:
 class _Builder:
     """Accumulates declarations while parsing a model document.
 
-    Reactions are kept in table form: `side_ids` numbers the distinct
-    canonical sides, `bounds` holds lo, hi of each rate id and `rows` holds
-    lhs id, rhs id, rate id of each reaction, all flattened. `sides` and
-    `rates` map the source text of a reaction side or rate to its id, so
-    repeated text is parsed once per document."""
+    Reactions are kept in table form: `rows` holds lhs side id, rhs side
+    id, rate id of each reaction and `bounds` lo, hi of each rate id, both
+    flattened. `side_of` and `rate_of` map the exact text of a reaction side
+    or rate to its id, so repeated text is checked once per document. Side
+    ids number side texts, not canonical sides. A new side text waits in
+    `pending` until `flush` registers its species, in order of appearance,
+    and adds the species id of each of its terms, then -1, to
+    `term_species`; `counted` maps the position there of each term with a
+    count to its species id and count. Every line that reads the species
+    index must come after a flush. `document` makes the sides canonical
+    and numbers the distinct ones by first appearance."""
 
     def __init__(self):
         self.names: List[str] = []
@@ -153,11 +171,13 @@ class _Builder:
         self.labels: Dict[int, str] = {}
         self.init_values: Dict[int, float] = {}
         self.partition_groups: Optional[List[List[int]]] = None
-        self.side_ids: Dict[tuple, int] = {}
+        self.side_of: Dict[str, int] = {}
+        self.rate_of: Dict[str, int] = {}
+        self.pending: List[str] = []
+        self.term_species: List[int] = []
+        self.counted: Dict[int, Tuple[int, int]] = {}
         self.bounds: List[float] = []
         self.rows: List[int] = []
-        self.sides: Dict[str, int] = {}
-        self.rates: Dict[tuple, int] = {}
 
     def declare(self, tok: Token):
         if tok.text in self.index:
@@ -179,19 +199,53 @@ class _Builder:
             raise ParseError(f"unknown species {tok.text!r}", tok.line, tok.col)
         return idx
 
+    def side_text(self, text: str) -> int:
+        """The side id of a side text that is in the grammar."""
+        sid = self.side_of.get(text)
+        if sid is None:
+            sid = self.side_of[text] = len(self.side_of)
+            self.pending.append(text)
+        return sid
+
     def side(self, terms: List[Tuple[str, int]]) -> int:
         """Intern the species of a reaction side's (name, count) terms, in
-        order; the id of its canonical side, in which a species given twice
-        counts twice."""
+        order; the side id of the text they make."""
+        for name, _ in terms:
+            self.intern(name)
+        return self.side_text(" + ".join(
+            name if count == 1 else f"{count} {name}" for name, count in terms))
+
+    def flush(self):
+        """Register the species of the pending side texts, in order of
+        appearance, and add their terms to `term_species` and `counted`."""
+        if not self.pending:
+            return
+        terms = _TERMS_RE.findall("\n".join(self.pending) + "\n")
+        n_texts = len(self.pending)
+        self.pending = []
         index = self.index
-        acc: Dict[int, int] = {}
-        for name, count in terms:
-            idx = index.get(name)
-            if idx is None:
-                idx = self.intern(name)
-            acc[idx] = acc.get(idx, 0) + count
-        entries = tuple(sorted(acc.items()))
-        return self.side_ids.setdefault(entries, len(self.side_ids))
+        for term in dict.fromkeys([t for t in terms if t not in index]):
+            if term != "\n":
+                self.intern(term.lstrip("0123456789").lstrip(" \t"))
+        ids = list(map(index.get, terms, repeat(-1)))
+        if ids.count(-1) > n_texts:  # not only the newlines
+            for i, term in enumerate(terms):
+                if term[0].isdigit():
+                    name = term.lstrip("0123456789")
+                    self.counted[len(self.term_species) + i] = (
+                        index[name.lstrip(" \t")], int(term[:-len(name)]))
+        self.term_species += ids
+
+    def side_terms(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Side id, species and count of every flushed term."""
+        sp = np.array(self.term_species, dtype=np.int64)
+        cnt = np.ones(len(sp), dtype=np.int64)
+        if self.counted:
+            at = np.fromiter(self.counted, np.int64, len(self.counted))
+            sp[at], cnt[at] = zip(*self.counted.values())
+        end = sp < 0
+        owner = np.cumsum(end) - end
+        return owner[~end], sp[~end], cnt[~end]
 
     def rate(self, lo: float, hi: float) -> int:
         self.bounds += (lo, hi)
@@ -204,6 +258,7 @@ class _Builder:
         self.rows += (lhs, rhs, rate)
 
     def document(self) -> ModelDocument:
+        self.flush()
         n = len(self.names)
         concentration = None
         if self.init_values:
@@ -213,8 +268,10 @@ class _Builder:
             concentration = tuple(vec)
         rows = np.array(self.rows, dtype=np.int64).reshape(-1, 3)
         lo, hi = np.array(self.bounds).reshape(-1, 2)[rows[:, 2]].T
-        table = ReactionTable(*flat_sides(tuple(self.side_ids)), rows[:, 0],
-                              rows[:, 1], lo, hi)
+        size, sp, cnt, canonical = _canonical_sides(*self.side_terms(),
+                                                    len(self.side_of))
+        table = ReactionTable(size, sp, cnt, canonical[rows[:, 0]],
+                              canonical[rows[:, 1]], lo, hi)
         network = ReactionNetwork(self.names, table, concentration)
         return ModelDocument(network, self.partition(), self.labels)
 
@@ -230,6 +287,25 @@ class _Builder:
         if rest:
             groups.append(rest)
         return Partition(groups, n)
+
+
+def _canonical_sides(owner: np.ndarray, sp: np.ndarray, cnt: np.ndarray,
+                     n: int):
+    """Sides 0..n-1 given as (side, species, count) terms: the `size`,
+    `species` and `count` arrays of the distinct canonical sides, numbered
+    by first appearance, and the canonical id of each side. A species given
+    twice in a side counts twice."""
+    owner, sp, cnt = _block_sums(owner, sp, cnt)
+    ids = _list_ids(owner, np.column_stack((sp, cnt)), n)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    first = np.sort(first)
+    size = np.bincount(owner, minlength=n)
+    k = size[first]
+    take = (np.repeat((np.cumsum(size) - size)[first] - (np.cumsum(k) - k), k)
+            + np.arange(int(k.sum())))
+    return k, sp[take], cnt[take], rank[inverse]
 
 
 def _parse_number(tok: Token) -> float:
@@ -388,51 +464,49 @@ def _parse_tokens(b: _Builder, tokens: List[Token], line_no: int):
         _parse_reaction_line(cur, b)
 
 
-def _side_terms(side: str) -> List[Tuple[str, int]]:
-    """(name, count) terms of a reaction side matched by `_SIDE`."""
-    if side == "0":
-        return []
-    terms = []
-    for term in side.split("+"):
-        term = term.strip(" \t")
-        if term[0].isdigit():
-            m = _COUNT_TERM_RE.fullmatch(term)
-            terms.append((m.group(2), int(m.group(1))))
-        else:
-            terms.append((term, 1))
-    return terms
-
-
-def _fast_reaction(b: _Builder, m: re.Match) -> bool:
-    label, lhs, rhs = m.group(1, 2, 3)
-    key = m.group(4, 5, 6)
-    rate, reactant, product = b.rates.get(key), b.sides.get(lhs), b.sides.get(rhs)
-    if label is None and None not in (rate, reactant, product):
-        # an unlabelled line whose rate and sides were all seen before
-        b.rows += (reactant, product, rate)
-        return True
-    if label in _KEYWORDS:
+def _parse_reaction_fast(b: _Builder, raw: str) -> bool:
+    """Piece path for reaction lines. Returns False, having added nothing
+    to the document, when the line must go to the tokenizer path instead."""
+    left, _, rest = raw.partition("->")
+    right, comma, rate_text = rest.rpartition(",")
+    if not comma:
         return False
+    lhs, rhs = b.side_of.get(left), b.side_of.get(right)
+    rate = b.rate_of.get(rate_text)
+    if lhs is not None and rhs is not None and rate is not None:
+        b.rows += (lhs, rhs, rate)
+        return True
+    # check every new text before recording anything: a rejected line must
+    # add nothing to the document
     if rate is None:
-        point, lo_text, hi_text = key
+        m = _RATE_RE.fullmatch(rate_text)
+        if m is None:
+            return False
+        point, lo_text, hi_text = m.groups()
         if point is not None:
             lo = hi = float(point)
         else:
             lo, hi = float(lo_text), float(hi_text)
         if not (lo <= hi and math.isfinite(hi)):
             return False
-        rate = b.rates[key] = b.rate(lo, hi)
-    # check both sides before interning anything: a rejected line must add
-    # nothing to the document
-    lterms = _side_terms(lhs) if reactant is None else []
-    rterms = _side_terms(rhs) if product is None else []
-    if any(name in _KEYWORDS for name, _ in lterms + rterms):
+    label = None
+    if lhs is None:
+        m = _LEFT_RE.fullmatch(left)
+        if m is None:
+            return False
+        label, body = m.groups()
+        if label is not None:  # a labelled text is not kept
+            left = body
+            lhs = b.side_of.get(body)
+    if rhs is None and _RIGHT_RE.fullmatch(right) is None:
         return False
-    if reactant is None:
-        reactant = b.sides[lhs] = b.side(lterms)
-    if product is None:
-        product = b.sides[rhs] = b.side(rterms)
-    b.add_reaction(reactant, product, rate, label)
+    if rate is None:
+        rate = b.rate_of[rate_text] = b.rate(lo, hi)
+    if lhs is None:
+        lhs = b.side_text(left)
+    if rhs is None:
+        rhs = b.side_text(right)
+    b.add_reaction(lhs, rhs, rate, label)
     return True
 
 
@@ -465,12 +539,9 @@ def _fast_partition(b: _Builder, m: re.Match) -> bool:
 
 
 def _parse_line_fast(b: _Builder, raw: str) -> bool:
-    """Regex path for reaction, `species` and `partition` lines. Returns
-    False, having added nothing to the document, when the line must go to
-    the tokenizer path instead."""
-    m = _REACTION_RE.fullmatch(raw)
-    if m is not None:
-        return _fast_reaction(b, m)
+    """Regex path for `species` and `partition` lines. Returns False,
+    having added nothing to the document, when the line must go to the
+    tokenizer path instead."""
     m = _SPECIES_RE.fullmatch(raw)
     if m is not None:
         return _fast_species(b, m)
@@ -484,6 +555,9 @@ def parse_model(text: str) -> ModelDocument:
     """Parse a model document; raises ParseError with source location on error."""
     b = _Builder()
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        if _parse_reaction_fast(b, raw) or not raw.strip():
+            continue
+        b.flush()  # every other line reads the species index
         if not _parse_line_fast(b, raw):
             _parse_line(b, raw, line_no)
     return b.document()

@@ -143,7 +143,6 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
                        ReconstructionFailureError)
     times = np.asarray(lumped_traj.times, dtype=float)
     dt = np.diff(times)
-    targets = stage_drifts(lumped, lumped_traj, lumped_schedule)
 
     n_steps = len(times) - 1
     states = np.empty((n_steps + 1, net.n_species))
@@ -151,25 +150,30 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     controls = np.empty((n_steps, net.n_reactions))
     residuals = np.empty(n_steps)
     v = v0.copy()
-    for k in range(n_steps):
-        t = float(times[k])
-        solved = []  # (control, residual) of each stage in turn
+    # a state that overflows is reported as a failure, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        targets = stage_drifts(lumped, lumped_traj, lumped_schedule)
+        for k in range(n_steps):
+            t = float(times[k])
+            solved = []  # (control, residual) of each stage in turn
 
-        def field(x):
-            mono = vf.monomials(x)
-            alpha, residual = match.solve(mono, targets[len(solved)][k], t)
-            solved.append((alpha, residual))
-            mono *= alpha
-            return vf.drift(mono)
+            def field(x):
+                mono = vf.monomials(x)
+                alpha, residual = match.solve(mono, targets[len(solved)][k],
+                                              t)
+                solved.append((alpha, residual))
+                mono *= alpha
+                return vf.drift(mono)
 
-        v, _ = rk4_step(field, v, dt[k])
-        if not np.all(np.isfinite(v)):
-            raise ReconstructionFailureError(float(times[k + 1]), float("inf"))
-        states[k + 1] = v
-        controls[k] = solved[0][0]
-        residuals[k] = worst = max(r for _, r in solved)
-        if worst > RESIDUAL_MAX:
-            raise ReconstructionFailureError(t, worst)
+            v, _ = rk4_step(field, v, dt[k])
+            if not np.all(np.isfinite(v)):
+                raise ReconstructionFailureError(float(times[k + 1]),
+                                                 float("inf"))
+            states[k + 1] = v
+            controls[k] = solved[0][0]
+            residuals[k] = worst = max(r for _, r in solved)
+            if worst > RESIDUAL_MAX:
+                raise ReconstructionFailureError(t, worst)
 
     schedule = ControlSchedule(times[:-1].copy(), controls)
     traj = Trajectory(times, states, schedule, net.names)

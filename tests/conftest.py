@@ -12,7 +12,7 @@ import crnlump as cl
 from crnlump.model import (CompiledNetwork, Multiset, Partition,
                            RateInterval, Reaction, ReactionNetwork,
                            ReactionTable, StructuralError,
-                           falling_binomial, flat_sides, project_key)
+                           falling_binomial, project_key)
 
 # Two-site reversible binding with sitewise-symmetric rate intervals: the
 # binding/unbinding pair of site 1 mirrors the pair of site 2, which makes
@@ -43,6 +43,17 @@ def two_site(two_site_doc):
 @pytest.fixture
 def two_site_partition(two_site_doc):
     return two_site_doc.initial_partition
+
+
+def flat_sides(sides) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `size`, `species` and `count` arrays of a `ReactionTable` whose
+    sides are the given canonical entry tuples, in order."""
+    size = np.fromiter(map(len, sides), np.int64, len(sides))
+    n = int(size.sum())
+    chain = itertools.chain.from_iterable
+    sp, cnt = np.fromiter(chain(chain(sides)), np.int64,
+                          2 * n).reshape(n, 2).T
+    return size, sp, cnt
 
 
 def from_reactions(names, reactions,

@@ -126,6 +126,14 @@ class TestOrdinaryLumpability:
         assert check_ordinary_lumpability(gen, space,
                                           Partition.singletons(5)).ok
 
+    @pytest.mark.parametrize("n", [6, 4])
+    def test_partition_over_wrong_universe_rejected(self, two_site, n):
+        space = enumerate_ball(two_site, 2)
+        gen = build_generator(space, two_site, "upper")
+        with pytest.raises(StructuralError,
+                           match="partition over wrong species universe"):
+            check_ordinary_lumpability(gen, space, Partition.singletons(n))
+
     def test_two_site_partition_lumpable_both_extremals(self, two_site,
                                                         two_site_partition):
         init = two_site.multiset({"A00": 2, "B": 1})

@@ -197,6 +197,11 @@ class TestQuotient:
         assert [two_site.names[i] for i in part.blocks[2]] == ["A01", "A10"]
         assert two_site.names[part.representatives[2]] == "A01"
 
+    def test_counts_beyond_float_precision_stay_exact(self):
+        net = cl.parse_model("9007199254740993 A -> B , 1\n").network
+        lumped, _ = quotient(net, Partition.singletons(2))
+        assert lumped.table.count.tolist() == [2**53 + 1, 1]
+
     def test_finest_partition_identity(self, two_site):
         lumped, _ = quotient(two_site, Partition.singletons(5))
         assert networks_equal(lumped, two_site)
@@ -448,6 +453,27 @@ def test_list_ids_match_a_dict_of_tuples(case):
             assert got == -1
     # only equal lists share an id
     assert len(set(ref.values())) == len(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.sampled_from([1, 2, -3, 2**53 + 1, 2**62,
+                                           -2**62, 2**63 - 1])),
+                max_size=12))
+def test_block_sums_are_exact_integer_sums(terms):
+    owner, block, value = (np.array(col, dtype=np.int64).reshape(-1)
+                           for col in (zip(*terms) if terms else ((),) * 3))
+    ref = {}
+    for o, b, v in terms:
+        ref[o, b] = ref.get((o, b), 0) + v
+    if any(not -2**63 <= v < 2**63 for v in ref.values()):
+        with pytest.raises(OverflowError):
+            lumping._block_sums(owner, block, value)
+        return
+    o, b, total = lumping._block_sums(owner, block, value)
+    assert total.dtype == np.int64
+    assert list(zip(o.tolist(), b.tolist(), total.tolist())) \
+        == [(o, b, v) for (o, b), v in sorted(ref.items())]
 
 
 class TestNoopReactions:

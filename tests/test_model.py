@@ -10,10 +10,9 @@ import crnlump as cl
 from crnlump import cli, model
 from crnlump.model import (CompiledNetwork, Multiset, Partition, RateInterval,
                            Reaction, ReactionNetwork, ReactionTable,
-                           StructuralError, falling_binomial, flat_sides,
-                           project_key)
+                           StructuralError, falling_binomial, project_key)
 
-from conftest import (TWO_SITE_TEXT, contains, from_reactions,
+from conftest import (TWO_SITE_TEXT, contains, flat_sides, from_reactions,
                       loop_compile_network, refines, table_is_canonical,
                       table_sides, varied_network)
 
@@ -434,6 +433,8 @@ class TestReactionTable:
         kept = getattr(net, slot)
         with pytest.raises(AttributeError, match=f"{slot} cannot be rebound"):
             setattr(net, slot, kept)
+        with pytest.raises(AttributeError, match=f"{slot} cannot be deleted"):
+            delattr(net, slot)
         assert getattr(net, slot) is kept
         # the lazy caches and lumping's proof record still fill in
         assert len(net.reactions) == net.n_reactions == len(net.compiled.lo)

@@ -219,7 +219,8 @@ def outcome(parse, text):
         return ("error", err.message, err.line, err.col)
     net = doc.network
     return (net.names, net.reactions, net.initial_state,
-            net.initial_concentration, doc.initial_partition, doc.labels)
+            net.initial_concentration, doc.initial_partition, doc.labels,
+            tuple(a.tolist() for a in net.table))
 
 
 class TestFastPathMatchesTokenizer:
@@ -234,6 +235,15 @@ class TestFastPathMatchesTokenizer:
         ("A -> B , -1", "negative rate", 10),
         ("A + init -> B , 1", "reserved word 'init' used as species", 5),
         ("A +2B -> C , 1", "expected arrow, got '+2'", 3),
+        # line 1's texts `X `, ` Y ` and ` 1` are known by now
+        ("X -> Y , 1 , 2", "trailing input ','", 12),
+        ("X -> Y -> Y , 1", "expected ,, got '->'", 8),
+        ("X -> Y Y , 1", "expected ,, got 'Y'", 8),
+        ("X , 1 -> Y , 1", "expected arrow, got ','", 3),
+        ("X -> init , 1", "reserved word 'init' used as species", 6),
+        ("init: X -> Y , 1", "expected ident, got ':'", 5),
+        ("X -> Y , 1 1", "trailing input '1'", 12),
+        ("X Y -> Y , 1", "expected arrow, got 'Y'", 3),
     ])
     def test_malformed_line(self, line, message, col):
         text = "X -> Y , 1\n" + line + "\n"
@@ -251,6 +261,59 @@ class TestFastPathMatchesTokenizer:
         text = "species B\n" + line + "\n"
         assert outcome(parse_model, text) == outcome(tokenizer_parse, text)
         assert outcome(parse_model, text)[0] != "error"
+
+
+    def test_counts_are_exact_int64(self):
+        text = "9007199254740993 A + A -> 0 , 1\n"
+        for parse in (parse_model, tokenizer_parse):
+            assert parse(text).network.table.count.tolist() == [2**53 + 2]
+            with pytest.raises(OverflowError):
+                parse("4611686018427387904 A + 4611686018427387904 A -> 0 , 1")
+
+    def test_species_line_after_reactions_sees_their_species(self):
+        text = "A -> B , 1\nspecies B\n"
+        for parse in (parse_model, tokenizer_parse):
+            assert outcome(parse, text) == (
+                "error", "duplicate species declaration 'B'", 2, 9)
+
+    def test_species_keep_first_appearance_order_across_lines(self):
+        text = ("A -> B , 1\nspecies C\nD -> 2 A , +1\nE -> B , 1\n"
+                "init E = 1\nA + F -> 0 , 2\n")
+        assert outcome(parse_model, text) == outcome(tokenizer_parse, text)
+        assert parse_model(text).network.names == ("A", "B", "C", "D", "E",
+                                                   "F")
+
+
+# a few side and rate texts, repeated across lines so that most of them are
+# known when they come back: exact repeats and respaced ones, labels and
+# `0` sides; now and then a keyword, a second `->` or `,`, or a bad or
+# signed rate
+_SIDES = ["A", "A ", " A", "A + B", "B+A", "2 A", "2A", "A + A", "0", " 0 ",
+          "01 C", "C"]
+_LABELS = ["lab: A", "x:2 B", "y : 0"]
+_BAD_SIDES = ["init", "species: A", "B -> C", "A , B", "A +2B", "2e5A", "A B"]
+_RATES = ["1", " 1", "1.5", "[1:2]", " [ 1 : 2 ] ", "[0 : 0]", " .5 "]
+_BAD_RATES = ["[2:1]", "+1", "-1", "1e999", "2 , 3", "1 x"]
+
+
+def _mostly(good, bad):
+    return st.sampled_from(good * 12 + bad)
+
+
+_REACTION_LINE = st.tuples(_mostly(_SIDES + _LABELS, _BAD_SIDES),
+                           _mostly(_SIDES, _BAD_SIDES),
+                           _mostly(_RATES, _BAD_RATES)).map(
+    lambda t: f"{t[0]}->{t[1]},{t[2]}")
+_OTHER_LINE = _mostly(["", "  ", "species D", "species E F"],
+                      ["species A", "init A = 1", "partition { A } { B }"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([_REACTION_LINE] * 8 + [_OTHER_LINE]).flatmap(
+    lambda line: line), max_size=30))
+def test_fast_path_agrees_on_repeated_texts(lines):
+    text = "\n".join(lines)
+    assert outcome(parse_model, text) == outcome(tokenizer_parse, text)
 
 
 _PIECES = ["A", "B", "e5", "2", "0", "01", "2e5", "1.5", ".5", "1e999", "+",

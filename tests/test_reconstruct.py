@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -263,10 +264,11 @@ class TestReconstructTrajectory:
         net = cl.parse_model("species A\nA -> 2 A , 1.0\n").network
         part = Partition.singletons(1)
         ltraj = Trajectory(np.array([0.0, 0.5]), np.full((2, 1), 1e308))
-        with np.errstate(over="ignore"), \
-                pytest.raises(ReconstructionFailureError) as err:
-            reconstruct_trajectory(net, part, ltraj,
-                                   ControlSchedule.midpoint(net), [1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ReconstructionFailureError) as err:
+                reconstruct_trajectory(net, part, ltraj,
+                                       ControlSchedule.midpoint(net), [1e308])
         assert (err.value.time, err.value.residual) == (0.5, float("inf"))
         assert err.value.converged
 
