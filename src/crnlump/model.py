@@ -514,13 +514,18 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return c.view(np.dtype((np.void, 8 * c.shape[1]))).ravel()
 
 
-def _run_ids(*cols: np.ndarray) -> np.ndarray:
-    """Number of the run of equal rows each row of sorted columns is in."""
+def _run_starts(*cols: np.ndarray) -> np.ndarray:
+    """Whether each row of sorted columns starts a run of equal rows."""
     new = np.zeros(len(cols[0]), dtype=bool)
     new[:1] = True
     for col in cols:
         new[1:] |= col[1:] != col[:-1]
-    return np.cumsum(new) - 1
+    return new
+
+
+def _run_ids(*cols: np.ndarray) -> np.ndarray:
+    """Number of the run of equal rows each row of sorted columns is in."""
+    return np.cumsum(_run_starts(*cols)) - 1
 
 
 def _row_ids(rows: np.ndarray) -> np.ndarray:
@@ -535,18 +540,20 @@ def _row_ids(rows: np.ndarray) -> np.ndarray:
 def _block_sums(owner: np.ndarray, block: np.ndarray, value: np.ndarray):
     """Owner, block and summed value of each (owner, block) run of the
     terms, sorted by owner, then block. Integer values are summed exactly:
-    OverflowError when a sum does not fit in int64."""
+    OverflowError when a sum of a run of fewer than 2**26 terms does not
+    fit in int64."""
     order = np.lexsort((block, owner))
     owner, block = owner[order], block[order]
-    first = np.flatnonzero(np.diff(_run_ids(owner, block), prepend=-1))
+    first = np.flatnonzero(_run_starts(owner, block))
     value = value[order]
-    if value.dtype.kind == "i" and len(value) and np.abs(value).max() > (
-            2**63 - 1) // int(np.diff(first, append=len(value)).max()):
-        # an int64 sum could wrap; Python ints do not
-        value = value.astype(object)
     total = np.add.reduceat(value, first)
-    if total.dtype == object:
-        total = total.astype(np.int64)
+    if value.dtype.kind == "i" and len(value) and max(
+            int(value.max()), -int(value.min())) > (2**63 - 1) // len(value):
+        # an int64 sum that wrapped is off by a multiple of 2**64, a
+        # float64 sum of fewer than 2**26 terms by less than 2**62
+        approx = np.add.reduceat(value.astype(np.float64), first)
+        if (np.abs(approx - total) >= 2.0**63).any():
+            raise OverflowError("integer sum does not fit in int64")
     return owner[first], block[first], total
 
 

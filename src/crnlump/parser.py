@@ -155,15 +155,16 @@ class _Builder:
 
     Reactions are kept in table form: `rows` holds lhs side id, rhs side
     id, rate id of each reaction and `bounds` lo, hi of each rate id, both
-    flattened. `side_of` and `rate_of` map the exact text of a reaction side
-    or rate to its id, so repeated text is checked once per document. Side
-    ids number side texts, not canonical sides. A new side text waits in
-    `pending` until `flush` registers its species, in order of appearance,
-    and adds the species id of each of its terms, then -1, to
-    `term_species`; `counted` maps the position there of each term with a
-    count to its species id and count. Every line that reads the species
-    index must come after a flush. `document` makes the sides canonical
-    and numbers the distinct ones by first appearance."""
+    flattened. Side ids number sides as they are read, not canonical
+    sides. `side_of` and `rate_of` map the exact text of a side or rate
+    read by the piece path to its id, so repeated text is checked once per
+    document; a side read by the tokenizer gets a new id and no text. A new
+    side text waits in `pending` until `flush` registers its species, in
+    order of appearance, and adds the species id of each of its terms, then
+    -1, to `term_species`; `counted` maps the position there of each term
+    with a count to its species id and count. Every line that reads the
+    species index must come after a flush. `document` makes the sides
+    canonical and numbers the distinct ones by first appearance."""
 
     def __init__(self):
         self.names: List[str] = []
@@ -171,6 +172,7 @@ class _Builder:
         self.labels: Dict[int, str] = {}
         self.init_values: Dict[int, float] = {}
         self.partition_groups: Optional[List[List[int]]] = None
+        self.n_sides = 0
         self.side_of: Dict[str, int] = {}
         self.rate_of: Dict[str, int] = {}
         self.pending: List[str] = []
@@ -203,17 +205,23 @@ class _Builder:
         """The side id of a side text that is in the grammar."""
         sid = self.side_of.get(text)
         if sid is None:
-            sid = self.side_of[text] = len(self.side_of)
+            sid = self.side_of[text] = self.n_sides
+            self.n_sides += 1
             self.pending.append(text)
         return sid
 
     def side(self, terms: List[Tuple[str, int]]) -> int:
-        """Intern the species of a reaction side's (name, count) terms, in
-        order; the side id of the text they make."""
-        for name, _ in terms:
-            self.intern(name)
-        return self.side_text(" + ".join(
-            name if count == 1 else f"{count} {name}" for name, count in terms))
+        """The side id of a new side of (name, count) terms, its species
+        interned in order."""
+        self.flush()  # keeps term_species in side id order
+        for name, count in terms:
+            idx = self.intern(name)
+            if count != 1:
+                self.counted[len(self.term_species)] = (idx, count)
+            self.term_species.append(idx)
+        self.term_species.append(-1)
+        self.n_sides += 1
+        return self.n_sides - 1
 
     def flush(self):
         """Register the species of the pending side texts, in order of
@@ -269,7 +277,7 @@ class _Builder:
         rows = np.array(self.rows, dtype=np.int64).reshape(-1, 3)
         lo, hi = np.array(self.bounds).reshape(-1, 2)[rows[:, 2]].T
         size, sp, cnt, canonical = _canonical_sides(*self.side_terms(),
-                                                    len(self.side_of))
+                                                    self.n_sides)
         table = ReactionTable(size, sp, cnt, canonical[rows[:, 0]],
                               canonical[rows[:, 1]], lo, hi)
         network = ReactionNetwork(self.names, table, concentration)

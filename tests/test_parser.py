@@ -270,6 +270,18 @@ class TestFastPathMatchesTokenizer:
             with pytest.raises(OverflowError):
                 parse("4611686018427387904 A + 4611686018427387904 A -> 0 , 1")
 
+    # line 1 takes the tokenizer path for its signed rate
+    @pytest.mark.parametrize("text,message,line,col", [
+        ("0 -> X , +1\nX ->, 1\n", "expected species term, got ','", 2, 5),
+        ("0 -> A , +1\nA -> B , 1\nA ->, 1\n",
+         "expected species term, got ','", 3, 5),
+        ("0 -> 0 , +1\n->, 1\n", "expected species term, got '->'", 2, 1),
+    ])
+    def test_tokenizer_sides_leave_no_known_text(self, text, message, line,
+                                                 col):
+        for parse in (parse_model, tokenizer_parse):
+            assert outcome(parse, text) == ("error", message, line, col)
+
     def test_species_line_after_reactions_sees_their_species(self):
         text = "A -> B , 1\nspecies B\n"
         for parse in (parse_model, tokenizer_parse):
@@ -291,7 +303,8 @@ class TestFastPathMatchesTokenizer:
 _SIDES = ["A", "A ", " A", "A + B", "B+A", "2 A", "2A", "A + A", "0", " 0 ",
           "01 C", "C"]
 _LABELS = ["lab: A", "x:2 B", "y : 0"]
-_BAD_SIDES = ["init", "species: A", "B -> C", "A , B", "A +2B", "2e5A", "A B"]
+_BAD_SIDES = ["init", "species: A", "B -> C", "A , B", "A +2B", "2e5A", "A B",
+              "", " "]
 _RATES = ["1", " 1", "1.5", "[1:2]", " [ 1 : 2 ] ", "[0 : 0]", " .5 "]
 _BAD_RATES = ["[2:1]", "+1", "-1", "1e999", "2 , 3", "1 x"]
 
