@@ -29,8 +29,9 @@ from .generators import (DEFAULT_ASSOCIATION, DEFAULT_DISSOCIATION,
                          sir_star_model)
 from .lumping import check_equivalence, coarsest_equivalence, quotient
 from .model import Multiset, Partition, RateInterval, ReactionNetwork
-from .ode import (ControlSchedule, schedule_from_csv, schedule_to_csv,
-                  simulate, trajectory_from_csv, trajectory_to_csv)
+from .ode import (ControlSchedule, _write_csv, schedule_from_csv,
+                  schedule_to_csv, simulate, trajectory_from_csv,
+                  trajectory_to_csv)
 from .parser import (ModelDocument, ParseError, parse_edge_list, parse_model,
                      parse_partition_file, serialize_model)
 from .reconstruct import reconstruct_trajectory
@@ -358,10 +359,9 @@ def cmd_reconstruct(args) -> int:
         Path(args.control_out).write_text(schedule_to_csv(result.schedule),
                                           encoding="utf-8")
     if args.residual_out:
-        lines = ["t,residual"] + [
-            f"{t!r},{r!r}" for t, r in
-            zip(result.trajectory.times[:-1], result.step_residuals)]
-        Path(args.residual_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.residual_out).write_text(_write_csv(
+            ("t", "residual"), result.trajectory.times[:-1],
+            result.step_residuals[:, None]), encoding="utf-8")
     phases.mark("write")
     _emit_report({
         "command": "reconstruct",

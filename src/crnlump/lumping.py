@@ -48,8 +48,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .model import (CompiledNetwork, Partition, ReactionNetwork,
-                    ReactionTable, StructuralError, _block_sums, _list_ids,
-                    _row_ids, _run_ids, group_sums)
+                    ReactionTable, StructuralError, _block_sums,
+                    _canonical_sides, _list_ids, _row_ids, _run_ids,
+                    group_sums)
 
 
 class InvalidPartitionError(ValueError):
@@ -190,17 +191,17 @@ def quotient(net: ReactionNetwork,
 
     # a representative's new index is its block id, so a side's new entries
     # are its canonical per-block projection; every distinct side is
-    # projected and the projections are numbered
+    # projected and the distinct projections are numbered
     n_sides = len(t.size)
     owner = np.repeat(np.arange(n_sides), t.size)
     label = np.asarray(block_of, dtype=np.int64)
-    side, block, count = _block_sums(owner, label[t.species], t.count)
-    proj = _list_ids(side, np.column_stack((block, count)), n_sides) + 1
+    size, block, count, proj = _canonical_sides(owner, label[t.species],
+                                                t.count, n_sides)
     is_rep = np.zeros(net.n_species, dtype=bool)
     is_rep[list(reps)] = True
     rep_only = np.bincount(owner, ~is_rep[t.species], n_sides) == 0
     keep = np.flatnonzero(rep_only[t.lhs])
-    key = proj[t.lhs[keep]] * (proj.max(initial=0) + 1) + proj[t.rhs[keep]]
+    key = proj[t.lhs[keep]] * len(size) + proj[t.rhs[keep]]
     order = np.argsort(key, kind="stable")
     key, keep = key[order], keep[order]
     # a lone rate stays as it is and several are summed exactly; + 0.0
@@ -212,18 +213,14 @@ def quotient(net: ReactionNetwork,
     members, lo, hi = keep[start][first], lo[first] + 0.0, hi[first] + 0.0
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise OverflowError("a fused rate overflows")
-    # the new sides: the distinct projections of the fused reactions'
-    # sides, each from the runs of one side that has it; their entries are
-    # made in table order, which later walks over them read fastest
-    src = np.r_[t.lhs[members], t.rhs[members]]
-    _, at, new = np.unique(proj[src], return_index=True, return_inverse=True)
-    first_run = np.searchsorted(side, src[at])
-    n_runs = np.searchsorted(side, src[at], "right") - first_run
-    end = np.cumsum(n_runs)
-    run = (np.repeat(first_run - (end - n_runs), n_runs)
-           + np.arange(int(n_runs.sum())))
-    table = ReactionTable(n_runs, block[run], count[run],
-                          new[:len(members)], new[len(members):], lo, hi)
+    # the new sides: the projections the fused reactions use, renumbered
+    lhs, rhs = proj[t.lhs[members]], proj[t.rhs[members]]
+    used = np.zeros(len(size), dtype=bool)
+    used[lhs] = used[rhs] = True
+    new = np.cumsum(used) - 1
+    entry = np.repeat(used, size)
+    table = ReactionTable(size[used], block[entry], count[entry], new[lhs],
+                          new[rhs], lo, hi)
 
     conc = net.initial_concentration
     if conc is not None:  # summed in species order, as a loop would

@@ -571,6 +571,23 @@ def _list_ids(owner: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return ids
 
 
+def _canonical_sides(owner: np.ndarray, sp: np.ndarray, cnt: np.ndarray,
+                     n: int):
+    """Sides 0..n-1 given as (side, species, count) terms: the `size`,
+    `species` and `count` arrays of the distinct canonical sides, numbered
+    by first appearance, and the canonical id of each side. The counts of
+    one species in one side are summed."""
+    owner, sp, cnt = _block_sums(owner, sp, cnt)
+    ids = _list_ids(owner, np.column_stack((sp, cnt)), n)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    size = np.bincount(owner, minlength=n)
+    entry = np.repeat(is_first, size)
+    rank = np.cumsum(is_first) - 1
+    return size[is_first], sp[entry], cnt[entry], rank[first][inverse]
+
+
 _FSUM_CHUNK = 4096  # terms turned into Python floats at a time
 
 

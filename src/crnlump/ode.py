@@ -122,17 +122,6 @@ class Trajectory:
     schedule: Optional[ControlSchedule] = None
     names: Optional[Tuple[str, ...]] = None
 
-    def state_at(self, t: float) -> np.ndarray:
-        """Linear interpolation between grid points."""
-        times = self.times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-            raise StructuralError(f"time {t} outside trajectory range")
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        i = min(max(i, 0), len(times) - 2)
-        t0, t1 = times[i], times[i + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.states[i] + w * self.states[i + 1]
-
 
 _ONE = np.ones(1)
 
@@ -224,10 +213,12 @@ def _time_grid(t_end: float, step: float, breakpoints: np.ndarray,
         grid = np.append(grid, t_end)
     else:
         grid[-1] = t_end
-    extra = [b for b in breakpoints if 0.0 < b < t_end
-             and np.min(np.abs(grid - b)) > 1e-12 * max(1.0, t_end)]
-    if extra:
-        grid = np.sort(np.concatenate([grid, np.array(extra)]))
+    b = breakpoints[(breakpoints > 0.0) & (breakpoints < t_end)]
+    i = np.searchsorted(grid, b)  # grid[i - 1] < b <= grid[i]: the nearest two
+    gap = np.minimum(grid[i] - b, b - grid[i - 1])
+    extra = b[gap > 1e-12 * max(1.0, t_end)]
+    if len(extra):
+        grid = np.sort(np.concatenate([grid, extra]))
     return grid
 
 
@@ -318,27 +309,21 @@ class CostSpec:
 
 
 def evaluate_cost(traj: Trajectory, cost: CostSpec) -> float:
-    """Trapezoidal quadrature of the running cost over the trajectory grid
-    plus the final cost at the horizon."""
-    T = cost.horizon
+    """Trapezoidal quadrature of the running cost over the grid cut at the
+    horizon plus the final cost there, both interpolated linearly; a horizon
+    up to 1e-9 relative past the last time is taken as the last time."""
     times = traj.times
     widths = (len(cost.running_weights), len(cost.final_weights))
     if widths != (traj.states.shape[1],) * 2:
         raise StructuralError(f"cost weights of lengths {widths} for a "
                               f"trajectory of {traj.states.shape[1]} species")
-    if T > times[-1] + 1e-9 * max(1.0, T):
-        raise StructuralError("cost horizon exceeds trajectory range")
-    running = traj.states @ cost.running_weights
-    total = 0.0
-    for k in range(len(times) - 1):
-        t1 = times[k + 1]
-        if t1 >= T:
-            w = 1.0 if times[k + 1] == times[k] else (T - times[k]) / (t1 - times[k])
-            rT = running[k] + w * (running[k + 1] - running[k])
-            total += 0.5 * (T - times[k]) * (running[k] + rT)
-            break
-        total += 0.5 * (t1 - times[k]) * (running[k] + running[k + 1])
-    return total + float(cost.final_weights @ traj.state_at(T))
+    T = min(cost.horizon, times[-1])
+    if cost.horizon > times[-1] + 1e-9 * max(1.0, cost.horizon) or T < times[0]:
+        raise StructuralError("cost horizon outside trajectory range")
+    cut = np.r_[times[times < T], T]
+    running = np.interp(cut, times, traj.states @ cost.running_weights)
+    final = np.interp(T, times, traj.states @ cost.final_weights)
+    return float(0.5 * np.diff(cut) @ (running[1:] + running[:-1]) + final)
 
 
 @dataclass
@@ -545,16 +530,17 @@ def project_control(net: ReactionNetwork, part: Partition,
 # CSV interchange: trajectories as `t,<species...>`, schedules as
 # `t_start,<reaction controls...>`.
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(header: Sequence[str], times, rows) -> str:
+    """The `header` fields, then per time the time and its row, every
+    number written as `repr` of its float, which reads back exactly."""
+    lines = [",".join(map(repr, row.tolist())) for row in
+             np.column_stack((times, rows)).astype(float, copy=False)]
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     names = traj.names or tuple(f"x{i}" for i in range(traj.states.shape[1]))
-    lines = ["t," + ",".join(names)]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(_fmt(t) + "," + ",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return _write_csv(("t", *names), traj.times, traj.states)
 
 
 def _read_csv(text: str, first: str, header_required: bool,
@@ -611,11 +597,8 @@ def trajectory_from_csv(text: str) -> Trajectory:
 
 
 def schedule_to_csv(sched: ControlSchedule) -> str:
-    header = "t_start," + ",".join(f"r{i}" for i in range(sched.n_reactions))
-    lines = [header]
-    for t, row in zip(sched.breakpoints, sched.values):
-        lines.append(_fmt(t) + "," + ",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return _write_csv(("t_start", *(f"r{i}" for i in range(sched.n_reactions))),
+                      sched.breakpoints, sched.values)
 
 
 def schedule_from_csv(text: str) -> ControlSchedule:

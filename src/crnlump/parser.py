@@ -39,8 +39,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .model import (Partition, ReactionNetwork, ReactionTable, _block_sums,
-                    _list_ids, row_keys, side_texts)
+from .model import (Partition, ReactionNetwork, ReactionTable,
+                    _canonical_sides, row_keys, side_texts)
 
 _KEYWORDS = {"species", "init", "partition"}
 
@@ -295,25 +295,6 @@ class _Builder:
         if rest:
             groups.append(rest)
         return Partition(groups, n)
-
-
-def _canonical_sides(owner: np.ndarray, sp: np.ndarray, cnt: np.ndarray,
-                     n: int):
-    """Sides 0..n-1 given as (side, species, count) terms: the `size`,
-    `species` and `count` arrays of the distinct canonical sides, numbered
-    by first appearance, and the canonical id of each side. A species given
-    twice in a side counts twice."""
-    owner, sp, cnt = _block_sums(owner, sp, cnt)
-    ids = _list_ids(owner, np.column_stack((sp, cnt)), n)
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    first = np.sort(first)
-    size = np.bincount(owner, minlength=n)
-    k = size[first]
-    take = (np.repeat((np.cumsum(size) - size)[first] - (np.cumsum(k) - k), k)
-            + np.arange(int(k.sum())))
-    return k, sp[take], cnt[take], rank[inverse]
 
 
 def _parse_number(tok: Token) -> float:
@@ -571,10 +552,6 @@ def parse_model(text: str) -> ModelDocument:
     return b.document()
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def serialize_model(doc: ModelDocument) -> str:
     """Deterministic serialization: species in index order, reactions in id
     order; parsing the output reproduces the document structurally. Each
@@ -601,7 +578,7 @@ def serialize_model(doc: ModelDocument) -> str:
         if not items and names:
             items = [(0, 0.0)]
         if items:
-            body = ", ".join(f"{names[i]} = {_fmt(v)}" for i, v in items)
+            body = ", ".join(f"{names[i]} = {v!r}" for i, v in items)
             lines.append(f"init {body}")
     if doc.initial_partition is not None:
         groups = " ".join("{ " + " ".join(names[i] for i in blk) + " }"

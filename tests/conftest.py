@@ -379,6 +379,24 @@ class DenseVectorField:
         return (alpha * self.monomials(v)) @ self.stoich
 
 
+def loop_time_grid(t_end: float, step: float,
+                   breakpoints: np.ndarray) -> np.ndarray:
+    """The integration grid of `crnlump.ode._time_grid` for valid arguments,
+    with one search over the whole grid per breakpoint for the grid point
+    nearest to it: the reference the sorted search is compared against."""
+    n = int(math.floor(t_end / step + 1e-9))
+    grid = np.arange(n + 1) * step
+    if abs(grid[-1] - t_end) > 1e-9 * max(1.0, t_end):
+        grid = np.append(grid, t_end)
+    else:
+        grid[-1] = t_end
+    extra = [b for b in breakpoints if 0.0 < b < t_end
+             and np.min(np.abs(grid - b)) > 1e-12 * max(1.0, t_end)]
+    if extra:
+        grid = np.sort(np.concatenate([grid, np.array(extra)]))
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # Reference state-space oracles: the per-state, per-reaction loops over
 # `Multiset` objects that crnlump.ctmc evaluates on count arrays, with exact

@@ -587,8 +587,19 @@ class TestReconstructCommand:
         traj = cl.trajectory_from_csv(out.read_text())
         assert len(traj.times) == len(ltraj.times)
         reconstructed = cl.schedule_from_csv(ctrl.read_text())
-        reconstructed.validate_for(cl.parse_model(TWO_SITE_TEXT).network)
+        net = cl.parse_model(TWO_SITE_TEXT).network
+        reconstructed.validate_for(net)
         assert resid.read_text().startswith("t,residual")
+        # the residual file reads back as exactly the result's residuals
+        result = cl.reconstruct_trajectory(
+            net, cl.parse_partition_file(pfile.read_text(), net),
+            cl.trajectory_from_csv(tfile.read_text()),
+            cl.schedule_from_csv(sfile.read_text()),
+            np.array([0.6, 0.5, 0.2, 0.3, 0.1]))
+        residuals = cl.trajectory_from_csv(resid.read_text())
+        assert residuals.names == ("residual",)
+        assert np.array_equal(residuals.times, result.trajectory.times[:-1])
+        assert np.array_equal(residuals.states[:, 0], result.step_residuals)
 
     def lumped_inputs(self, tmp_path, two_site_file, header=None, drop=None,
                       extra=False):

@@ -18,7 +18,8 @@ from conftest import (alternating_refinement, block_projection,
                       perturb_rate, random_network, random_partition,
                       reaction_rows, refine_partition, refines,
                       set_partitions, species_signature,
-                      swapped_twin_network, varied_network)
+                      swapped_twin_network, table_is_canonical,
+                      varied_network)
 
 # two-site fixture rate endpoints, by reaction id (0-based)
 A1 = (1.0, 2.0)     # site-1 binding == site-2 binding (ids 0, 2)
@@ -274,6 +275,11 @@ class TestQuotientOracle:
                 assert got.names == want.names
                 assert reaction_rows(got) == reaction_rows(want)
                 assert networks_equal(got, want)
+                # distinct canonical sides, each used by a reaction
+                t = got.table
+                assert table_is_canonical(t)
+                assert set(t.lhs.tolist()) | set(t.rhs.tolist()) \
+                    == set(range(len(t.size)))
                 for a, b in zip(got.compiled, want.compiled):
                     assert (a.dtype, a.shape, a.tobytes()) \
                         == (b.dtype, b.shape, b.tobytes())

@@ -11,12 +11,13 @@ from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
                            ReactionNetwork, StructuralError)
 from crnlump.parser import ParseError
 from crnlump.ode import (RESIDUAL_MAX, ControlSchedule, CostSpec,
-                         DivergenceError, Trajectory, block_indicator,
-                         block_sums, evaluate_cost, project_control,
-                         schedule_from_csv, schedule_to_csv, simulate,
-                         trajectory_from_csv, trajectory_to_csv)
+                         DivergenceError, Trajectory, _time_grid,
+                         block_indicator, block_sums, evaluate_cost,
+                         project_control, schedule_from_csv, schedule_to_csv,
+                         simulate, trajectory_from_csv, trajectory_to_csv)
 
-from conftest import DenseVectorField, from_reactions, random_partition
+from conftest import (DenseVectorField, from_reactions, loop_time_grid,
+                      random_partition)
 
 
 class TestVectorField:
@@ -192,6 +193,29 @@ class TestSimulate:
         traj = simulate(two_site, np.ones(5), sched, 0.1, 1e-2)
         assert np.any(np.isclose(traj.times, 0.0305))
 
+    def test_grid_matches_the_per_breakpoint_search(self):
+        # breakpoints at, within 1e-12 of, near and between grid points,
+        # and at or beyond t_end
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            if rng.random() < 0.5:  # t_end on the grid, up to rounding
+                step = float(rng.choice([1e-3, 0.01, 0.1, 0.3, 7.0]))
+                t_end = step * int(rng.integers(0, 300))
+            else:
+                t_end = float(rng.choice([1.0, 10.0, 1e3])
+                              * rng.uniform(0.5, 1.5))
+                step = t_end / rng.uniform(0.5, 300.0)
+            n = max(int(t_end / step), 1)
+            near = rng.integers(0, n + 2, 20) * step + rng.choice(
+                [0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12, 1e-9, 0.5 * step],
+                20) * max(1.0, t_end)
+            cand = np.r_[near, rng.uniform(0.0, 1.2 * t_end + step, 20),
+                         t_end, t_end + step]
+            cand = np.unique(cand[cand > 0.0])
+            bps = np.r_[0.0, cand[rng.random(len(cand)) < 0.5]]
+            assert np.array_equal(_time_grid(t_end, step, bps, 3),
+                                  loop_time_grid(t_end, step, bps))
+
     def test_deterministic_bit_identical(self, two_site):
         sched = ControlSchedule.midpoint(two_site)
         v0 = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
@@ -240,6 +264,15 @@ class TestSimulate:
         assert np.array_equal(again.times, traj.times)
         assert np.array_equal(again.states, traj.states)
         assert again.names == two_site.names
+
+    def test_csv_of_no_species_round_trips(self):
+        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 0)), None, ())
+        text = trajectory_to_csv(traj)
+        assert text == "t\n0.0\n1.0\n"
+        again = trajectory_from_csv(text)
+        assert again.states.shape == (2, 0) and again.names == ()
+        sched = ControlSchedule([0.0], np.zeros((1, 0)))
+        assert schedule_from_csv(schedule_to_csv(sched)).values.shape == (1, 0)
 
 
 class TestCsvReaders:
@@ -352,11 +385,27 @@ class TestEvaluateCost:
         for i in range(1, 6):
             w_run[net.index_of(f"I{i}")] = 1.0
             w_fin[net.index_of(f"V{i}")] = 1.0
-        cost = CostSpec(w_run, w_fin, 2.0)
-        mine = evaluate_cost(traj, cost)
-        oracle = float(np.trapezoid(traj.states @ w_run, traj.times)
-                       + traj.states[-1] @ w_fin)
-        assert mine == pytest.approx(oracle, rel=1e-9)
+        # the end of the grid, and a horizon inside a step of 1e-3
+        for horizon in (2.0, 1.23456):
+            mine = evaluate_cost(traj, CostSpec(w_run, w_fin, horizon))
+            # the state at the horizon, interpolated between the two grid
+            # points around it
+            k = int(np.searchsorted(traj.times, horizon))
+            t0, t1 = traj.times[k - 1], traj.times[k]
+            w = (horizon - t0) / (t1 - t0)
+            v_end = (1 - w) * traj.states[k - 1] + w * traj.states[k]
+            oracle = float(np.trapezoid(
+                np.r_[traj.states[:k] @ w_run, v_end @ w_run],
+                np.r_[traj.times[:k], horizon]) + v_end @ w_fin)
+            assert mine == pytest.approx(oracle, rel=1e-9)
+
+    def test_horizon_within_tolerance_past_the_end(self, two_site):
+        traj = simulate(two_site, np.ones(5), ControlSchedule.midpoint(two_site),
+                        1.0, 1e-2)
+        w_run, w_fin = np.arange(1.0, 6.0), np.arange(5.0, 0.0, -1.0)
+        end = float(traj.times[-1])
+        assert (evaluate_cost(traj, CostSpec(w_run, w_fin, end + 5e-10))
+                == evaluate_cost(traj, CostSpec(w_run, w_fin, end)))
 
     def test_horizon_beyond_trajectory(self, two_site):
         traj = simulate(two_site, np.ones(5), ControlSchedule.midpoint(two_site),
