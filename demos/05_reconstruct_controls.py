@@ -6,7 +6,6 @@
 import numpy as np
 
 import crnlump as cl
-from crnlump.ode import block_indicator
 
 doc = cl.parse_model("""species B A00 A01 A10 A11
 A00 + B -> A10 , [1.0 : 2.0]
@@ -31,7 +30,7 @@ lumped_sched = cl.ControlSchedule(
 # any original initial state consistent with the lumped one will do; here we
 # split the lumped A01 mass unevenly between A01 and A10
 v0 = np.array([0.6, 0.5, 0.2, 0.3, 0.1])
-vhat0 = block_indicator(part) @ v0
+vhat0 = part.sums(v0)
 lumped_traj = cl.simulate(lumped, vhat0, lumped_sched, 10.0, 1e-3)
 
 result = cl.reconstruct_trajectory(net, part, lumped_traj, lumped_sched, v0)

@@ -2,8 +2,7 @@
 reaction networks whose kinetic rates are interval-valued control inputs."""
 
 from .model import (Multiset, Partition, RateInterval, Reaction,
-                    ReactionNetwork, StructuralError, falling_binomial,
-                    project_key)
+                    ReactionNetwork, StructuralError, falling_binomial)
 from .parser import (EdgeListGraph, ModelDocument, ParseError, parse_edge_list,
                      parse_model, parse_partition_file, serialize_model)
 from .lumping import (InvalidPartitionError, check_equivalence,
@@ -39,7 +38,7 @@ __all__ = [
     "check_equivalence", "check_ordinary_lumpability", "coarsest_equivalence",
     "enumerate_ball", "enumerate_states", "evaluate_cost", "falling_binomial",
     "multisite_binding_model", "parse_edge_list", "parse_model",
-    "parse_partition_file", "project_control", "project_key", "quotient",
+    "parse_partition_file", "project_control", "quotient",
     "reconstruct_trajectory", "schedule_from_csv", "schedule_to_csv",
     "serialize_model", "simulate", "sir_network_model", "sir_star_model",
     "solve_box_ls", "ssa_simulate", "trajectory_from_csv", "trajectory_to_csv",

@@ -28,7 +28,8 @@ from .generators import (DEFAULT_ASSOCIATION, DEFAULT_DISSOCIATION,
                          multisite_binding_model, sir_network_model,
                          sir_star_model)
 from .lumping import check_equivalence, coarsest_equivalence, quotient
-from .model import Multiset, Partition, RateInterval, ReactionNetwork
+from .model import (Multiset, Partition, RateInterval, ReactionNetwork,
+                    StructuralError)
 from .ode import (ControlSchedule, _write_csv, schedule_from_csv,
                   schedule_to_csv, simulate, trajectory_from_csv,
                   trajectory_to_csv)
@@ -91,18 +92,22 @@ def _parse_assignments(text: str, net: ReactionNetwork, flag: str,
             number = float(value)
         except ValueError:
             number = math.nan
+        try:
+            i = net.index_of(name)
+        except StructuralError:
+            i = None
         if not eq:
             why = "expected NAME=VALUE"
-        elif name not in net.names:
+        elif i is None:
             why = f"unknown species {name!r}"
-        elif net.index_of(name) in out:
+        elif i in out:
             why = f"duplicate value for {name!r}"
         elif not math.isfinite(number):
             why = f"value {value!r} is not a finite number"
         elif counts and not (number >= 0 and number.is_integer()):
             why = f"count {value!r} is not a non-negative integer"
         else:
-            out[net.index_of(name)] = number
+            out[i] = number
             continue
         raise ParseError(f"{flag} item {item!r}: {why}", 1, where)
     return out

@@ -28,8 +28,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 from .model import (Multiset, Partition, ReactionNetwork, StructuralError,
-                    group_sums, project_key, row_keys, side_texts)
-from .ode import block_indicator
+                    group_sums, row_keys, side_texts)
 
 
 class CapacityError(RuntimeError):
@@ -408,13 +407,10 @@ def check_ordinary_lumpability(gen: Generator, space: StateSpace,
     in state order. StructuralError when `part` is over another number of
     species than the states.
     """
-    if part.n != space.counts.shape[1]:
-        raise StructuralError("partition over wrong species universe")
     n = space.n_states
-    block_of = part.block_of
-    # block sums of counts are exact in float64; row_keys casts to int64
-    _, first, cls = np.unique(row_keys(space.counts @ block_indicator(part).T),
-                              return_index=True, return_inverse=True)
+    lifted = part.sums(space.counts)
+    _, first, cls = np.unique(row_keys(lifted), return_index=True,
+                              return_inverse=True)
     ref = first[cls]  # the lowest-index state of each state's lifted class
     row, col, hi, lo = gen.terms
     tgt = cls[col]
@@ -441,7 +437,9 @@ def check_ordinary_lumpability(gen: Generator, space: StateSpace,
     sa = int(ref[sb])
 
     def aggregates(s: int) -> Dict[tuple, float]:
-        return {project_key(space.states[first[c]].entries, block_of): float(v)
+        # a class's key is its (block id, count) pairs of non-zero counts
+        return {tuple((b, m) for b, m in enumerate(lifted[first[c]].tolist())
+                      if m): float(v)
                 for c, v in zip(a_tgt[start[s]:start[s + 1]].tolist(),
                                 agg[start[s]:start[s + 1]].tolist())}
 

@@ -186,7 +186,6 @@ def quotient(net: ReactionNetwork,
     if part != net.proved and not check_equivalence(net, part):
         raise InvalidPartitionError("partition is not a species equivalence")
     reps = part.representatives
-    block_of = part.block_of
     t = net.table
 
     # a representative's new index is its block id, so a side's new entries
@@ -194,7 +193,7 @@ def quotient(net: ReactionNetwork,
     # projected and the distinct projections are numbered
     n_sides = len(t.size)
     owner = np.repeat(np.arange(n_sides), t.size)
-    label = np.asarray(block_of, dtype=np.int64)
+    label = np.asarray(part.block_of, dtype=np.int64)
     size, block, count, proj = _canonical_sides(owner, label[t.species],
                                                 t.count, n_sides)
     is_rep = np.zeros(net.n_species, dtype=bool)
@@ -223,7 +222,6 @@ def quotient(net: ReactionNetwork,
                           new[rhs], lo, hi)
 
     conc = net.initial_concentration
-    if conc is not None:  # summed in species order, as a loop would
-        conc = np.bincount(label, conc, len(reps))
-    lumped = ReactionNetwork([net.names[i] for i in reps], table, conc)
+    lumped = ReactionNetwork([net.names[i] for i in reps], table,
+                             None if conc is None else part.sums(conc))
     return lumped, part

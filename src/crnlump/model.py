@@ -343,30 +343,27 @@ class Partition:
     construction deterministic.
     """
 
-    __slots__ = ("n", "blocks", "block_of")
+    __slots__ = ("n", "blocks", "block_of", "_label")
 
     def __init__(self, blocks: Iterable[Iterable[int]], n: int):
         blks = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else -1)
-        seen = [False] * n
-        for b in blks:
+        bo = [-1] * n
+        for bid, b in enumerate(blks):
             if not b:
                 raise StructuralError("empty partition block")
             for i in b:
                 if not (0 <= i < n):
                     raise StructuralError(f"species index {i} outside universe of size {n}")
-                if seen[i]:
+                if bo[i] >= 0:
                     raise StructuralError(f"species index {i} in two blocks")
-                seen[i] = True
-        if not all(seen):
-            missing = [i for i, s in enumerate(seen) if not s]
+                bo[i] = bid
+        if -1 in bo:
+            missing = [i for i, b in enumerate(bo) if b < 0]
             raise StructuralError(f"partition does not cover species {missing}")
         self.n = n
         self.blocks: Tuple[Tuple[int, ...], ...] = tuple(blks)
-        bo = [0] * n
-        for bid, b in enumerate(self.blocks):
-            for i in b:
-                bo[i] = bid
         self.block_of: Tuple[int, ...] = tuple(bo)
+        self._label = np.fromiter(bo, np.intp, n)
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
@@ -386,6 +383,17 @@ class Partition:
     def representatives(self) -> Tuple[int, ...]:
         return tuple(b[0] for b in self.blocks)
 
+    def sums(self, x) -> np.ndarray:
+        """Block sums over the last axis of a 1-D or 2-D `x`, members added
+        one at a time in increasing species order, integers exactly in their
+        type. StructuralError unless that axis is over the species."""
+        x = np.asarray(x)
+        if x.shape[-1:] != (self.n,):
+            raise StructuralError("partition over wrong species universe")
+        out = np.zeros(x.shape[:-1] + (len(self.blocks),), dtype=x.dtype)
+        np.add.at(out, (..., self._label), x)
+        return out
+
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Partition) and self.n == other.n
                 and self.blocks == other.blocks)
@@ -395,19 +403,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({self.n_blocks} blocks over {self.n} species)"
-
-
-def project_key(entries: Tuple[Tuple[int, int], ...],
-                block_of: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
-    """Per-block cumulative counts of a multiset's canonical `entries`, as
-    sorted (block id, count) pairs: the computable fingerprint of the
-    multiset lifting. Two multisets are lifted-equivalent exactly when their
-    keys are equal."""
-    acc: Dict[int, int] = {}
-    for i, c in entries:
-        b = block_of[i]
-        acc[b] = acc.get(b, 0) + c
-    return tuple(sorted(acc.items()))
 
 
 def falling_binomial(sigma: Multiset, rho: Multiset) -> int:

@@ -240,15 +240,26 @@ def require_steps(traj: Trajectory):
                               "point(s); control transfer needs at least two")
 
 
+def check_initial_state(net: ReactionNetwork, v0) -> np.ndarray:
+    """`v0` as a new float vector over `net`'s species; StructuralError when
+    its length differs or, naming the species, a value is not finite."""
+    v = np.array(v0, dtype=float)
+    if v.shape != (net.n_species,):
+        raise StructuralError("initial state length mismatch")
+    if not np.all(np.isfinite(v)):
+        i = int(np.argmin(np.isfinite(v)))
+        raise StructuralError(f"initial state of {net.names[i]!r} is {v[i]}, "
+                              "not a finite number")
+    return v
+
+
 def simulate(net: ReactionNetwork, v0: Sequence[float], schedule: ControlSchedule,
              t_end: float, step: float = 1e-3) -> Trajectory:
     """Integrate the deterministic model with classical RK4 at fixed step,
     splitting steps at schedule breakpoints. Controls are held at the value of
     the segment containing the step's left endpoint."""
     schedule.validate_for(net)
-    v = np.asarray(v0, dtype=float).copy()
-    if v.shape != (net.n_species,):
-        raise StructuralError("initial state length mismatch")
+    v = check_initial_state(net, v0)
     times = _time_grid(t_end, step, schedule.breakpoints, net.n_species)
     vf = VectorField(net)
     states = np.empty((len(times), net.n_species))
@@ -266,13 +277,9 @@ def simulate(net: ReactionNetwork, v0: Sequence[float], schedule: ControlSchedul
 
 def block_sums(traj: Trajectory, part: Partition) -> Trajectory:
     """Per-block cumulative trajectory: one component per partition block."""
-    if traj.states.shape[1] != part.n:
-        raise StructuralError("trajectory width does not match partition universe")
-    B = block_indicator(part)
-    names = None
-    if traj.names is not None:
-        names = tuple(traj.names[b[0]] for b in part.blocks)
-    return Trajectory(traj.times, traj.states @ B.T, traj.schedule, names)
+    states = part.sums(traj.states)
+    names = traj.names and tuple(traj.names[i] for i in part.representatives)
+    return Trajectory(traj.times, states, traj.schedule, names)
 
 
 @dataclass
@@ -296,8 +303,15 @@ class CostSpec:
             raise ValueError("cost weights must be finite numbers")
 
     def respects(self, part: Partition) -> bool:
-        return all(len({w[i] for i in block}) == 1 for block in part.blocks
-                   for w in (self.running_weights, self.final_weights))
+        """Whether both weight vectors are constant within every block of
+        `part`; StructuralError when they are not over its species."""
+        widths = (len(self.running_weights), len(self.final_weights))
+        if widths != (part.n, part.n):
+            raise StructuralError(f"cost weights of lengths {widths} for a "
+                                  f"partition of {part.n} species")
+        reps, block_of = list(part.representatives), list(part.block_of)
+        return all(np.array_equal(w, w[reps][block_of]) for w in
+                   (self.running_weights, self.final_weights))
 
     def project(self, part: Partition) -> "CostSpec":
         """Equivalent cost on the quotient network (one weight per block)."""
@@ -486,18 +500,16 @@ def project_control(net: ReactionNetwork, part: Partition,
     schedule.validate_for(net)
     if traj.states.shape[1] != net.n_species:
         raise StructuralError("trajectory does not match network")
-    if part.n != net.n_species:
-        raise StructuralError("partition over wrong species universe")
+    block_states = part.sums(traj.states)
     require_steps(traj)
     if part.n_blocks != lumped.n_species:
         raise StructuralError("partition size does not match lumped network")
-    B = block_indicator(part)
     vf = VectorField(net)
     lvf = VectorField(lumped)
     lo, hi = lumped.compiled.lo, lumped.compiled.hi
     match = DriftMatch(lvf, Partition.singletons(lumped.n_species), lo, hi,
                        ProjectionFailureError)
-    mono = lvf.monomials(traj.states @ B.T)
+    mono = lvf.monomials(block_states)
     times = traj.times
     seg = schedule.segments(times[:-1])
 
@@ -505,7 +517,8 @@ def project_control(net: ReactionNetwork, part: Partition,
 
     def solve_at(k: int, alpha: np.ndarray) -> np.ndarray:
         t = float(times[k])
-        a, residual = match.solve(mono[k], B @ vf(traj.states[k], alpha), t)
+        target = part.sums(vf(traj.states[k], alpha))
+        a, residual = match.solve(mono[k], target, t)
         solves.append((residual, t))
         return a
 

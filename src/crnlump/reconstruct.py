@@ -33,7 +33,8 @@ from .lumping import quotient
 from .model import Partition, ReactionNetwork, StructuralError
 from .ode import (RESIDUAL_MAX, BoxLeastSquares, BoxLsResult,
                   ControlSchedule, DriftMatch, Trajectory, VectorField,
-                  _MatchFailure, block_indicator, require_steps, rk4_step)
+                  _MatchFailure, check_initial_state, require_steps,
+                  rk4_step)
 
 # Largest gap allowed between the block sums of `v0` and the lumped start.
 CONSISTENCY_TOL = 1e-9
@@ -129,12 +130,10 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     require_steps(lumped_traj)
     lumped, _ = quotient(net, part)
     lumped_schedule.validate_for(lumped)
-    B = block_indicator(part)
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (net.n_species,):
-        raise StructuralError("initial state length mismatch")
-    gap = float(np.max(np.abs(B @ v0 - lumped_traj.states[0]), initial=0.0))
-    if gap > CONSISTENCY_TOL:
+    v0 = check_initial_state(net, v0)
+    gap = float(np.max(np.abs(part.sums(v0) - lumped_traj.states[0]),
+                       initial=0.0))
+    if not gap <= CONSISTENCY_TOL:
         raise StructuralError(
             f"initial state inconsistent with lumped trajectory (gap {gap:.3e})")
 

@@ -12,7 +12,7 @@ import crnlump as cl
 from crnlump.model import (CompiledNetwork, Multiset, Partition,
                            RateInterval, Reaction, ReactionNetwork,
                            ReactionTable, StructuralError,
-                           falling_binomial, project_key)
+                           falling_binomial)
 
 # Two-site reversible binding with sitewise-symmetric rate intervals: the
 # binding/unbinding pair of site 1 mirrors the pair of site 2, which makes
@@ -278,6 +278,19 @@ def block_projection(sigma: Multiset, part: Partition) -> Tuple[int, ...]:
     for idx, cnt in sigma:
         counts[part.block_of[idx]] += cnt
     return tuple(counts)
+
+
+def project_key(entries: Tuple[Tuple[int, int], ...],
+                block_of) -> Tuple[Tuple[int, int], ...]:
+    """Per-block cumulative counts of a multiset's canonical `entries`, as
+    sorted (block id, count) pairs: the computable fingerprint of the
+    multiset lifting. Two multisets are lifted-equivalent exactly when their
+    keys are equal."""
+    acc: Dict[int, int] = {}
+    for i, c in entries:
+        b = block_of[i]
+        acc[b] = acc.get(b, 0) + c
+    return tuple(sorted(acc.items()))
 
 
 @dataclass

@@ -12,11 +12,11 @@ import pytest
 
 import crnlump as cl
 from crnlump.cli import run
-from crnlump.model import Multiset, Partition, project_key
+from crnlump.model import Multiset, Partition
 from crnlump.ode import block_indicator
 
-from conftest import (TWO_SITE_TEXT, networks_equal, random_network,
-                      random_partition)
+from conftest import (TWO_SITE_TEXT, networks_equal, project_key,
+                      random_network, random_partition)
 
 SIR = cl.SirParams(beta=0.4, gamma=0.25, eta=0.1,
                    vaccination=cl.RateInterval(0.0, 1.0))

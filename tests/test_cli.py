@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -420,6 +421,15 @@ class TestAssignments:
     def test_integral_counts_accepted(self, two_site_file):
         assert run(["check", str(two_site_file), "--oracle", "--pop-bound",
                     "3", "--init", "A00=1.0, B=2"]) == 0
+
+    def test_every_species_of_a_large_model(self):
+        # star-SIR n=5000: 20,000 items, each looked up in constant time
+        net = cl.sir_star_model(5000, cl.SirParams(0.4, 0.25, 0.1)).network
+        text = ",".join(f"{name}=1" for name in net.names)
+        start = time.perf_counter()
+        out = cli._parse_assignments(text, net, "--v0")
+        assert time.perf_counter() - start < 1.0
+        assert out == dict.fromkeys(range(20000), 1.0)
 
 
 class TestSimulateCommand:

@@ -16,13 +16,12 @@ from crnlump.ctmc import (ApproximateResultWarning, CapacityError,
                           check_ordinary_lumpability, enumerate_ball,
                           enumerate_states, ssa_simulate, transient_solve)
 from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
-                           ReactionNetwork, StructuralError,
-                           project_key)
+                           ReactionNetwork, StructuralError)
 
 from conftest import (exact_transitions, from_reactions,
                       loop_enumerate_ball, loop_enumerate_states,
                       loop_generator, loop_lumpability, perturb_rate,
-                      random_partition)
+                      project_key, random_partition)
 
 
 class TestEnumerateStates:

@@ -77,6 +77,8 @@ def _find_cycle(graph):
 def test_no_import_cycle():
     graph = _import_graph()
     assert {"model", "ode", "lumping"} <= graph["reconstruct"]
+    # the oracle projects states with `Partition.sums`, not through `ode`
+    assert graph["ctmc"] == {"model"}
     cycle = _find_cycle(graph)
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
 

@@ -227,6 +227,23 @@ class TestQuotient:
         assert lumped.initial_concentration == (3.0, 0.0)
         assert lumped.initial_state == Multiset([(0, 3)])
 
+    def test_initial_data_is_summed_in_species_order(self):
+        doc = cl.sir_star_model(30, cl.SirParams(0.4, 0.25, 0.1))
+        part = coarsest_equivalence(doc.network, doc.initial_partition)
+        gen = np.random.default_rng(3)
+        n = doc.network.n_species
+        conc = gen.random(n) * 10.0 ** gen.integers(-6, 6, n)
+        net = ReactionNetwork(doc.network.names, doc.network.table, conc)
+        lumped, _ = quotient(net, part)
+        want = []
+        for block in part.blocks:
+            total = 0.0
+            for i in block:
+                total += conc[i]
+            want.append(total)
+        assert max(map(len, part.blocks)) >= 3
+        assert lumped.initial_concentration == tuple(want)
+
     def test_representative_independence_up_to_renaming(self):
         # same model with A10 and A01 swapped in declaration order, so the
         # other member becomes the block minimum / representative

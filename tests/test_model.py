@@ -10,11 +10,13 @@ import crnlump as cl
 from crnlump import cli, model
 from crnlump.model import (CompiledNetwork, Multiset, Partition, RateInterval,
                            Reaction, ReactionNetwork, ReactionTable,
-                           StructuralError, falling_binomial, project_key)
+                           StructuralError, falling_binomial)
+from crnlump.ode import block_indicator
 
 from conftest import (TWO_SITE_TEXT, contains, flat_sides, from_reactions,
-                      loop_compile_network, refines, table_is_canonical,
-                      table_sides, varied_network)
+                      loop_compile_network, project_key, random_partition,
+                      refines, table_is_canonical, table_sides,
+                      varied_network)
 
 
 def ms(*pairs):
@@ -86,6 +88,57 @@ class TestPartition:
             Partition([[0], [], [1]], 2)  # empty block
         with pytest.raises(StructuralError):
             Partition([[0, 5]], 2)  # out of range
+
+
+class TestPartitionSums:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_indicator_product(self, seed):
+        rng = random.Random(seed)
+        part = random_partition(rng, rng.randrange(1, 40))
+        x = np.random.default_rng(seed).normal(size=(7, part.n))
+        B = block_indicator(part)
+        small = np.array([len(b) <= 2 for b in part.blocks])
+        for got, want, scale in ((part.sums(x[0]), B @ x[0], B @ abs(x[0])),
+                                 (part.sums(x), x @ B.T, abs(x) @ B.T)):
+            assert got.shape == want.shape
+            assert np.array_equal(got[..., small], want[..., small])
+            assert np.all(abs(got - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_adds_members_in_species_order(self, seed):
+        rng = random.Random(seed)
+        part = random_partition(rng, rng.randrange(1, 60))
+        gen = np.random.default_rng(seed)
+        x = gen.random((3, part.n)) * 10.0 ** gen.integers(-8, 8, part.n)
+        want = np.zeros((3, part.n_blocks))
+        for row, out in zip(x.tolist(), want):
+            for k, block in enumerate(part.blocks):
+                total = 0.0
+                for i in block:
+                    total += row[i]
+                out[k] = total
+        assert np.array_equal(part.sums(x), want)
+        assert np.array_equal(part.sums(x[1]), want[1])
+
+    def test_int64_sums_are_exact(self):
+        part = Partition([[0, 2], [1, 3, 4]], 5)
+        x = np.array([2**62, 7, 2**62 - 1, 2**61, 2**61 + 3],
+                     dtype=np.int64)
+        got = part.sums(np.stack([x, -x]))
+        assert got.dtype == np.int64
+        assert got.tolist() == [[2**63 - 1, 2**62 + 10],
+                                [-(2**63 - 1), -(2**62 + 10)]]
+
+    def test_no_species(self):
+        part = Partition((), 0)
+        assert part.sums(np.zeros(0)).shape == (0,)
+        assert part.sums(np.zeros((3, 0))).shape == (3, 0)
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (2, 4), (5, 2), ()])
+    def test_wrong_width_rejected(self, shape):
+        with pytest.raises(StructuralError,
+                           match="partition over wrong species universe"):
+            Partition.singletons(5).sums(np.zeros(shape))
 
 
 class TestBlockProjection:

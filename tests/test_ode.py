@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,15 @@ class TestSimulate:
                      5.0, 1e-3)
         assert 0.0 < err.value.time <= 5.0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_state_rejected(self, two_site, value):
+        v0 = np.ones(5)
+        v0[3] = value
+        with pytest.raises(StructuralError, match=rf"initial state of 'A10' "
+                           rf"is {value}, not a finite number"):
+            simulate(two_site, v0, ControlSchedule.midpoint(two_site), 0.01,
+                     1e-3)
+
     def test_csv_round_trip(self, two_site):
         traj = simulate(two_site, np.ones(5), ControlSchedule.midpoint(two_site),
                         0.01, 1e-3)
@@ -356,6 +366,19 @@ class TestBlockSums:
         traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 5)))
         assert np.all(block_sums(traj, two_site_partition).states == 0.0)
 
+    def test_no_dense_indicator(self):
+        # a (blocks x species) indicator of 5,000 singletons is 191 MiB
+        part = Partition.singletons(5000)
+        traj = Trajectory(np.arange(3.0), np.ones((3, 5000)))
+        tracemalloc.start()
+        try:
+            bs = block_sums(traj, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(bs.states, traj.states)
+        assert peak < 2 * 2**20
+
 
 class TestEvaluateCost:
     def test_zero_weights(self, two_site):
@@ -444,6 +467,16 @@ class TestEvaluateCost:
         assert not bad.respects(two_site_partition)
         with pytest.raises(StructuralError):
             bad.project(two_site_partition)
+
+    @pytest.mark.parametrize("running, final", [(5, 5), (2, 2), (3, 5)])
+    def test_weights_must_match_partition_width(self, running, final):
+        part = Partition([[0, 2], [1]], 3)
+        cost = CostSpec(np.ones(running), np.ones(final), 1.0)
+        for call in (cost.respects, cost.project):
+            with pytest.raises(StructuralError, match=r"cost weights of "
+                               rf"lengths \({running}, {final}\) for a "
+                               "partition of 3 species"):
+                call(part)
 
 
 class TestProjectControl:

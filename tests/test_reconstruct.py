@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -257,6 +258,18 @@ class TestReconstructTrajectory:
                            match="initial state length mismatch"):
             reconstruct_trajectory(two_site, two_site_partition, ltraj, sched,
                                    v0[:-1])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_initial_state_rejected(self, two_site,
+                                               two_site_partition, value):
+        # a NaN gap compares False with any tolerance
+        lumped, sched, ltraj, v0 = self._lumped_setup(two_site, two_site_partition)
+        v0 = v0.copy()
+        v0[2] = value
+        with pytest.raises(StructuralError, match=rf"initial state of 'A01' "
+                           rf"is {value}, not a finite number"):
+            reconstruct_trajectory(two_site, two_site_partition, ltraj, sched,
+                                   v0)
 
     def test_non_finite_state_raises(self):
         # one RK4 step from 1e308 overflows although every stage target is
