@@ -7,15 +7,16 @@ Everything here deliberately enumerates states and is only meant for small
 populations; it serves as an independent oracle against the reaction-level
 equivalence check, which never touches the state space.
 
-scipy is needed only here, by `enumerate_states`, `build_generator` and
-`transient_solve` (and so by `crnlump check --oracle`), and is loaded on
-first use: `import crnlump`, `reduce`, `check` without `--oracle`,
+scipy is needed only here, by `build_generator` and `transient_solve`
+(and so by `crnlump check --oracle`), and is loaded on first use:
+`import crnlump`, `reduce`, `check` without `--oracle`,
 `simulate`, `generate` and `reconstruct` never load it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -84,9 +85,9 @@ def _initial_counts(net: ReactionNetwork, init: Multiset) -> np.ndarray:
 
 
 def _check_bound(pop_bound: int):
-    if pop_bound < 0:
+    if not isinstance(pop_bound, numbers.Integral) or pop_bound < 0:
         raise ValueError(f"pop_bound must be a non-negative integer, "
-                         f"got {pop_bound}")
+                         f"got {pop_bound!r}")
 
 
 @dataclass
@@ -135,22 +136,21 @@ def enumerate_states(net: ReactionNetwork, init: Multiset, pop_bound: int,
     `pop_bound` (and flagging the space truncated when that happens).
 
     Each level is expanded on arrays: every reaction is applied to the whole
-    frontier at once, and successors are deduplicated and checked against
-    the states seen so far by their row keys."""
-    import scipy.sparse as sp
-
+    frontier at once through its (reaction, species, change) triples, and
+    successors are deduplicated and checked against the states seen so far
+    by their row keys."""
     _check_bound(pop_bound)
     if init.total > pop_bound:
         raise StructuralError("population bound smaller than the initial state")
     level = _initial_counts(net, init)[None, :]
     c = net.compiled
-    # every reaction that is not a no-op: its reactant needs, its net change
-    # row and its change of total population
+    # every reaction that is not a no-op: its reactant needs, its first
+    # triple and number of triples, and its change of total population
     live = np.flatnonzero(np.diff(c.offsets))
     idx, need = c.idx[:, live], c.exp[:, live].astype(np.int64)
-    delta = sp.csr_matrix((c.dn.astype(np.int64), (c.rx, c.sp)),
-                          shape=(net.n_reactions, net.n_species))[live]
-    grow = np.asarray(delta.sum(axis=1)).ravel()
+    first, size = c.offsets[live], np.diff(c.offsets)[live]
+    grow = np.bincount(c.rx, c.dn, net.n_reactions)[live]
+    dn = c.dn.astype(np.int64)
     levels = [level]
     seen = row_keys(level)
     n_seen = 1
@@ -161,8 +161,10 @@ def enumerate_states(net: ReactionNetwork, init: Multiset, pop_bound: int,
         over = ok & (level.sum(axis=1)[:, None] + grow > pop_bound) & (grow > 0)
         truncated |= bool(over.any())
         src, move = np.nonzero(ok & ~over)
-        cand = delta[move].toarray()
-        cand += level[src]
+        cand = level[src]  # plus each reaction's triples, one per species
+        n = size[move]
+        tri = np.repeat(first[move] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        cand[np.repeat(np.arange(len(src)), n), c.sp[tri]] += dn[tri]
         keys, at = np.unique(row_keys(cand), return_index=True)
         pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
         fresh = seen[pos] != keys

@@ -48,9 +48,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .model import (CompiledNetwork, Partition, ReactionNetwork,
-                    ReactionTable, StructuralError, _block_sums,
-                    _canonical_sides, _list_ids, _row_ids, _run_ids,
-                    group_sums)
+                    ReactionTable, _block_sums, _canonical_sides, _list_ids,
+                    _row_ids, _run_ids, group_sums)
 
 
 class InvalidPartitionError(ValueError):
@@ -129,11 +128,9 @@ def coarsest_equivalence(net: ReactionNetwork, initial: Partition,
     The last sweep is the proof: it split nothing, which is
     check_equivalence's criterion, so the result is recorded on `net` and
     `quotient` on this same network does not check it again."""
-    if initial.n != net.n_species:
-        raise StructuralError("initial partition over wrong species universe")
+    label = initial.labels(net.n_species)
     c = net.compiled
     pairs = _reactant_pairs(c, net.n_species)
-    label = np.asarray(initial.block_of, dtype=np.int64)
     n_blocks, before, sweeps = initial.n_blocks, -1, 0
     while n_blocks != before:  # until a sweep splits nothing
         before = n_blocks
@@ -154,12 +151,10 @@ def check_equivalence(net: ReactionNetwork, part: Partition) -> bool:
     equal signatures under both extremal rate vectors, so that one sweep
     splits no block. A partition that passes is recorded on `net`, so
     `quotient` on this same network does not check it again."""
-    if part.n != net.n_species:
-        raise StructuralError("partition over wrong species universe")
-    if any(len(b) > 1 for b in part.blocks):
+    label = part.labels(net.n_species)
+    if part.n_blocks < part.n:
         c = net.compiled
         pairs = _reactant_pairs(c, net.n_species)
-        label = np.asarray(part.block_of, dtype=np.int64)
         if _sweep(c, pairs, label)[1] != part.n_blocks:
             return False
     net.proved = part
@@ -193,7 +188,7 @@ def quotient(net: ReactionNetwork,
     # projected and the distinct projections are numbered
     n_sides = len(t.size)
     owner = np.repeat(np.arange(n_sides), t.size)
-    label = np.asarray(part.block_of, dtype=np.int64)
+    label = part.labels(net.n_species)
     size, block, count, proj = _canonical_sides(owner, label[t.species],
                                                 t.count, n_sides)
     is_rep = np.zeros(net.n_species, dtype=bool)

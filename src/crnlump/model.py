@@ -346,6 +346,8 @@ class Partition:
     __slots__ = ("n", "blocks", "block_of", "_label")
 
     def __init__(self, blocks: Iterable[Iterable[int]], n: int):
+        if n < 0:
+            raise StructuralError(f"partition over {n} species")
         blks = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else -1)
         bo = [-1] * n
         for bid, b in enumerate(blks):
@@ -364,6 +366,7 @@ class Partition:
         self.blocks: Tuple[Tuple[int, ...], ...] = tuple(blks)
         self.block_of: Tuple[int, ...] = tuple(bo)
         self._label = np.fromiter(bo, np.intp, n)
+        self._label.flags.writeable = False
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
@@ -383,15 +386,20 @@ class Partition:
     def representatives(self) -> Tuple[int, ...]:
         return tuple(b[0] for b in self.blocks)
 
+    def labels(self, n: int) -> np.ndarray:
+        """Read-only block id per species; StructuralError unless n == self.n."""
+        if n != self.n:
+            raise StructuralError("partition over wrong species universe")
+        return self._label
+
     def sums(self, x) -> np.ndarray:
         """Block sums over the last axis of a 1-D or 2-D `x`, members added
         one at a time in increasing species order, integers exactly in their
         type. StructuralError unless that axis is over the species."""
         x = np.asarray(x)
-        if x.shape[-1:] != (self.n,):
-            raise StructuralError("partition over wrong species universe")
+        label = self.labels(x.shape[-1] if x.ndim else -1)
         out = np.zeros(x.shape[:-1] + (len(self.blocks),), dtype=x.dtype)
-        np.add.at(out, (..., self._label), x)
+        np.add.at(out, (..., label), x)
         return out
 
     def __eq__(self, other: object) -> bool:

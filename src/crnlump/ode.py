@@ -80,8 +80,9 @@ class ControlSchedule:
             raise ValueError("one value row per breakpoint required")
         if len(self.breakpoints) == 0 or self.breakpoints[0] != 0.0:
             raise ValueError("schedule must start at t = 0")
-        if np.any(np.diff(self.breakpoints) <= 0):
-            raise ValueError("breakpoints must increase strictly")
+        if not (np.all(np.isfinite(self.breakpoints))
+                and np.all(np.diff(self.breakpoints) > 0)):
+            raise ValueError("breakpoints must be finite and increase strictly")
 
     @classmethod
     def constant(cls, values: Sequence[float]) -> "ControlSchedule":
@@ -175,10 +176,8 @@ class VectorField:
     def block_coefficients(self, part: Partition) -> np.ndarray:
         """Per-reaction block-summed stoichiometric change under `part`,
         shape (R, part.n_blocks): one `bincount` over (reaction, block)."""
-        if part.n != self.n_species:
-            raise StructuralError("partition over wrong species universe")
         R, n = len(self.fact), part.n_blocks
-        cell = self.rx * n + np.asarray(part.block_of, dtype=np.intp)[self.sp]
+        cell = self.rx * n + part.labels(self.n_species)[self.sp]
         return np.bincount(cell, weights=self.dn,
                            minlength=R * n).reshape(R, n)
 
@@ -238,6 +237,19 @@ def require_steps(traj: Trajectory):
     if len(traj.times) < 2:
         raise StructuralError(f"the trajectory has {len(traj.times)} time "
                               "point(s); control transfer needs at least two")
+
+
+def check_grid(traj: Trajectory, width: int):
+    """A StructuralError unless `traj` holds finite states of `width`
+    species at finite times that start at 0 and increase strictly."""
+    times, states = np.asarray(traj.times), np.asarray(traj.states)
+    if times.ndim != 1 or states.shape != (len(times), width):
+        raise StructuralError("trajectory does not match network")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(states))):
+        raise StructuralError("trajectory holds a number that is not finite")
+    if not (len(times) and times[0] == 0.0 and np.all(np.diff(times) > 0)):
+        raise StructuralError("trajectory times must start at 0 and "
+                              "increase strictly")
 
 
 def check_initial_state(net: ReactionNetwork, v0) -> np.ndarray:
@@ -331,8 +343,9 @@ def evaluate_cost(traj: Trajectory, cost: CostSpec) -> float:
     if widths != (traj.states.shape[1],) * 2:
         raise StructuralError(f"cost weights of lengths {widths} for a "
                               f"trajectory of {traj.states.shape[1]} species")
+    check_grid(traj, widths[0])
     T = min(cost.horizon, times[-1])
-    if cost.horizon > times[-1] + 1e-9 * max(1.0, cost.horizon) or T < times[0]:
+    if cost.horizon > times[-1] + 1e-9 * max(1.0, cost.horizon):
         raise StructuralError("cost horizon outside trajectory range")
     cut = np.r_[times[times < T], T]
     running = np.interp(cut, times, traj.states @ cost.running_weights)
@@ -494,14 +507,13 @@ def project_control(net: ReactionNetwork, part: Partition,
     the solutions at its two endpoints (both evaluated under that step's
     original control value), which centers the constant approximation on the
     step. Returns the schedule and the worst drift-match residual; a residual
-    above RESIDUAL_MAX, or a solve that does not converge, raises
+    above RESIDUAL_MAX or NaN, or a solve that does not converge, raises
     ProjectionFailureError.
     """
     schedule.validate_for(net)
-    if traj.states.shape[1] != net.n_species:
-        raise StructuralError("trajectory does not match network")
-    block_states = part.sums(traj.states)
     require_steps(traj)
+    check_grid(traj, net.n_species)
+    block_states = part.sums(traj.states)
     if part.n_blocks != lumped.n_species:
         raise StructuralError("partition size does not match lumped network")
     vf = VectorField(net)
@@ -533,8 +545,8 @@ def project_control(net: ReactionNetwork, part: Partition,
         right = solve_at(k + 1, alpha)
         out[k] = np.minimum(np.maximum(0.5 * (left + right), lo), hi)
         left = right
-    worst, worst_time = max(solves, key=lambda s: s[0])
-    if worst > RESIDUAL_MAX:
+    worst, worst_time = max(solves, key=lambda s: (math.isnan(s[0]), s[0]))
+    if not worst <= RESIDUAL_MAX:
         raise ProjectionFailureError(worst_time, worst)
     return ControlSchedule(times[:-1].copy(), out), worst
 

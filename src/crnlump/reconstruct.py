@@ -24,6 +24,7 @@ solve over all reactions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -33,8 +34,8 @@ from .lumping import quotient
 from .model import Partition, ReactionNetwork, StructuralError
 from .ode import (RESIDUAL_MAX, BoxLeastSquares, BoxLsResult,
                   ControlSchedule, DriftMatch, Trajectory, VectorField,
-                  _MatchFailure, check_initial_state, require_steps,
-                  rk4_step)
+                  _MatchFailure, check_grid, check_initial_state,
+                  require_steps, rk4_step)
 
 # Largest gap allowed between the block sums of `v0` and the lumped start.
 CONSISTENCY_TOL = 1e-9
@@ -124,10 +125,11 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     reconstructed state with one `DriftMatch`, warm-started from the
     previous stage. Returns the reconstructed trajectory, the realized
     piecewise-constant control (the first-stage solution of each step) and
-    per-step residuals. A stage residual above RESIDUAL_MAX, or a stage solve
-    that does not converge, raises ReconstructionFailureError.
+    per-step residuals. A stage residual above RESIDUAL_MAX or NaN, or a
+    stage solve that does not converge, raises ReconstructionFailureError.
     """
     require_steps(lumped_traj)
+    check_grid(lumped_traj, part.n_blocks)
     lumped, _ = quotient(net, part)
     lumped_schedule.validate_for(lumped)
     v0 = check_initial_state(net, v0)
@@ -170,8 +172,9 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
                                                  float("inf"))
             states[k + 1] = v
             controls[k] = solved[0][0]
-            residuals[k] = worst = max(r for _, r in solved)
-            if worst > RESIDUAL_MAX:
+            residuals[k] = worst = max((r for _, r in solved),
+                                       key=lambda r: (math.isnan(r), r))
+            if not worst <= RESIDUAL_MAX:
                 raise ReconstructionFailureError(t, worst)
 
     schedule = ControlSchedule(times[:-1].copy(), controls)

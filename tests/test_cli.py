@@ -661,6 +661,22 @@ class TestReconstructCommand:
         assert ("error: StructuralError: the trajectory has 1 time point(s); "
                 "control transfer needs at least two") in capsys.readouterr().err
 
+    def test_grid_not_starting_at_zero(self, tmp_path, two_site_file, capsys):
+        argv = self.lumped_inputs(tmp_path, two_site_file)
+        tfile = tmp_path / "lt.csv"
+        header, *rows = tfile.read_text().splitlines()
+        shifted = [repr(float(t) + 0.5) + "," + rest
+                   for t, rest in (row.split(",", 1) for row in rows)]
+        tfile.write_text("\n".join([header, *shifted]) + "\n")
+        out = tmp_path / "rec.csv"
+        assert run(["reconstruct", str(two_site_file), *argv,
+                    "--v0", "B=0.6,A00=0.5,A01=0.2,A10=0.3,A11=0.1",
+                    "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: StructuralError: trajectory times must start at 0 and "
+            "increase strictly\n")
+        assert not out.exists()
+
     def test_missing_v0_is_an_error(self, tmp_path, two_site_file, capsys):
         argv = self.lumped_inputs(tmp_path, two_site_file)
         out = tmp_path / "rec.csv"

@@ -371,6 +371,18 @@ class TestGeneratorRange:
             with pytest.raises(ValueError, match="pop_bound .* got -1"):
                 enumerate_()
 
+    @pytest.mark.parametrize("bound", [2.5, 2.0])
+    def test_non_integer_bound_is_rejected(self, two_site, bound):
+        for enumerate_ in (lambda: enumerate_ball(two_site, bound),
+                           lambda: enumerate_states(two_site, Multiset(),
+                                                    bound)):
+            with pytest.raises(ValueError,
+                               match=f"^pop_bound must be a non-negative "
+                                     f"integer, got {bound}$"):
+                enumerate_()
+        # a numpy integer is an integer
+        assert enumerate_ball(two_site, np.int64(2)).n_states == 21
+
 
 class TestTransient:
     def test_time_zero_is_identity(self, two_site):

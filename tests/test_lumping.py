@@ -11,7 +11,7 @@ from crnlump import lumping
 from crnlump.lumping import (InvalidPartitionError, check_equivalence,
                              coarsest_equivalence, quotient)
 from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
-                           ReactionNetwork)
+                           ReactionNetwork, StructuralError)
 
 from conftest import (alternating_refinement, block_projection,
                       dict_quotient, from_reactions, networks_equal,
@@ -578,3 +578,40 @@ class TestProperties:
             degen = from_reactions(net.names, reactions)
             assert coarsest_equivalence(degen, initial) \
                 == refine_partition(degen, initial, "lower")
+
+
+def _reconstruct(net, good, part):
+    lumped, _ = quotient(net, good)
+    sched = cl.ControlSchedule.midpoint(lumped)
+    ltraj = cl.simulate(lumped, good.sums(np.full(5, 0.5)), sched, 0.02, 0.01)
+    cl.reconstruct_trajectory(net, part, ltraj, sched, np.full(5, 0.5))
+
+
+class TestPartitionUniverse:
+    """The partition consumers that `Partition.labels` checks, beyond those
+    with their own test (`Partition.sums`, `block_coefficients`,
+    `DriftMatch`, `build_drift_match`, `project_control`,
+    `check_ordinary_lumpability`), say so in the one message. Each gets the
+    two-site network, its coarsest equivalence and a partition of another
+    number of species into four blocks, as many as the quotient has
+    species."""
+
+    CONSUMERS = {
+        "coarsest_equivalence": lambda net, good, part:
+            coarsest_equivalence(net, part),
+        "check_equivalence": lambda net, good, part:
+            check_equivalence(net, part),
+        "quotient": lambda net, good, part: quotient(net, part),
+        "reconstruct_trajectory": _reconstruct,
+    }
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("consumer", list(CONSUMERS))
+    def test_partition_over_wrong_universe_rejected(
+            self, two_site, two_site_partition, consumer, n):
+        part = Partition([(0,), (1,), (2,), range(3, n)], n)
+        assert part.n_blocks == 4
+        with pytest.raises(StructuralError,
+                           match="^partition over wrong species universe$"):
+            self.CONSUMERS[consumer](two_site, two_site_partition, part)
+        assert two_site.proved in (None, two_site_partition)

@@ -89,6 +89,22 @@ class TestPartition:
         with pytest.raises(StructuralError):
             Partition([[0, 5]], 2)  # out of range
 
+    def test_negative_universe_rejected(self):
+        with pytest.raises(StructuralError, match="^partition over -2 species$"):
+            Partition((), -2)
+
+    def test_labels_are_the_read_only_block_ids(self):
+        p = Partition([[4], [1, 3], [0, 2]], 5)
+        label = p.labels(5)
+        assert label.tolist() == list(p.block_of)
+        with pytest.raises(ValueError, match="read-only"):
+            label[0] = 1
+        assert p.labels(5).tolist() == list(p.block_of)
+        for n in (4, 6):
+            with pytest.raises(StructuralError,
+                               match="^partition over wrong species universe$"):
+                p.labels(n)
+
 
 class TestPartitionSums:
     @pytest.mark.parametrize("seed", range(20))

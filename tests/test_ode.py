@@ -12,7 +12,7 @@ from crnlump.model import (Multiset, Partition, RateInterval, Reaction,
                            ReactionNetwork, StructuralError)
 from crnlump.parser import ParseError
 from crnlump.ode import (RESIDUAL_MAX, ControlSchedule, CostSpec,
-                         DivergenceError, Trajectory, _time_grid,
+                         DivergenceError, DriftMatch, Trajectory, _time_grid,
                          block_indicator, block_sums, evaluate_cost,
                          project_control, schedule_from_csv, schedule_to_csv,
                          simulate, trajectory_from_csv, trajectory_to_csv)
@@ -168,6 +168,15 @@ class TestSchedule:
             ControlSchedule([0.5], [[1.0]])
         with pytest.raises(ValueError):
             ControlSchedule([0.0, 0.0], [[1.0], [1.0]])
+
+    @pytest.mark.parametrize("breakpoints", [
+        [0.0, math.nan, 1.0], [0.0, 1.0, math.nan], [0.0, 1.0, math.inf]])
+    def test_non_finite_breakpoints_rejected(self, breakpoints):
+        # a NaN compares False with everything, so `np.diff <= 0` alone
+        # does not catch [0, nan, 1], whose row 1 would never apply
+        with pytest.raises(ValueError, match="^breakpoints must be finite "
+                           "and increase strictly$"):
+            ControlSchedule(breakpoints, [[1.0], [2.0], [3.0]])
 
     def test_csv_round_trip(self):
         s = ControlSchedule([0.0, 0.25], [[1.0, 2.0], [0.5, 0.125]])
@@ -607,6 +616,38 @@ class TestProjectControl:
             project_control(net, part, pinned, traj, sched)
         assert err.value.residual > RESIDUAL_MAX
         assert err.value.converged and err.value.time in traj.times
+
+    def test_overflowing_trajectory_fails_on_its_nan_residual(
+            self, two_site, two_site_partition):
+        # finite states whose monomials overflow: the drift matches give NaN
+        # residuals, which neither `worst > RESIDUAL_MAX` nor a plain `max`
+        # catches
+        lumped, _ = cl.quotient(two_site, two_site_partition)
+        sched = ControlSchedule.midpoint(two_site)
+        traj = Trajectory(np.array([0.0, 0.1, 0.2]), np.full((3, 5), 1e200),
+                          sched)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                cl.ProjectionFailureError, match="^projection residual nan"
+        ) as err:
+            project_control(two_site, two_site_partition, lumped, traj, sched)
+        assert math.isnan(err.value.residual) and err.value.converged
+
+    def test_a_nan_residual_is_the_worst(self, two_site, two_site_partition,
+                                         monkeypatch):
+        vals = [1.2, 0.55, 1.7, 0.7, 2.0, 0.3, 2.0, 0.35]
+        lumped, sched, traj = self._setup(two_site, two_site_partition, vals)
+        solve, times = DriftMatch.solve, []
+
+        def nan_third(self, mono, target, time):
+            alpha, residual = solve(self, mono, target, time)
+            times.append(time)
+            return alpha, math.nan if len(times) == 3 else residual
+
+        monkeypatch.setattr(DriftMatch, "solve", nan_third)
+        with pytest.raises(cl.ProjectionFailureError,
+                           match="^projection residual nan") as err:
+            project_control(two_site, two_site_partition, lumped, traj, sched)
+        assert err.value.time == times[2] > 0.0
 
     def test_zero_state_any_feasible(self, two_site, two_site_partition):
         lumped, _ = cl.quotient(two_site, two_site_partition)

@@ -8,9 +8,10 @@ import pytest
 import crnlump as cl
 from crnlump.model import Multiset, Partition, RateInterval, Reaction, \
     StructuralError
-from crnlump.ode import (BoxLeastSquares, ControlSchedule, DriftMatch,
-                         Trajectory, VectorField, block_indicator, block_sums,
-                         rk4_step, simulate)
+from crnlump.ode import (BoxLeastSquares, ControlSchedule, CostSpec,
+                         DriftMatch, Trajectory, VectorField, block_indicator,
+                         block_sums, evaluate_cost, project_control, rk4_step,
+                         simulate)
 from crnlump.reconstruct import (DriftMatchProblem, ReconstructionFailureError,
                                  build_drift_match, reconstruct_trajectory,
                                  solve_box_ls, stage_drifts)
@@ -338,6 +339,25 @@ class TestReconstructTrajectory:
         assert err.value.residual > 1e-6
         assert err.value.time > 0.0 and err.value.converged
 
+    def test_a_nan_residual_is_the_worst(self, two_site, two_site_partition,
+                                         monkeypatch):
+        lumped, sched, ltraj, v0 = self._lumped_setup(two_site,
+                                                      two_site_partition)
+        solve, calls = DriftMatch.solve, []
+
+        def nan_third(self, mono, target, time):
+            alpha, residual = solve(self, mono, target, time)
+            calls.append(time)
+            return alpha, math.nan if len(calls) == 3 else residual
+
+        monkeypatch.setattr(DriftMatch, "solve", nan_third)
+        # the third stage of the first step, which a plain `max` skips
+        with pytest.raises(ReconstructionFailureError,
+                           match="^reconstruction residual nan") as err:
+            reconstruct_trajectory(two_site, two_site_partition, ltraj, sched,
+                                   v0)
+        assert err.value.time == 0.0 and len(calls) == 4
+
     def test_non_convergence_raises(self, two_site, two_site_partition,
                                     monkeypatch):
         lumped, sched, ltraj, v0 = self._lumped_setup(two_site, two_site_partition)
@@ -346,6 +366,69 @@ class TestReconstructTrajectory:
                            match="solver did not converge") as err:
             reconstruct_trajectory(two_site, two_site_partition, ltraj, sched, v0)
         assert err.value.time == 0.0 and not err.value.converged
+
+
+class TestTrajectoryGrid:
+    """`project_control`, `reconstruct_trajectory` and `evaluate_cost` check
+    a trajectory with `ode.check_grid` before any drift match is solved."""
+
+    V0 = np.array([0.6, 0.5, 0.2, 0.3, 0.1])
+
+    @staticmethod
+    def _defective(traj, defect):
+        times, states = traj.times.copy(), traj.states.copy()
+        if defect == "nan-state":
+            states[2, 1] = math.nan
+        elif defect == "late-start":
+            times += 0.5
+        elif defect == "repeated-time":
+            times[2] = times[1]
+        else:  # narrow: a column short
+            states = states[:, 1:]
+        return Trajectory(times, states, traj.schedule, traj.names)
+
+    def _run(self, consumer, defect, net, part):
+        lumped, _ = cl.quotient(net, part)
+        if consumer == "reconstruct_trajectory":
+            sched = ControlSchedule.midpoint(lumped)
+            ltraj = simulate(lumped, part.sums(self.V0), sched, 0.05, 0.01)
+            reconstruct_trajectory(net, part, self._defective(ltraj, defect),
+                                   sched, self.V0)
+            return
+        sched = ControlSchedule.midpoint(net)
+        traj = self._defective(simulate(net, self.V0, sched, 0.05, 0.01),
+                               defect)
+        if consumer == "project_control":
+            project_control(net, part, lumped, traj, sched)
+        else:
+            w = np.ones(5)
+            evaluate_cost(traj, CostSpec(w, w, float(traj.times[-1])))
+
+    @pytest.mark.parametrize("defect,message", [
+        ("nan-state", "trajectory holds a number that is not finite"),
+        ("late-start", "trajectory times must start at 0 and increase "
+                       "strictly"),
+        ("repeated-time", "trajectory times must start at 0 and increase "
+                          "strictly")])
+    @pytest.mark.parametrize("consumer", [
+        "project_control", "reconstruct_trajectory", "evaluate_cost"])
+    def test_rejected_before_any_solve(self, two_site, two_site_partition,
+                                       monkeypatch, consumer, defect,
+                                       message):
+        def no_solve(*args):
+            raise AssertionError("a drift match was solved")
+
+        monkeypatch.setattr(BoxLeastSquares, "solve", no_solve)
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            self._run(consumer, defect, two_site, two_site_partition)
+
+    def test_lumped_trajectory_of_another_width(self, two_site,
+                                                two_site_partition):
+        # 3 columns for 4 blocks
+        with pytest.raises(StructuralError,
+                           match="^trajectory does not match network$"):
+            self._run("reconstruct_trajectory", "narrow", two_site,
+                      two_site_partition)
 
 
 class TestDriftMatch:
