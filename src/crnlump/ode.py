@@ -109,8 +109,8 @@ class ControlSchedule:
             np.searchsorted(self.breakpoints, times, side="right") - 1, 0)
 
     def value_at(self, t: float) -> np.ndarray:
-        if t < 0:
-            raise ValueError("negative time")
+        if not t >= 0:
+            raise ValueError(f"time must be a non-negative number, got {t!r}")
         return self.values[int(self.segments(t))]
 
 
@@ -339,6 +339,8 @@ def evaluate_cost(traj: Trajectory, cost: CostSpec) -> float:
     horizon plus the final cost there, both interpolated linearly; a horizon
     up to 1e-9 relative past the last time is taken as the last time."""
     times = traj.times
+    if np.ndim(traj.states) != 2:
+        raise StructuralError("trajectory does not match network")
     widths = (len(cost.running_weights), len(cost.final_weights))
     if widths != (traj.states.shape[1],) * 2:
         raise StructuralError(f"cost weights of lengths {widths} for a "
@@ -524,28 +526,29 @@ def project_control(net: ReactionNetwork, part: Partition,
     mono = lvf.monomials(block_states)
     times = traj.times
     seg = schedule.segments(times[:-1])
-
-    solves = [(0.0, 0.0)]  # (residual, time) of every solve
-
-    def solve_at(k: int, alpha: np.ndarray) -> np.ndarray:
-        t = float(times[k])
-        target = part.sums(vf(traj.states[k], alpha))
-        a, residual = match.solve(mono[k], target, t)
-        solves.append((residual, t))
-        return a
-
-    n_steps = len(times) - 1
-    out = np.empty((n_steps, lumped.n_reactions))
-    # the left control of a step is the previous step's right one while the
-    # original control stays in one segment
-    for k in range(n_steps):
-        alpha = schedule.values[seg[k]]
-        if k == 0 or seg[k] != seg[k - 1]:
-            left = solve_at(k, alpha)
-        right = solve_at(k + 1, alpha)
-        out[k] = np.minimum(np.maximum(0.5 * (left + right), lo), hi)
-        left = right
-    worst, worst_time = max(solves, key=lambda s: (math.isnan(s[0]), s[0]))
+    # the solves in order: each step's right end, after its left end where
+    # the original control changes (elsewhere the left control is the
+    # previous step's right one); their targets come in batches of about
+    # 2**13 (nonzero change or species) values, which bounds the temporaries
+    new = np.r_[True, seg[1:] != seg[:-1]]
+    first = np.flatnonzero(new)
+    at = np.insert(np.arange(1, len(times)), first, first)
+    at_seg = np.insert(seg, first, seg[first])
+    targets = np.empty((len(at), part.n_blocks))
+    rows = max(1, 2 ** 13 // (len(vf.sp) + net.n_species + 1))
+    for i in range(0, len(at), rows):
+        targets[i:i + rows] = part.sums(vf(traj.states[at[i:i + rows]],
+                                           schedule.values[at_seg[i:i + rows]]))
+    controls = np.empty((len(at), lumped.n_reactions))
+    residuals = np.empty(len(at))
+    for i, k in enumerate(at.tolist()):
+        controls[i], residuals[i] = match.solve(mono[k], targets[i],
+                                                float(times[k]))
+    right = np.arange(len(seg)) + np.cumsum(new)
+    out = np.minimum(np.maximum(0.5 * (controls[right - 1] + controls[right]),
+                                lo), hi)
+    worst, worst_time = max(zip(residuals.tolist(), times[at].tolist()),
+                            key=lambda s: (math.isnan(s[0]), s[0]))
     if not worst <= RESIDUAL_MAX:
         raise ProjectionFailureError(worst_time, worst)
     return ControlSchedule(times[:-1].copy(), out), worst

@@ -435,34 +435,103 @@ class TestTransient:
                     key = tuple((i, c) for i, c in s.entries)
                     assert qt[j] == pytest.approx(lifted.get(key, 0.0), abs=1e-9)
 
+    @staticmethod
+    def _window(lam, eps):
+        """First index and weights of the Poisson window: w = 1 at the mode
+        floor(lam), w_{k-1} = w_k k / lam below it and w_{k+1} = w_k lam /
+        (k + 1) above it, each side ending at the first k whose geometric
+        tail bound w q / (1 - q) is at most eps / 4 (q = k / lam below, q =
+        lam / (k + 1) above), normalized by the fsum of the kept weights."""
+        def side(k, q_of, step):
+            w, out = 1.0, []
+            while True:
+                q = q_of(k)
+                if q == 0.0 or (q < 1.0 and w * q / (1.0 - q) <= eps / 4):
+                    return k, out
+                w *= q
+                k += step
+                out.append(w)
+
+        m = int(lam)
+        left, below = side(m, lambda k: k / lam, -1)
+        _, above = side(m, lambda k: lam / (k + 1), 1)
+        weights = below[::-1] + [1.0] + above
+        total = math.fsum(weights)
+        return left, [w / total for w in weights]
+
     def test_matches_row_vector_product_bit_for_bit(self, two_site):
         """Stepping with the transposed matrix gives exactly the numbers of
-        the row-vector product p @ P of the uniformization series."""
+        the row-vector product p @ P of the uniformization series over the
+        window of Poisson weights around the mode."""
         init = two_site.multiset({"A00": 3, "B": 4})
         space = enumerate_states(two_site, init, 7)
         gen = build_generator(space, two_site, "upper")
         p0 = np.zeros(space.n_states)
         p0[space.index[init]] = 1.0
-        for t in (0.7, 40.0):
-            Q = gen.matrix
-            rate = float(-Q.diagonal().min())
-            chunks = max(1, int(math.ceil(rate * t / 100.0)))
-            P = scipy.sparse.eye(Q.shape[0], format="csr") + Q.multiply(1.0 / rate)
-            p = p0.copy()
-            for _ in range(chunks):
-                lam = rate * t / chunks
-                weight = math.exp(-lam)
-                term = p.copy()
-                out, cumulative, k = weight * term, weight, 0
-                while cumulative < 1.0 - 1e-12 / chunks:
-                    k += 1
-                    term = term @ P
-                    weight *= lam / k
-                    out += weight * term
-                    cumulative += weight
-                p = out
-            assert (chunks > 1) == (t > 1.0)  # the long horizon is chunked
+        Q = gen.matrix
+        rate = float(-Q.diagonal().min())
+        P = scipy.sparse.eye(Q.shape[0], format="csr") + Q.multiply(1.0 / rate)
+        for t in (0.05, 0.7, 40.0):  # rate 48
+            left, weights = self._window(rate * t, 1e-12)
+            term = p0.copy()
+            for _ in range(left):
+                term = term @ P
+            p = weights[0] * term
+            for w in weights[1:]:
+                term = term @ P
+                p += w * term
+            assert (left == 0) == (t < 0.1)  # only lam = 2.4 starts at 0
             assert np.array_equal(transient_solve(gen, p0, t), p)
+
+    @staticmethod
+    def _two_state_chain():
+        """`a <-> b` at rate 1 from `a`: uniformization rate 1, and
+        p_a(t) = (1 + exp(-2 t)) / 2."""
+        net = cl.parse_model("species a b\na -> b , 1.0\nb -> a , 1.0\n").network
+        space = enumerate_states(net, Multiset([(0, 1)]), 1)
+        gen = build_generator(space, net, "lower")
+        a = space.index[Multiset([(0, 1)])]
+        p0 = np.zeros(2)
+        p0[a] = 1.0
+        return gen, p0, a
+
+    @pytest.mark.parametrize("eps", [1e-16, 1e-300])
+    def test_tiny_eps_returns(self, eps):
+        # the chunked series stopped at `cumulative >= 1 - eps / chunks`,
+        # which never held once eps / chunks fell below half an ulp of 1
+        gen, p0, a = self._two_state_chain()
+        start = time.perf_counter()
+        pt = transient_solve(gen, p0, 60.0, eps=eps)
+        assert time.perf_counter() - start < 1.0
+        assert pt[a] == pytest.approx(0.5 * (1.0 + math.exp(-120.0)),
+                                      abs=1e-15)
+        assert abs(pt.sum() - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("t", [0.3, 60.0, 5000.0])
+    def test_within_eps_of_the_closed_form(self, t):
+        # lam t = 0.3 has its mode at 0, so the window has no lower side
+        gen, p0, a = self._two_state_chain()
+        exact = np.full(2, 0.5 * (1.0 - math.exp(-2.0 * t)))
+        exact[a] = 0.5 * (1.0 + math.exp(-2.0 * t))
+        for eps in (1e-12, 1e-6):
+            pt = transient_solve(gen, p0, t, eps=eps)
+            assert np.abs(pt - exact).sum() <= eps + 1e-13
+
+    @pytest.mark.parametrize("t", [0.3, 40.0, 60.0, 5000.0])
+    def test_products_within_the_window_bound(self, t, monkeypatch):
+        # at most lam + 9 sqrt(lam) + 10 sparse products at eps = 1e-12
+        gen, p0, _ = self._two_state_chain()
+        matmul, count = scipy.sparse.csr_matrix.__matmul__, [0]
+
+        def counted(self, other):
+            count[0] += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", counted)
+        transient_solve(gen, p0, t)
+        left, weights = self._window(t, 1e-12)
+        assert count[0] == left + len(weights) - 1
+        assert count[0] <= t + 9.0 * math.sqrt(t) + 10.0
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_is_rejected(self, two_site, t):
@@ -513,7 +582,7 @@ class TestTransient:
         with pytest.raises(ValueError, match=message):
             transient_solve(gen, p0, 1.0, eps=eps)
 
-    def test_long_horizon_chunking(self):
+    def test_long_horizon(self):
         doc = cl.parse_model("species a b\na -> b , 30.0\nb -> a , 30.0\n")
         net = doc.network
         space = enumerate_states(net, Multiset([(0, 1)]), 1)

@@ -17,8 +17,8 @@ from crnlump.ode import (RESIDUAL_MAX, ControlSchedule, CostSpec,
                          project_control, schedule_from_csv, schedule_to_csv,
                          simulate, trajectory_from_csv, trajectory_to_csv)
 
-from conftest import (DenseVectorField, from_reactions, loop_time_grid,
-                      random_partition)
+from conftest import (TWO_SITE_TEXT, DenseVectorField, from_reactions,
+                      loop_time_grid, random_partition)
 
 
 class TestVectorField:
@@ -162,6 +162,14 @@ class TestSchedule:
         assert s.value_at(0.999)[0] == 1.0
         assert s.value_at(1.0)[0] == 2.0
         assert s.value_at(7.0)[0] == 3.0
+
+    @pytest.mark.parametrize("t", [-1.0, -5e-324, math.nan])
+    def test_negative_or_nan_time_rejected(self, t):
+        # NaN used to pass the guard and get the last value row
+        s = ControlSchedule([0.0, 1.0], [[1.0], [2.0]])
+        with pytest.raises(ValueError, match="^time must be a non-negative "
+                                             "number, got "):
+            s.value_at(t)
 
     def test_bad_breakpoints(self):
         with pytest.raises(ValueError):
@@ -456,6 +464,13 @@ class TestEvaluateCost:
         with pytest.raises(ValueError, match="^cost weights must be finite"):
             CostSpec(np.array(running), np.array(final), 1.0)
 
+    def test_one_dimensional_states_rejected(self):
+        # used to raise a bare IndexError from the weight check
+        traj = Trajectory(np.array([0.0, 0.1]), np.array([1.0, 2.0]))
+        with pytest.raises(StructuralError,
+                           match="^trajectory does not match network$"):
+            evaluate_cost(traj, CostSpec(np.ones(2), np.ones(2), 0.1))
+
     @pytest.mark.parametrize("running, final", [(4, 5), (5, 6), (6, 6)])
     def test_weights_must_match_trajectory_width(self, two_site, running,
                                                  final):
@@ -565,6 +580,54 @@ class TestProjectControl:
         gap = np.max(np.abs(block_sums(traj, two_site_partition).states
                             - ltraj.states))
         assert gap <= 1e-7
+
+    @staticmethod
+    def _loop_project_control(net, part, lumped, traj, schedule):
+        """The schedule values and worst residual of `project_control`, each
+        target from its own vector-field and block-sum call."""
+        vf, lvf = cl.VectorField(net), cl.VectorField(lumped)
+        lo, hi = lumped.compiled.lo, lumped.compiled.hi
+        match = DriftMatch(lvf, Partition.singletons(lumped.n_species), lo,
+                           hi, cl.ProjectionFailureError)
+        mono = lvf.monomials(part.sums(traj.states))
+        seg = schedule.segments(traj.times[:-1])
+        residuals = [0.0]
+
+        def solve_at(k, alpha):
+            target = part.sums(vf(traj.states[k], alpha))
+            a, residual = match.solve(mono[k], target, float(traj.times[k]))
+            residuals.append(residual)
+            return a
+
+        out = []
+        for k in range(len(seg)):
+            alpha = schedule.values[seg[k]]
+            if k == 0 or seg[k] != seg[k - 1]:
+                left = solve_at(k, alpha)
+            right = solve_at(k + 1, alpha)
+            out.append(np.minimum(np.maximum(0.5 * (left + right), lo), hi))
+            left = right
+        return np.array(out), max(residuals)
+
+    @pytest.mark.parametrize("model", ["two-site", "multisite-4"])
+    def test_batched_targets_match_per_point_calls(self, model):
+        doc = (cl.parse_model(TWO_SITE_TEXT) if model == "two-site"
+               else cl.multisite_binding_model(4))
+        net = doc.network
+        part = cl.coarsest_equivalence(net, doc.initial_partition)
+        lumped, _ = cl.quotient(net, part)
+        rng = np.random.default_rng(5)
+        lo, hi = net.compiled.lo, net.compiled.hi
+        # segments that start on the grid and between its points
+        sched = ControlSchedule([0.0, 0.03, 0.055, 0.1],
+                                lo + (hi - lo) * rng.random((4, len(lo))))
+        traj = simulate(net, rng.random(net.n_species), sched, 0.2, 0.01)
+        lsched, worst = project_control(net, part, lumped, traj, sched)
+        values, loop_worst = self._loop_project_control(net, part, lumped,
+                                                        traj, sched)
+        assert np.array_equal(lsched.breakpoints, traj.times[:-1])
+        assert np.array_equal(lsched.values, values)
+        assert worst == loop_worst
 
     def test_one_point_trajectory_rejected(self, two_site, two_site_partition):
         lumped, _ = cl.quotient(two_site, two_site_partition)
