@@ -350,7 +350,7 @@ def build_generator(space: StateSpace, net: ReactionNetwork,
     e_row, e_col = terms.row[start], terms.col[start]
     # the diagonal is minus the exact row sum, so rows sum to zero exactly;
     # an infinite entry makes its row sum infinite too
-    first, row_sums = group_sums(e_row, entries, np.zeros_like(entries))
+    first, row_sums = group_sums(e_row, entries)
     diag = np.zeros(n)
     diag[e_row[first]] = -row_sums
     bad = np.flatnonzero(~np.isfinite(diag))

@@ -60,19 +60,40 @@ class InvalidPartitionError(ValueError):
 # Refinement passes over the compiled arrays. A partition is a vector of
 # block labels 0..n_blocks-1, one per species.
 
+def _narrow(n: int):
+    """int32 when it holds every value below `n`, else int64: the type of
+    the sweep's per-pair and per-triple index temporaries."""
+    return np.int32 if n <= 2**31 else np.int64
+
+
 def _reactant_pairs(c: CompiledNetwork, n_species: int):
     """(reaction, species, context id) of every distinct reactant species of
     every reaction with a net change. A context, the reactant minus one copy
     of the species, is numbered by its padded (species, count) row with the
-    species sorted, so equal multisets get one id."""
-    slot, r = np.nonzero((c.exp > 0) & (np.diff(c.offsets) > 0))
-    idx, exp = c.idx[:, r].T, c.exp[:, r].T.astype(np.int64)
-    exp[np.arange(len(r)), slot] -= 1
-    idx[exp == 0] = n_species
-    order = np.argsort(idx, axis=1, kind="stable")
-    rows = np.hstack((np.take_along_axis(idx, order, axis=1),
-                      np.take_along_axis(exp, order, axis=1)))
-    return r, c.idx[slot, r], _row_ids(rows)
+    species sorted, so equal multisets get one id. The three are stored
+    narrow (`_narrow`), as they live through every sweep."""
+    K, R = c.idx.shape
+    slot, r = np.divmod(np.flatnonzero((c.exp > 0) & (np.diff(c.offsets) > 0)),
+                        R)
+    kind = _narrow(max(R, n_species, len(r)))
+    r = r.astype(kind)
+    a = c.idx[slot, r].astype(kind)
+    # a reactant's slots hold its species in increasing order, padding
+    # last; where the context keeps no copy of `a`, the slots after a's
+    # move one left and padding fills the last one
+    rows = np.empty((len(r), 2 * K), dtype=np.int64)
+    rows[:, :K], rows[:, K:] = c.idx[:, r].T, c.exp[:, r].T
+    rows[np.arange(len(r)), K + slot] -= 1
+    gone = np.flatnonzero(c.exp[slot, r] == 1)
+    slot = slot[gone]
+    for k in range(K):
+        move = gone[slot <= k]
+        rows[move, k::K] = (rows[move, k + 1::K] if k < K - 1
+                            else (n_species, 0))
+    del slot, gone
+    ctx = _row_ids(rows)
+    del rows
+    return r, a, ctx.astype(kind)
 
 
 def _change_ids(c: CompiledNetwork, need: np.ndarray,
@@ -80,11 +101,22 @@ def _change_ids(c: CompiledNetwork, need: np.ndarray,
     """Per reaction, an id of its projected net change, the sorted nonzero
     (block, change) sums over its triples; -1 for a zero change or a
     reaction not in `need`."""
-    t = np.flatnonzero(need[c.rx])
-    rx, b, change = _block_sums(c.rx[t], label[c.sp[t]], c.dn[t])
-    nonzero = change != 0
-    return _list_ids(rx[nonzero], np.column_stack((b, change))[nonzero],
-                     len(need))
+    t = need[c.rx]
+    if t.all():  # no gathers
+        rx, block, change = _block_sums(c.rx, label[c.sp], c.dn)
+    else:
+        rx, block, change = _block_sums(c.rx[t], label[c.sp[t]], c.dn[t])
+    del t
+    # (block, change) rows as int64: the changes are integer counts
+    keep = change != 0
+    size = np.bincount(rx[keep], minlength=len(need))
+    del rx
+    rows = np.empty((np.count_nonzero(keep), 2), dtype=np.int64)
+    rows[:, 0] = block[keep]
+    del block
+    rows[:, 1] = change[keep]
+    del change, keep
+    return _list_ids(size, rows)
 
 
 def _sweep(c: CompiledNetwork, pairs,
@@ -94,25 +126,36 @@ def _sweep(c: CompiledNetwork, pairs,
     in singleton blocks are skipped: they can never split further and need
     no signature."""
     r, a, ctx = pairs
+    label = label.astype(_narrow(len(label)))
     keep = (c.hi[r] != 0.0) & (np.bincount(label)[label[a]] > 1)
     need = np.zeros(len(c.hi), dtype=bool)
     need[r[keep]] = True
     change = _change_ids(c, need, label)[r]
+    del need
     keep &= change >= 0
-    sel = np.flatnonzero(keep)[np.lexsort((change[keep], ctx[keep], a[keep]))]
+    sel = np.flatnonzero(keep)
+    del keep
+    sel = sel[np.lexsort((change[sel], ctx[sel], a[sel]))]
     a, ctx, change, r = a[sel], ctx[sel], change[sel], r[sel]
+    del sel
     # a single contribution stays as it is; several are summed exactly
     # (correctly rounded, independent of their order); + 0.0 turns -0.0
     # into 0.0 before the bits are compared
-    run, zero = _run_ids(a, ctx, change), np.zeros(len(r))
-    start, lo = group_sums(run, c.lo[r], zero)
-    hi = group_sums(run, c.hi[r], zero)[1]
+    run = _run_ids(a, ctx, change)
+    start, lo = group_sums(run, c.lo[r])
+    hi = group_sums(run, c.hi[r])[1]
+    del run, r
     val = np.column_stack((lo, hi)) + 0.0
+    del lo, hi
     if not np.all(np.isfinite(val)):
         raise OverflowError("an aggregate rate overflows")
     # a species' signature is its sorted (context, change, lo, hi) items
     items = np.column_stack((ctx[start], change[start], val.view(np.int64)))
-    sig = _list_ids(a[start], items, len(label))
+    del ctx, change, val
+    size = np.bincount(a[start], minlength=len(label))
+    del a, start
+    sig = _list_ids(size, items)
+    del size, items
     label = _row_ids(np.column_stack((label, sig)))
     return label, int(label.max(initial=-1)) + 1
 
@@ -200,9 +243,8 @@ def quotient(net: ReactionNetwork,
     key, keep = key[order], keep[order]
     # a lone rate stays as it is and several are summed exactly; + 0.0
     # turns -0.0 into 0.0, as math.fsum does
-    zero = np.zeros(len(keep))
-    start, lo = group_sums(key, t.lo[keep], zero)
-    hi = group_sums(key, t.hi[keep], zero)[1]
+    start, lo = group_sums(key, t.lo[keep])
+    hi = group_sums(key, t.hi[keep])[1]
     first = np.argsort(keep[start])
     members, lo, hi = keep[start][first], lo[first] + 0.0, hi[first] + 0.0
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):

@@ -469,39 +469,67 @@ def side_texts(t: ReactionTable, names: Sequence[str]) -> np.ndarray:
     return text
 
 
+def _net_changes(t: ReactionTable, R: int, S: int):
+    """(reaction, species, net change) of every nonzero net change of the
+    R reactions of `t` over S species, sorted by reaction, then species;
+    the changes are floats."""
+    start = np.cumsum(t.size) - t.size
+
+    def keys(side, sign):
+        """reaction * S + species of every entry of the sides `side[r]` of
+        the reactions r, increasing, and the entry's count times `sign`."""
+        k = t.size[side]
+        at = np.repeat(start[side] - np.cumsum(k) + k, k)
+        at += np.arange(len(at))
+        key = np.repeat(np.arange(R) * max(S, 1), k)
+        key += t.species[at]
+        return key, sign * t.count[at]
+
+    # the stable sort puts a key's product entry right after its reactant
+    # one, and each array is dropped at its last use
+    key, change = map(np.concatenate, zip(keys(t.lhs, -1.0), keys(t.rhs, 1.0)))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    change = change[order]
+    del order
+    first = np.flatnonzero(_run_starts(key))
+    key = key[first]
+    change = np.add.reduceat(change, first)
+    del first
+    nonzero = change != 0
+    key, change = key[nonzero], change[nonzero]
+    return (*np.divmod(key, max(S, 1)), change)
+
+
 def compile_network(net: ReactionNetwork) -> CompiledNetwork:
     """Build `net`'s CompiledNetwork from its reaction table;
-    `ReactionNetwork.compiled` caches it."""
+    `ReactionNetwork.compiled` caches it. The triples are built first and
+    the (K, R) tables one slot at a time, so the build peaks near the size
+    of the arrays it returns."""
     t = net.table
     R, S = net.n_reactions, net.n_species
-    size, species, count = t.size, t.species, t.count
-    start = np.cumsum(size) - size
-
-    def gather(side):
-        """(reaction, slot, species, count) of every entry of the sides
-        `side[r]` of the reactions r."""
-        k = size[side]
-        reaction = np.repeat(np.arange(R), k)
-        slot = np.arange(len(reaction)) - np.repeat(np.cumsum(k) - k, k)
-        at = start[side][reaction] + slot
-        return reaction, slot, species[at], count[at]
-
-    rin, slot, sin, cin = gather(t.lhs)
-    rout, _, sout, cout = gather(t.rhs)
-    K = int(slot.max(initial=-1)) + 1
-    idx = np.full((K, R), S, dtype=np.intp)
-    exp, fact = np.zeros((K, R)), np.ones((K, R))
-    idx[slot, rin], exp[slot, rin] = sin, cin
-    counts, at = np.unique(cin, return_inverse=True)
-    fact[slot, rin] = np.array([float(math.factorial(c))
-                                for c in counts.tolist()])[at]
-    # net change per (reaction, species) key, summed over both sides
-    keys, at = np.unique(np.r_[rin, rout] * max(S, 1) + np.r_[sin, sout],
-                         return_inverse=True)
-    change = np.bincount(at, np.r_[-cin, cout], len(keys))
-    rx, sp = np.divmod(keys[change != 0], max(S, 1))
-    arrays = CompiledNetwork(idx, exp, fact.prod(axis=0), rx, sp,
-                             change[change != 0],
+    rx, sp, dn = _net_changes(t, R, S)
+    # slot k of every reactant side, gathered per side, then per reaction;
+    # `fact` multiplies the slots' factorials in slot order
+    start = np.cumsum(t.size) - t.size
+    reactant = np.zeros(len(t.size), dtype=bool)
+    reactant[t.lhs] = True
+    K = int(t.size[reactant].max(initial=0))
+    idx, exp = np.empty((K, R), dtype=np.intp), np.empty((K, R))
+    side_fact = np.ones(len(t.size))
+    for k in range(K):
+        s = np.flatnonzero(reactant & (t.size > k))
+        at = start[s] + k
+        col = np.full(len(t.size), S)
+        col[s] = t.species[at]
+        np.take(col, t.lhs, out=idx[k])
+        col = np.zeros(len(t.size))
+        col[s] = t.count[at]
+        np.take(col, t.lhs, out=exp[k])
+        counts, at = np.unique(t.count[at], return_inverse=True)
+        side_fact[s] *= np.array([float(math.factorial(c))
+                                  for c in counts.tolist()])[at]
+    arrays = CompiledNetwork(idx, exp, side_fact[t.lhs], rx, sp, dn,
                              np.searchsorted(rx, np.arange(R + 1)), t.lo, t.hi)
     for a in arrays:
         a.setflags(write=False)
@@ -509,9 +537,14 @@ def compile_network(net: ReactionNetwork) -> CompiledNetwork:
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque fixed-width key per row (the row's bytes), so rows sort,
-    deduplicate and search as scalars, with no bound on the values."""
-    c = np.ascontiguousarray(rows, dtype=np.int64)
+    """One opaque fixed-width key per row of an integer array (the row's
+    bytes as int64), so rows sort, deduplicate and search as scalars, with
+    no bound on the values; a view of `rows` when they are contiguous
+    int64. TypeError for rows of another kind, such as floats."""
+    c = np.asarray(rows)
+    if c.dtype.kind not in "iu":
+        raise TypeError(f"row keys need integer rows, not {c.dtype}")
+    c = np.ascontiguousarray(c, dtype=np.int64)
     if c.shape[1] == 0:
         c = np.zeros((len(c), 1), dtype=np.int64)
     return c.view(np.dtype((np.void, 8 * c.shape[1]))).ravel()
@@ -531,12 +564,21 @@ def _run_ids(*cols: np.ndarray) -> np.ndarray:
     return np.cumsum(_run_starts(*cols)) - 1
 
 
+_ROW_CHUNK = 4096  # sorted keys compared at a time
+
+
 def _row_ids(rows: np.ndarray) -> np.ndarray:
-    """One id per row of a 2-D array, equal rows sharing it, from 0 up."""
+    """One id per row of a 2-D array, equal rows sharing it, from 0 up. The
+    sorted keys are compared a chunk at a time, so that no sorted copy of
+    all of them is made."""
     keys = row_keys(rows)
     order = np.argsort(keys)
+    new = np.ones(len(keys), dtype=bool)
+    for i in range(0, len(keys), _ROW_CHUNK):
+        s = keys[order[max(i - 1, 0):i + _ROW_CHUNK]]
+        new[max(i, 1):i + _ROW_CHUNK] = s[1:] != s[:-1]
     ids = np.empty(len(keys), dtype=np.int64)
-    ids[order] = _run_ids(keys[order])
+    ids[order] = np.cumsum(new) - 1
     return ids
 
 
@@ -545,10 +587,14 @@ def _block_sums(owner: np.ndarray, block: np.ndarray, value: np.ndarray):
     terms, sorted by owner, then block. Integer values are summed exactly:
     OverflowError when a sum of a run of fewer than 2**26 terms does not
     fit in int64."""
+    # each copy replaces its source at once, so that a source the caller
+    # no longer holds is freed before the next copy is made
     order = np.lexsort((block, owner))
-    owner, block = owner[order], block[order]
-    first = np.flatnonzero(_run_starts(owner, block))
+    owner = owner[order]
+    block = block[order]
     value = value[order]
+    del order
+    first = np.flatnonzero(_run_starts(owner, block))
     total = np.add.reduceat(value, first)
     if value.dtype.kind == "i" and len(value) and max(
             int(value.max()), -int(value.min())) > (2**63 - 1) // len(value):
@@ -557,19 +603,23 @@ def _block_sums(owner: np.ndarray, block: np.ndarray, value: np.ndarray):
         approx = np.add.reduceat(value.astype(np.float64), first)
         if (np.abs(approx - total) >= 2.0**63).any():
             raise OverflowError("integer sum does not fit in int64")
-    return owner[first], block[first], total
+    del value
+    owner = owner[first]
+    return owner, block[first], total
 
 
-def _list_ids(owner: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """For the rows of a 2-D array sorted by owner: per owner 0..n-1, an id
-    of its list of rows, equal lists sharing it; -1 for an owner with no
-    row. The lists of one length are compared as one flat row each."""
-    size = np.bincount(owner, minlength=n)
+def _list_ids(size: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For the rows of a 2-D array grouped by owner, `size[o]` rows for
+    owner o in owner order: per owner, an id of its list of rows, equal
+    lists sharing it; -1 for an owner with no row. The lists of one length
+    are compared as one flat row each; when all lists have one length, that
+    is a view of `rows`."""
     first = np.cumsum(size) - size
-    ids = np.full(n, -1, dtype=np.int64)
+    ids = np.full(len(size), -1, dtype=np.int64)
     for k in np.unique(size[size > 0]).tolist():
         who = np.flatnonzero(size == k)
-        flat = rows[first[who, None] + np.arange(k)].reshape(len(who), -1)
+        flat = (rows if len(who) * k == len(rows) else
+                rows[first[who, None] + np.arange(k)]).reshape(len(who), -1)
         ids[who] = ids.max() + 1 + _row_ids(flat)
     return ids
 
@@ -581,11 +631,11 @@ def _canonical_sides(owner: np.ndarray, sp: np.ndarray, cnt: np.ndarray,
     by first appearance, and the canonical id of each side. The counts of
     one species in one side are summed."""
     owner, sp, cnt = _block_sums(owner, sp, cnt)
-    ids = _list_ids(owner, np.column_stack((sp, cnt)), n)
+    size = np.bincount(owner, minlength=n)
+    ids = _list_ids(size, np.column_stack((sp, cnt)))
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     is_first = np.zeros(n, dtype=bool)
     is_first[first] = True
-    size = np.bincount(owner, minlength=n)
     entry = np.repeat(is_first, size)
     rank = np.cumsum(is_first) - 1
     return size[is_first], sp[entry], cnt[entry], rank[first][inverse]
@@ -594,25 +644,29 @@ def _canonical_sides(owner: np.ndarray, sp: np.ndarray, cnt: np.ndarray,
 _FSUM_CHUNK = 4096  # terms turned into Python floats at a time
 
 
-def group_sums(key: np.ndarray, hi: np.ndarray, lo: np.ndarray):
+def group_sums(key: np.ndarray, hi: np.ndarray,
+               lo: Optional[np.ndarray] = None):
     """For terms sorted by `key`: the position of each key's first term and
-    the correctly rounded sum of the key's terms hi + lo. A single term's
-    sum is its `hi` (for an exact product split, the rounded product); a
-    longer group's is one `math.fsum` over all its hi and lo parts, inf if
-    that overflows."""
-    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]][:len(key)])
+    the correctly rounded sum of the key's terms hi (+ lo, when given). A
+    single term's sum is its `hi` (for an exact product split, the rounded
+    product); a longer group's is one `math.fsum` over all its hi (and lo)
+    parts, inf if that overflows."""
+    start = np.flatnonzero(_run_starts(key))
     sums = hi[start]
     size = np.diff(np.r_[start, len(key)])
     multi = np.flatnonzero(size > 1)
+    parts = 1 if lo is None else 2
     base, flat = 0, []
     for g, s, k in zip(multi.tolist(), start[multi].tolist(),
                        size[multi].tolist()):
-        if 2 * (s + k - base) > len(flat):
+        if parts * (s + k - base) > len(flat):
             base = s
             end = s + max(k, _FSUM_CHUNK)
-            flat = np.column_stack([hi[s:end], lo[s:end]]).ravel().tolist()
+            flat = (hi[s:end] if lo is None else np.column_stack(
+                [hi[s:end], lo[s:end]]).ravel()).tolist()
         try:
-            sums[g] = math.fsum(flat[2 * (s - base):2 * (s + k - base)])
+            sums[g] = math.fsum(flat[parts * (s - base):
+                                     parts * (s + k - base)])
         except OverflowError:  # the terms are non-negative
             sums[g] = math.inf
     return start, sums

@@ -567,7 +567,8 @@ def loop_compile_network(net: ReactionNetwork) -> CompiledNetwork:
                                 for c in counts.tolist()])[at]
     keys, at = np.unique(np.r_[rin, rout] * max(S, 1) + np.r_[sin, sout],
                          return_inverse=True)
-    change = np.bincount(at, np.r_[-cin, cout], len(keys))
+    # float64 even with no entries, where bincount would give int64
+    change = np.bincount(at, np.r_[-cin, cout], len(keys)).astype(np.float64)
     rx, sp = np.divmod(keys[change != 0], max(S, 1))
     bounds = np.fromiter(chain((r.rate.lo, r.rate.hi) for r in net.reactions),
                          float, 2 * R).reshape(R, 2).T.copy()
