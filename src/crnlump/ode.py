@@ -10,7 +10,9 @@ The vector field of species A is
 with the factorial divisor convention, so it is the large-population limit of
 the count-scaled stochastic model and is linear in the control vector `a`.
 Integration is classical fixed-step RK4 with steps split at schedule
-breakpoints: bit-identical output for identical inputs.
+breakpoints: bit-identical output for identical inputs. One driver,
+`integrate`, steps `simulate` and reconstruction. A state that is not
+finite raises at its float time; a failed match in its step comes first.
 """
 
 from __future__ import annotations
@@ -231,6 +233,21 @@ def rk4_step(f, v: np.ndarray, dt: float):
     return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k1, k2, k3, k4)
 
 
+def integrate(field, v0: np.ndarray, times: np.ndarray, diverged) -> np.ndarray:
+    """RK4 states from `v0` over the grid `times`, one row per time, with
+    step k's vector field `field(k, x)`; overflow is silent, and the first
+    state that is not finite raises `diverged(t)` at its float time t."""
+    states = np.empty((len(times), len(v0)))
+    states[0] = v = v0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, dt in enumerate(np.diff(times)):
+            v, _ = rk4_step(lambda x: field(k, x), v, dt)
+            if not np.all(np.isfinite(v)):
+                raise diverged(float(times[k + 1]))
+            states[k + 1] = v
+    return states
+
+
 def require_steps(traj: Trajectory):
     """A StructuralError unless `traj` has the two time points or more that
     control transfer, which works step by step, needs."""
@@ -274,16 +291,9 @@ def simulate(net: ReactionNetwork, v0: Sequence[float], schedule: ControlSchedul
     v = check_initial_state(net, v0)
     times = _time_grid(t_end, step, schedule.breakpoints, net.n_species)
     vf = VectorField(net)
-    states = np.empty((len(times), net.n_species))
-    states[0] = v
     seg = schedule.segments(times[:-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(times) - 1):
-            alpha = schedule.values[seg[k]]
-            v, _ = rk4_step(lambda x: vf(x, alpha), v, times[k + 1] - times[k])
-            if not np.all(np.isfinite(v)):
-                raise DivergenceError(times[k + 1])
-            states[k + 1] = v
+    states = integrate(lambda k, x: vf(x, schedule.values[seg[k]]), v, times,
+                       DivergenceError)
     return Trajectory(np.asarray(times), states, schedule, net.names)
 
 

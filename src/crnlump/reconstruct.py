@@ -35,7 +35,7 @@ from .model import Partition, ReactionNetwork, StructuralError
 from .ode import (RESIDUAL_MAX, BoxLeastSquares, BoxLsResult,
                   ControlSchedule, DriftMatch, Trajectory, VectorField,
                   _MatchFailure, check_grid, check_initial_state,
-                  require_steps, rk4_step)
+                  integrate, require_steps, rk4_step)
 
 # Largest gap allowed between the block sums of `v0` and the lumped start.
 CONSISTENCY_TOL = 1e-9
@@ -95,9 +95,11 @@ def stage_drifts(net: ReactionNetwork, traj: Trajectory,
     times = np.asarray(traj.times, dtype=float)
     alpha = schedule.values[schedule.segments(times[:-1])]
     vf = VectorField(net)
-    _, stages = rk4_step(lambda x: vf(x, alpha),
-                         np.asarray(traj.states, dtype=float)[:-1],
-                         np.diff(times)[:, None])
+    # the steps' new states are not used: their overflow is no failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, stages = rk4_step(lambda x: vf(x, alpha),
+                             np.asarray(traj.states, dtype=float)[:-1],
+                             np.diff(times)[:, None])
     return stages
 
 
@@ -143,40 +145,28 @@ def reconstruct_trajectory(net: ReactionNetwork, part: Partition,
     match = DriftMatch(vf, part, net.compiled.lo, net.compiled.hi,
                        ReconstructionFailureError)
     times = np.asarray(lumped_traj.times, dtype=float)
-    dt = np.diff(times)
+    targets = stage_drifts(lumped, lumped_traj, lumped_schedule)
+    controls = np.empty((len(times) - 1, net.n_reactions))
+    residuals = np.empty(len(times) - 1)
+    solved = []  # the residual of each stage of the current step so far
 
-    n_steps = len(times) - 1
-    states = np.empty((n_steps + 1, net.n_species))
-    states[0] = v0
-    controls = np.empty((n_steps, net.n_reactions))
-    residuals = np.empty(n_steps)
-    v = v0.copy()
-    # a state that overflows is reported as a failure, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        targets = stage_drifts(lumped, lumped_traj, lumped_schedule)
-        for k in range(n_steps):
-            t = float(times[k])
-            solved = []  # (control, residual) of each stage in turn
-
-            def field(x):
-                mono = vf.monomials(x)
-                alpha, residual = match.solve(mono, targets[len(solved)][k],
-                                              t)
-                solved.append((alpha, residual))
-                mono *= alpha
-                return vf.drift(mono)
-
-            v, _ = rk4_step(field, v, dt[k])
-            if not np.all(np.isfinite(v)):
-                raise ReconstructionFailureError(float(times[k + 1]),
-                                                 float("inf"))
-            states[k + 1] = v
-            controls[k] = solved[0][0]
-            residuals[k] = worst = max((r for _, r in solved),
-                                       key=lambda r: (math.isnan(r), r))
+    def field(k, x):
+        t = float(times[k])
+        mono = vf.monomials(x)
+        alpha, residual = match.solve(mono, targets[len(solved)][k], t)
+        solved.append(residual)
+        if len(solved) == 1:
+            controls[k] = alpha
+        elif len(solved) == 4:
+            residuals[k] = worst = max(solved, key=lambda r: (math.isnan(r), r))
+            solved.clear()
             if not worst <= RESIDUAL_MAX:
                 raise ReconstructionFailureError(t, worst)
+        mono *= alpha
+        return vf.drift(mono)
 
+    states = integrate(field, v0, times,
+                       lambda t: ReconstructionFailureError(t, math.inf))
     schedule = ControlSchedule(times[:-1].copy(), controls)
     traj = Trajectory(times, states, schedule, net.names)
     return ReconstructionResult(traj, schedule, residuals, float(residuals.max()))

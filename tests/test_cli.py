@@ -480,6 +480,15 @@ class TestSimulateCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"simulate: {why}\n"
 
+    def test_divergence_exits_2_without_output(self, tmp_path, capsys):
+        src = tmp_path / "m.crn"
+        src.write_text("species A\n2 A -> 3 A , 1.0\n")
+        out = tmp_path / "t.csv"
+        assert run(["simulate", str(src), "--init", "A=10", "--t-end", "5",
+                    "-o", str(out)]) == 2
+        assert "non-finite state at t = " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_init_is_an_error(self, tmp_path):
         src = tmp_path / "m.crn"
         src.write_text("species A B\nA -> B , 1.0\n")

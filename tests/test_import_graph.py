@@ -95,6 +95,24 @@ def test_every_exported_name_resolves_once():
     assert not missing, f"exported but undefined: {missing}"
 
 
+def test_one_loop_takes_rk4_steps():
+    """`simulate` and `reconstruct_trajectory` share one step driver: in the
+    whole package a single loop, comprehensions included, calls
+    `rk4_step`."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, loops) and any(
+                    isinstance(call, ast.Call) and "rk4_step" in (
+                        getattr(call.func, "id", None),
+                        getattr(call.func, "attr", None))
+                    for call in ast.walk(node)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(found) == 1, found
+
+
 # The scripts below call `scipy_loaded()` between their steps.
 _SCIPY_PROBE = """
 import sys

@@ -274,6 +274,7 @@ class TestSimulate:
             simulate(doc.network, np.array([10.0]), ControlSchedule.constant([1.0]),
                      5.0, 1e-3)
         assert 0.0 < err.value.time <= 5.0
+        assert type(err.value.time) is float
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_initial_state_rejected(self, two_site, value):

@@ -32,6 +32,15 @@ def bundled_model(name):
 BUNDLED = ("two-site", "multisite-4", "star-sir-10")
 
 
+def overflowing_step():
+    """`A -> 2 A` and a one-step lumped trajectory at 1e308 over the
+    singleton partition: the RK4 step overflows although every stage
+    target is finite and matched exactly."""
+    net = cl.parse_model("species A\nA -> 2 A , 1.0\n").network
+    ltraj = Trajectory(np.array([0.0, 0.5]), np.full((2, 1), 1e308))
+    return net, Partition.singletons(1), ltraj
+
+
 class TestBuildDriftMatch:
     def test_zero_state_zero_matrix(self, two_site, two_site_partition):
         prob = build_drift_match(two_site, two_site_partition, np.zeros(5),
@@ -273,11 +282,7 @@ class TestReconstructTrajectory:
                                    v0)
 
     def test_non_finite_state_raises(self):
-        # one RK4 step from 1e308 overflows although every stage target is
-        # finite and matched exactly
-        net = cl.parse_model("species A\nA -> 2 A , 1.0\n").network
-        part = Partition.singletons(1)
-        ltraj = Trajectory(np.array([0.0, 0.5]), np.full((2, 1), 1e308))
+        net, part, ltraj = overflowing_step()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ReconstructionFailureError) as err:
@@ -285,6 +290,71 @@ class TestReconstructTrajectory:
                                        ControlSchedule.midpoint(net), [1e308])
         assert (err.value.time, err.value.residual) == (0.5, float("inf"))
         assert err.value.converged
+
+    def test_stage_drifts_alone_keep_overflow_silent(self):
+        # the step's new state overflows; the stages it returns do not
+        net, _, ltraj = overflowing_step()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stages = stage_drifts(net, ltraj, ControlSchedule.midpoint(net))
+        assert stages[0].tolist() == [[1e308]]
+        assert all(np.all(np.isfinite(stage)) for stage in stages)
+
+    def test_a_failed_stage_match_is_reported_before_divergence(
+            self, monkeypatch):
+        # the fourth stage's match fails in the step whose state overflows
+        net, part, ltraj = overflowing_step()
+        solve, calls = DriftMatch.solve, []
+
+        def poor_fourth(self, mono, target, time):
+            alpha, residual = solve(self, mono, target, time)
+            calls.append(time)
+            return alpha, 1.0 if len(calls) == 4 else residual
+
+        monkeypatch.setattr(DriftMatch, "solve", poor_fourth)
+        with pytest.raises(ReconstructionFailureError) as err:
+            reconstruct_trajectory(net, part, ltraj,
+                                   ControlSchedule.midpoint(net), [1e308])
+        assert (err.value.time, err.value.residual) == (0.0, 1.0)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("case", ["simulate", "reconstruct", "divergence",
+                                      "residual", "reconstruct-divergence"])
+    def test_numpy_error_state_is_restored(self, two_site, two_site_partition,
+                                           case):
+        # the one overflow scope of the step driver ends with it, on return
+        # and on each failure
+        lumped, sched, ltraj, v0 = self._lumped_setup(two_site,
+                                                      two_site_partition,
+                                                      t_end=0.2)
+        states = ltraj.states.copy()
+        states[len(states) // 2:] *= 2.5
+        corrupted = Trajectory(ltraj.times, states)
+        growth = cl.parse_model("species A\n2 A -> 3 A , 1.0\n").network
+        net, part, over = overflowing_step()
+        run, error = {
+            "simulate": (lambda: simulate(two_site, v0, ControlSchedule
+                                          .midpoint(two_site), 0.2), None),
+            "reconstruct": (lambda: reconstruct_trajectory(
+                two_site, two_site_partition, ltraj, sched, v0), None),
+            "divergence": (lambda: simulate(growth, [10.0], ControlSchedule
+                                            .midpoint(growth), 5.0),
+                           "non-finite state"),
+            "residual": (lambda: reconstruct_trajectory(
+                two_site, two_site_partition, corrupted, sched, v0),
+                "reconstruction residual [0-9]"),
+            "reconstruct-divergence": (lambda: reconstruct_trajectory(
+                net, part, over, ControlSchedule.midpoint(net), [1e308]),
+                "reconstruction residual inf"),
+        }[case]
+        before = np.geterr()
+        if error is None:
+            run()
+        else:
+            with pytest.raises((cl.DivergenceError,
+                                ReconstructionFailureError), match=error):
+                run()
+        assert np.geterr() == before
 
     def test_network_without_species(self):
         net = cl.parse_model("0 -> 0 , [1 : 2]\n").network
